@@ -104,31 +104,43 @@ def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> d
     return out
 
 
-def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    records = []
-    for entry in sorted(data["degrees"], key=lambda e: int(e["degree"])):
-        t = int(entry["degree"])
-        if t == 1:
-            parents: tuple = tuple(int(k) for k in entry["parents"])
-        else:
-            parents = tuple((int(i), int(j)) for i, j in entry["parents"])
-        eigvals = _dec_vector(entry["eigvals"])
-        eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
-        if eigvecs.shape[0] == 0:
-            eigvecs = np.zeros((len(parents), eigvals.size))
-        weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
-        records.append(
-            DegreeRecord(
-                parents=parents,
-                ortho_weights=weights,
-                eigvecs=eigvecs,
-                eigvals=eigvals,
-                partition=tuple(str(tag) for tag in entry["partition"]),
-            )
-        )
+def _decode(where: str, decode, *args):
+    """Run ``decode(*args)``, reporting malformed JSON data as ValueError.
+
+    A missing key or a value of the wrong type becomes a one-line
+    ``ValueError`` naming the field and ``where`` it sits ("" for the top
+    level of the document).
+    """
+    label = f"model JSON {where}" if where else "model JSON"
+    try:
+        return decode(*args)
+    except KeyError as exc:
+        raise ValueError(f"{label}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: invalid value: {exc}") from None
+
+
+def _degree_from_dict(entry: dict) -> tuple[int, DegreeRecord]:
+    t = int(entry["degree"])
+    if t == 1:
+        parents: tuple = tuple(int(k) for k in entry["parents"])
+    else:
+        parents = tuple((int(i), int(j)) for i, j in entry["parents"])
+    eigvals = _dec_vector(entry["eigvals"])
+    eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
+    if eigvecs.shape[0] == 0:
+        eigvecs = np.zeros((len(parents), eigvals.size))
+    weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
+    return t, DegreeRecord(
+        parents=parents,
+        ortho_weights=weights,
+        eigvecs=eigvecs,
+        eigvals=eigvals,
+        partition=tuple(str(tag) for tag in entry["partition"]),
+    )
+
+
+def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisModel:
     norm = data["normalization"]
     kind = NormalizationKind(
         norm["variant"],
@@ -140,15 +152,33 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
         center=_dec_vector(prep_data["center"]) if prep_data.get("center") is not None else None,
         scale=float(prep_data["scale"]) if prep_data.get("scale") is not None else None,
     )
-    model = BasisModel(
+    return BasisModel(
         num_vars=int(data["num_vars"]),
         constant_value=float(data["constant_value"]),
-        degrees=tuple(records),
+        degrees=records,
         epsilon=float(data["epsilon"]),
         normalization=kind,
         preprocessing=prep,
         truncated=bool(data.get("truncated", False)),
     )
+
+
+def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
+    """Rebuild a model (and its reduction report, if stored).
+
+    Raises ``ValueError`` for an unsupported version or malformed data.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("model JSON must be an object")
+    version = data.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
+    entries = _decode("", data.__getitem__, "degrees")
+    if not isinstance(entries, list):
+        raise ValueError("model JSON: field 'degrees' must be a list")
+    decoded = [_decode(f"degrees[{i}]", _degree_from_dict, e) for i, e in enumerate(entries)]
+    records = tuple(rec for _, rec in sorted(decoded, key=lambda tr: tr[0]))
+    model = _decode("", _model_from_dict, data, records)
     model.validate()
     report = report_from_dict(data["reduction"]) if "reduction" in data else None
     return model, report
@@ -178,7 +208,7 @@ def report_to_dict(report: ReductionReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> ReductionReport:
+def _report_from_dict(data: dict) -> ReductionReport:
     return ReductionReport(
         kept=tuple(_handle_from_dict(h) for h in data["kept"]),
         removed=tuple(
@@ -200,6 +230,11 @@ def report_from_dict(data: dict) -> ReductionReport:
         ),
         threshold=float(data["threshold"]),
     )
+
+
+def report_from_dict(data: dict) -> ReductionReport:
+    """Rebuild a reduction report; raises ``ValueError`` for malformed data."""
+    return _decode("reduction", _report_from_dict, data)
 
 
 def dumps(data: dict) -> str:

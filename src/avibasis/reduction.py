@@ -6,6 +6,12 @@ linear combination of the lower-degree gradients, so redundancy is tested
 by per-point least squares on gradients: a candidate is dropped only if
 the residual is below threshold at every point.
 
+All candidates of one degree share their generator pool (the kept
+polynomials of lower degree), so the per-point solves are batched: the
+stacked ``(points, vars, generators)`` pool gradients get one stacked SVD,
+which is recomputed only when the pool has grown, and the residuals of
+every candidate of the degree come from one stacked solve against it.
+
 When the fit normalization is not the full gradient mapping, the per-degree
 gradient Gram of the vanishing set may be rank deficient (e.g. duplicate or
 near-zero polynomials); a rank-deflation pass removes those first.
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .fit import GRADIENT
 from .model import BasisModel, PolyHandle, gradient
 
@@ -63,32 +68,48 @@ class ReductionReport:
         return tuple(h for rec in self.rank_deflated for h in rec.removed)
 
 
+def _pool_solver(generator_grads: np.ndarray, rank_tol: float):
+    """Factor a ``(points, vars, generators)`` pool once for many solves.
+
+    One stacked SVD covers every point; singular values at most
+    ``rank_tol`` times a point's largest (all of them where that is zero)
+    are dropped, as ``linalg.lstsq`` drops them.  The returned function
+    maps ``(points, vars, c)`` candidate gradients to the ``(points, c)``
+    residual norms ``|M w - y|`` of the per-point minimum-norm solutions,
+    computed in ``linalg.lstsq``'s order of operations.
+    """
+    u, s, vt = np.linalg.svd(generator_grads, full_matrices=False)
+    divisor = np.where(s > rank_tol * s[:, :1], s, np.inf)[:, :, None]
+    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
+
+    def residuals(candidate_grads: np.ndarray) -> np.ndarray:
+        w = v @ ((ut @ candidate_grads) / divisor)
+        return np.linalg.norm(generator_grads @ w - candidate_grads, axis=1)
+
+    return residuals
+
+
 def gradient_dependence_residuals(
     generator_grads: np.ndarray,
     candidate_grad: np.ndarray,
     rank_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Per-point residuals of fitting a gradient by lower-degree gradients.
+    """Per-point residuals of fitting gradients by lower-degree gradients.
 
-    ``generator_grads`` has shape ``(points, vars, generators)``,
-    ``candidate_grad`` shape ``(points, vars)``.  At each point the best
-    linear combination of generator gradients is solved independently; the
-    returned vector holds the residual norms.
+    ``generator_grads`` has shape ``(points, vars, generators)``;
+    ``candidate_grad`` has shape ``(points, vars)`` for one candidate or
+    ``(points, vars, c)`` for ``c`` candidates.  At each point the best
+    linear combination of generator gradients is solved independently, by
+    minimum-norm least squares truncated as in ``linalg.lstsq``; the result
+    holds the residual norms, of shape ``(points,)`` or ``(points, c)``.
+    The generator block is factored once, by one stacked SVD, for all
+    points and candidates.
     """
-    num_points = candidate_grad.shape[0]
-    residuals = np.zeros(num_points)
-    for p in range(num_points):
-        _, res = linalg.lstsq(generator_grads[p], candidate_grad[p], rank_tol)
-        residuals[p] = res
-    return residuals
-
-
-def _gram_rank(gram: np.ndarray, rank_tol: float, scale: float | None = None) -> int:
-    lam = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    top = float(lam[-1]) if scale is None else scale
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(lam > rank_tol * top))
+    residuals = _pool_solver(np.asarray(generator_grads, dtype=float), rank_tol)
+    candidate_grad = np.asarray(candidate_grad, dtype=float)
+    if candidate_grad.ndim == 2:
+        return residuals(candidate_grad[:, :, None])[:, 0]
+    return residuals(candidate_grad)
 
 
 def rank_deflate_degree(
@@ -111,7 +132,7 @@ def rank_deflate_degree(
     extents = np.asarray(extents, dtype=float)
     lam = np.linalg.eigvalsh((gram + gram.T) / 2.0) if count else np.zeros(0)
     top = float(lam[-1]) if count else 0.0
-    rank = _gram_rank(gram, rank_tol) if count else 0
+    rank = int(np.count_nonzero(lam > rank_tol * top)) if top > 0.0 else 0
     to_remove = count - rank
 
     current = list(range(count))
@@ -180,16 +201,23 @@ def reduce_basis(
     kept: list[PolyHandle] = []
     removed: list[RemovedPolynomial] = []
     lowest = min((d for d, hs in survivors.items() if hs), default=None)
+    solve, solved_pool_size = None, -1
     for degree in sorted(survivors):
-        for handle in survivors[degree]:
-            if degree == lowest:
-                kept.append(handle)
-                continue
-            pool = [h for h in kept if h.degree < degree]
-            pool_grads = np.stack([grad_of[h] for h in pool], axis=2)
-            residuals = gradient_dependence_residuals(
-                pool_grads, grad_of[handle], rank_tol
-            )
+        candidates = survivors[degree]
+        if not candidates:
+            continue  # every survivor of this degree was rank-deflated
+        if degree == lowest:
+            kept.extend(candidates)
+            continue
+        # Everything in ``kept`` has lower degree, so it is the whole pool;
+        # it only ever grows, so its length tells whether the cached
+        # factorization is still current.
+        if len(kept) != solved_pool_size:
+            solve = _pool_solver(np.stack([grad_of[h] for h in kept], axis=2), rank_tol)
+            solved_pool_size = len(kept)
+        block = solve(np.stack([grad_of[h] for h in candidates], axis=2))
+        for j, handle in enumerate(candidates):
+            residuals = block[:, j].copy()
             max_res = float(residuals.max())
             if max_res <= threshold:
                 removed.append(RemovedPolynomial(handle, max_res, residuals))

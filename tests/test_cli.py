@@ -263,6 +263,35 @@ class TestEpsilonSearchCommand:
         assert code == 1
 
 
+def _model_without_parents(tmp_path):
+    main(["fit", write_four_points(tmp_path / "fit.csv"), "-o", str(tmp_path / "m.json"),
+          "--epsilon", "0"])
+    data = json.loads((tmp_path / "m.json").read_text())
+    del data["degrees"][1]["parents"]
+    return data
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "make_data,field",
+        [
+            (lambda tmp_path: {"format_version": 1, "num_vars": 2}, "'degrees'"),
+            (_model_without_parents, "degrees[1]: missing field 'parents'"),
+        ],
+        ids=["no degrees", "degree without parents"],
+    )
+    def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(make_data(tmp_path)))
+        capsys.readouterr()
+        code = main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "v.csv")])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert "Traceback" not in err
+
+
 class TestPersistence:
     def test_roundtrip_is_byte_identical(self, tmp_path):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from avibasis import (
+    ConcentricEllipses,
+    DatasetSpec,
     FitConfig,
     NormalizationKind,
     PolyHandle,
     expand,
     fit,
+    generate_dataset,
     gradient,
+    lstsq,
     rank_deflate_degree,
     reduce_basis,
 )
+from avibasis.fit import GRADIENT
 from avibasis.model import DegreeRecord
 from avibasis.reduction import gradient_dependence_residuals
 from conftest import (
@@ -218,3 +226,147 @@ class TestRankDeflation:
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
         report = reduce_basis(model, FOUR_POINTS)
         assert report.rank_deflated == ()
+
+
+# -- batched residuals against the per-point least-squares oracle ---------------
+
+
+def _lstsq_residuals(generator_grads, candidate_grad, rank_tol=1e-12):
+    """Reference: one ``linalg.lstsq`` per point and per candidate."""
+    y = candidate_grad if candidate_grad.ndim == 3 else candidate_grad[:, :, None]
+    out = np.zeros((y.shape[0], y.shape[2]))
+    for p in range(y.shape[0]):
+        for c in range(y.shape[2]):
+            out[p, c] = lstsq(generator_grads[p], y[p, :, c], rank_tol)[1]
+    return out if candidate_grad.ndim == 3 else out[:, 0]
+
+
+@st.composite
+def _pool_and_candidates(draw):
+    """Integer-valued gradients (so exact rank deficiency stays exact),
+    scaled by a power of two per point (so a cut-off relative to the
+    largest singular value over all points would show); the pool may have
+    duplicated columns, a point with all-zero generator gradients, and more
+    generators than variables."""
+    points, num_vars, num_gens = draw(st.tuples(st.integers(1, 6), st.integers(1, 4),
+                                                st.integers(1, 6)))
+    entries = st.integers(-2, 2).map(float)
+    gens = draw(arrays(float, (points, num_vars, num_gens), elements=entries))
+    gens *= 2.0 ** draw(arrays(int, (points, 1, 1), elements=st.integers(-30, 30)))
+    if num_gens > 1 and draw(st.booleans()):
+        gens[:, :, -1] = 2.0 * gens[:, :, 0]
+    if draw(st.booleans()):
+        gens[draw(st.integers(0, points - 1))] = 0.0
+    y = draw(arrays(float, (points, num_vars, draw(st.integers(1, 3))), elements=entries))
+    y *= 2.0 ** draw(st.integers(-20, 20))
+    if draw(st.booleans()):
+        # one candidate inside the span: its residual is pure roundoff
+        y[:, :, 0] = gens @ draw(arrays(float, num_gens, elements=entries))
+    return gens, (y if draw(st.booleans()) else y[:, :, 0])
+
+
+class TestBatchedResiduals:
+    @settings(max_examples=200, deadline=None)
+    @given(_pool_and_candidates())
+    def test_matches_per_point_lstsq(self, case):
+        gens, y = case
+        got = gradient_dependence_residuals(gens, y)
+        want = _lstsq_residuals(gens, y)
+        assert got.shape == want.shape == y.shape[:1] + y.shape[2:]
+        y_norm = np.linalg.norm(y, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * y_norm)
+
+    def test_zero_generators_give_candidate_norm(self):
+        y = np.array([[3.0, 4.0], [0.0, 1.0]])
+        got = gradient_dependence_residuals(np.zeros((2, 2, 3)), y)
+        assert np.array_equal(got, [5.0, 1.0])
+
+
+def _per_handle_reduction(model, points, threshold, rank_tol=1e-12):
+    """Reference sweep: a fresh pool and per-point ``lstsq`` per handle.
+
+    Returns ``(kept, [(handle, residuals)], rank_deflated records)``.
+    """
+    handles = model.g_handles()
+    grad_of = dict(zip(handles, gradient(model, handles, points)))
+    by_degree = {}
+    for h in handles:
+        by_degree.setdefault(h.degree, []).append(h)
+    survivors, deflated = {}, []
+    for degree, hs in sorted(by_degree.items()):
+        survivors[degree] = hs
+        if model.normalization.variant == GRADIENT:
+            continue
+        flat = np.stack([grad_of[h] for h in hs], axis=2).reshape(-1, len(hs))
+        extents = np.array([model.extent_of_vanishing(h) for h in hs])
+        kept, dropped, rank = rank_deflate_degree(tuple(hs), flat.T @ flat, extents, rank_tol)
+        survivors[degree] = list(kept)
+        if dropped:
+            deflated.append((degree, dropped, len(hs), rank))
+    kept, removed = [], []
+    lowest = min((d for d, hs in survivors.items() if hs), default=None)
+    for degree in sorted(survivors):
+        for handle in survivors[degree]:
+            if degree == lowest:
+                kept.append(handle)
+                continue
+            pool = np.stack([grad_of[h] for h in kept if h.degree < degree], axis=2)
+            residuals = _lstsq_residuals(pool, grad_of[handle], rank_tol)
+            if residuals.max() <= threshold:
+                removed.append((handle, residuals))
+            else:
+                kept.append(handle)
+    return kept, removed, deflated, grad_of
+
+
+def _small_ellipse():
+    spec = DatasetSpec(
+        variety=ConcentricEllipses(((1.41, 0.71), (2.0, 1.0))),
+        samples=40,
+        extra_linear_vars=(0.5,),
+        noise_std_fraction=0.02,
+        seed=3,
+    )
+    return generate_dataset(spec).points
+
+
+def _cloud(seed):
+    rng = np.random.default_rng(seed)
+    return random_cloud(rng, int(rng.integers(4, 10)), int(rng.integers(2, 4)))
+
+
+# Cloud seeds chosen so that each cloud has removals under both fits, and
+# rank-deflation victims under the identity fit.
+_REFERENCE_CASES = [
+    ("four points, gradient", lambda: FOUR_POINTS, NormalizationKind.gradient(), 0.0, 1e-9),
+    ("four points, identity", lambda: FOUR_POINTS, NormalizationKind.identity(), 0.0, 1e-9),
+    ("ellipse, gradient", _small_ellipse, NormalizationKind.gradient(), 0.05, 1e-9),
+    ("ellipse, coefficient", _small_ellipse, NormalizationKind.coefficient(), 0.05, 1e-2),
+] + [
+    (f"cloud {seed}, {kind.variant}", lambda seed=seed: _cloud(seed), kind, 0.0, 1e-9)
+    for seed in (21, 22, 25, 28)
+    for kind in (NormalizationKind.gradient(), NormalizationKind.identity())
+]
+
+
+class TestAgainstPerHandleReference:
+    @pytest.mark.parametrize(
+        "make_points,kind,epsilon,threshold",
+        [case[1:] for case in _REFERENCE_CASES],
+        ids=[case[0] for case in _REFERENCE_CASES],
+    )
+    def test_same_partition_and_residuals(self, make_points, kind, epsilon, threshold):
+        pts = make_points()
+        model = fit(pts, FitConfig(epsilon=epsilon, normalization=kind))
+        report = reduce_basis(model, pts, threshold=threshold)
+        kept, removed, deflated, grad_of = _per_handle_reduction(model, pts, threshold)
+        assert report.kept == tuple(kept)
+        assert [r.handle for r in report.removed] == [h for h, _ in removed]
+        assert [
+            (d.degree, d.removed, d.original_count, d.gram_rank) for d in report.rank_deflated
+        ] == deflated
+        for entry, (handle, want) in zip(report.removed, removed):
+            assert entry.per_point_residuals.ndim == 1
+            assert entry.per_point_residuals.flags.c_contiguous
+            bound = 1e-12 * np.linalg.norm(grad_of[handle], axis=1)
+            assert np.all(np.abs(entry.per_point_residuals - want) <= bound)
