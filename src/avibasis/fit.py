@@ -6,7 +6,9 @@ against everything of lower degree, and combined through a generalized
 symmetric eigenproblem whose right-hand side is a pluggable normalization
 Gram matrix.  Columns split into nonvanishing (F) and vanishing (G) by
 comparing sqrt(eigenvalue) -- the evaluation norm of the polynomial --
-against the tolerance epsilon.
+against the tolerance epsilon.  The numeric work of each degree runs in
+the degree-step kernel of ``model``, which replays use too; ``fit``
+supplies the orthogonalization and the eigensolve.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .model import (
     PointSet,
     Preprocessing,
     _apply_ortho,
-    _apply_ortho_grad,
     _combine_expansion,
-    _pair_eval,
-    _pair_grad,
+    _Forward,
 )
 
 __all__ = [
@@ -257,8 +257,9 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     max_degree = config.max_degree if config.max_degree is not None else num_points
 
     m = _constant_value(kind, pts)
-    f_evals: list[np.ndarray] = [np.full((num_points, 1), m)]
-    f_grads: list[np.ndarray] = [np.zeros((num_points, num_vars, 1))]
+    # Only gradient normalizations read candidate gradients, and no
+    # gradient reaches the model, so other fits carry none.
+    fwd = _Forward(pts, m, kind.uses_gradients)
     symbolic = kind.variant == COEFFICIENT
     f_exps: list[list[DensePolynomial]] = [[DensePolynomial.constant(num_vars, m)]]
 
@@ -267,73 +268,61 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     for t in range(1, max_degree + 1):
         if t == 1:
             parents: tuple = tuple(range(num_vars))
-            pre = pts[:, list(parents)]
-            pre_grad = np.zeros((num_points, num_vars, num_vars))
-            for j, k in enumerate(parents):
-                pre_grad[:, k, j] = 1.0
             pre_exps = [DensePolynomial.variable(num_vars, k) for k in parents] if symbolic else None
         else:
-            n1 = f_evals[1].shape[1]
-            ntm1 = f_evals[t - 1].shape[1]
+            n1, ntm1 = fwd.first.shape[1], fwd.last.shape[1]
             parents = tuple((i, j) for i in range(n1) for j in range(ntm1))
-            pre = _pair_eval(f_evals[1], f_evals[t - 1])
-            pre_grad = _pair_grad(f_evals[1], f_grads[1], f_evals[t - 1], f_grads[t - 1])
             pre_exps = (
                 [f_exps[1][i] * f_exps[t - 1][j] for i, j in parents] if symbolic else None
             )
+        flat_exps = [p for block in f_exps for p in block] if symbolic else None
 
-        f_all = np.concatenate(f_evals, axis=1)
-        c_eval, w = orthogonalize(pre, f_all, config.rank_tol)
-        f_grad_all = np.concatenate(f_grads, axis=2)
-        c_grad = _apply_ortho_grad(pre_grad, f_grad_all, w)
-        c_exps = None
-        if symbolic:
-            if monomial_count(num_vars, t) > config.expansion_cap:
-                raise ExpansionLimitError(
-                    f"coefficient normalization at degree {t} in {num_vars} variables "
-                    f"exceeds the {config.expansion_cap}-term expansion guard"
-                )
-            flat_exps = [p for block in f_exps for p in block]
-            c_exps = []
-            for j, p in enumerate(pre_exps):
-                combo = p
-                for f_idx, fp in enumerate(flat_exps):
-                    if w[f_idx, j] != 0.0:
-                        combo = combo - fp.scale(float(w[f_idx, j]))
-                c_exps.append(combo)
-            c_exps = tuple(c_exps)
+        def solve(c_eval, c_grad, w):
+            c_exps = None
+            if symbolic:
+                if monomial_count(num_vars, t) > config.expansion_cap:
+                    raise ExpansionLimitError(
+                        f"coefficient normalization at degree {t} in {num_vars} variables "
+                        f"exceeds the {config.expansion_cap}-term expansion guard"
+                    )
+                c_exps = []
+                for j, p in enumerate(pre_exps):
+                    combo = p
+                    for f_idx, fp in enumerate(flat_exps):
+                        if w[f_idx, j] != 0.0:
+                            combo = combo - fp.scale(float(w[f_idx, j]))
+                    c_exps.append(combo)
+                c_exps = tuple(c_exps)
 
-        cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
-        gram = normalization_matrix(cands, kind)
-        outer = c_eval.T @ c_eval
-        eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram, config.rank_tol)
-        # Store the squared evaluation norms of the output columns rather
-        # than the solver's eigenvalues: they agree to solver precision, but
-        # for exactly vanishing directions the solver value carries
-        # eps-level noise whose square root (~1e-8) would pollute the
-        # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
-        out_evals = c_eval @ eig.eigenvectors
-        eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
-        partition = classify(eigvals, config.epsilon)
-        records.append(
-            DegreeRecord(
+            cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
+            gram = normalization_matrix(cands, kind)
+            outer = c_eval.T @ c_eval
+            eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram, config.rank_tol)
+            # Store the squared evaluation norms of the output columns rather
+            # than the solver's eigenvalues: they agree to solver precision, but
+            # for exactly vanishing directions the solver value carries
+            # eps-level noise whose square root (~1e-8) would pollute the
+            # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
+            out_evals = c_eval @ eig.eigenvectors
+            eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
+            partition = classify(eigvals, config.epsilon)
+            return DegreeRecord(
                 parents=parents,
                 ortho_weights=w,
                 eigvecs=eig.eigenvectors,
                 eigvals=eigvals,
                 partition=partition,
             )
-        )
 
-        f_cols = records[-1].columns("F")
-        v_f = eig.eigenvectors[:, f_cols]
-        f_evals.append(c_eval @ v_f)
-        f_grads.append(np.tensordot(c_grad, v_f, axes=([2], [0])))
+        rec, _, _ = fwd.step(
+            parents, lambda pre, f_eval: orthogonalize(pre, f_eval, config.rank_tol), solve
+        )
+        records.append(rec)
+        f_cols = rec.columns("F")
         if symbolic:
-            flat_exps = [p for block in f_exps for p in block]
             f_exps.append(
                 [
-                    _combine_expansion(pre_exps, flat_exps, w, eig.eigenvectors[:, c])
+                    _combine_expansion(pre_exps, flat_exps, rec.ortho_weights, rec.eigvecs[:, c])
                     for c in f_cols
                 ]
             )

@@ -4,9 +4,14 @@ A fitted basis is stored symbol-free: per degree, the candidate parentage,
 the orthogonalization weights, and the eigenvector combinations.  That is
 enough to re-evaluate any basis polynomial, its gradient (via the product
 rule over cached parent values, no differentiation), or its explicit
-expansion, at arbitrary points.  Re-evaluating at the training points goes
-through the same arithmetic path as fitting, so it reproduces the fit-time
-evaluation matrices exactly.
+expansion, at arbitrary points.
+
+There is one numeric path, the degree-step kernel ``_Forward``: ``fit``
+drives it with its eigensolve and the replays with the stored records, so
+a replay at the training points reproduces the fit-time evaluation
+matrices bit for bit by construction.  Its F columns sit in one row-major
+buffer, whose column prefix gives BLAS the same arithmetic as the
+concatenation of the lower-degree blocks.
 """
 
 from __future__ import annotations
@@ -50,10 +55,6 @@ class Preprocessing:
 
     center: np.ndarray | None = None
     scale: float | None = None
-
-    @property
-    def is_identity(self) -> bool:
-        return self.center is None and self.scale is None
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         out = np.asarray(points, dtype=float)
@@ -172,11 +173,6 @@ class BasisModel:
     def max_degree(self) -> int:
         return len(self.degrees)
 
-    @property
-    def deflation_occurred(self) -> bool:
-        """Whether any degree dropped normalization-null candidate directions."""
-        return any(r.num_outputs < r.num_candidates for r in self.degrees)
-
     def record(self, degree: int) -> DegreeRecord:
         if not 1 <= degree <= len(self.degrees):
             raise IndexError(f"no degree-{degree} record in this model")
@@ -250,7 +246,7 @@ class BasisModel:
             f_counts.append(len(rec.columns("F")))
 
 
-# -- shared arithmetic steps (used verbatim by fitting and by replay) --------
+# -- the degree-step kernel, shared by fitting and replay ---------------------
 
 
 def _pair_eval(f1_eval: np.ndarray, ftm1_eval: np.ndarray) -> np.ndarray:
@@ -281,71 +277,87 @@ def _apply_ortho(pre: np.ndarray, f_all: np.ndarray, w: np.ndarray) -> np.ndarra
     return pre - f_all @ w
 
 
-def _apply_ortho_grad(pre_grad: np.ndarray, f_grad_all: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return pre_grad - np.tensordot(f_grad_all, w, axes=([2], [0]))
-
-
 class _Forward:
-    """Degree-by-degree replay of a model at a given set of points.
+    """The degree-step kernel that fitting and every numeric replay run.
 
-    Maintains, per degree, the nonvanishing-block evaluations (and
-    optionally gradients) plus the candidate evaluations/gradients of the
-    last processed degree.  Fitting drives the identical helpers, so a
-    replay at the training points is arithmetically the fit itself.
+    At fixed points it keeps the evaluations (and optionally gradients) of
+    the F polynomials built so far: the degree-1 and latest blocks, each
+    contiguous, for the next degree's pair products; and every F column in
+    degree order in one buffer, ``(m, cap)`` and ``(m, n, cap)``, whose
+    column prefix each degree is orthogonalized against.  The buffers are
+    row-major, so the prefix is a strided view that BLAS and the SVD read
+    with the arithmetic of the contiguous concatenation of the blocks the
+    buffer replaces.  A full buffer doubles; a replay sizes it up front.
     """
 
-    def __init__(self, model: BasisModel, points: np.ndarray, need_grads: bool):
-        self.model = model
+    def __init__(self, points: np.ndarray, constant_value: float, need_grads: bool):
+        m, n = points.shape
         self.points = points
-        self.need_grads = need_grads
-        m = points.shape[0]
-        n = model.num_vars
-        self.f_evals: list[np.ndarray] = [np.full((m, 1), model.constant_value)]
-        self.f_grads: list[np.ndarray] = [np.zeros((m, n, 1))]
-        self.block_evals: dict[int, np.ndarray] = {}
-        self.block_grads: dict[int, np.ndarray] = {}
+        self.evals = np.full((m, 1), constant_value)
+        self.grads = np.zeros((m, n, 1)) if need_grads else None
+        self.width = 1
+        self.first = self.first_grad = None  # degree-1 F block
+        self.last = self.last_grad = None  # latest degree's F block
 
-    def run(self, up_to_degree: int) -> None:
+    def step(self, parents, orthogonalize, solve):
+        """Build one degree; return ``(record, c_eval, c_grad)``.
+
+        ``parents`` is read at degree 1 only; above it the candidates are
+        all (degree-1 F, latest F) pair products.  ``orthogonalize(pre,
+        f_eval)`` returns ``(pre - f_eval @ w, w)`` and ``solve(c_eval,
+        c_grad, w)`` the degree's record; ``c_grad`` is None without gradients.
+        """
+        grads = self.grads is not None
+        if self.first is None:
+            pre = self.points[:, list(parents)]
+            if grads:
+                m, n = self.points.shape
+                pre_grad = np.zeros((m, n, len(parents)))
+                pre_grad[:, list(parents), range(len(parents))] = 1.0
+        else:
+            pre = _pair_eval(self.first, self.last)
+            if grads:
+                pre_grad = _pair_grad(self.first, self.first_grad, self.last, self.last_grad)
+        width = self.width
+        c_eval, w = orthogonalize(pre, self.evals[:, :width])
+        c_grad = pre_grad - np.tensordot(self.grads[:, :, :width], w, axes=([2], [0])) if grads else None
+        rec = solve(c_eval, c_grad, w)
+        v_f = rec.eigvecs[:, rec.columns("F")]
+        f_eval = c_eval @ v_f
+        f_grad = np.tensordot(c_grad, v_f, axes=([2], [0])) if grads else None
+        if self.first is None:
+            self.first, self.first_grad = f_eval, f_grad
+        self.last, self.last_grad = f_eval, f_grad
+        end = width + f_eval.shape[1]
+        if end > self.evals.shape[1]:
+            self._reserve(max(end, 2 * self.evals.shape[1]))
+        self.evals[:, width:end] = f_eval
+        if grads:
+            self.grads[:, :, width:end] = f_grad
+        self.width = end
+        return rec, c_eval, c_grad
+
+    def replay(self, model: BasisModel, up_to_degree: int):
+        """Step through ``model``'s records of degrees 1..up_to_degree,
+        yielding ``(degree, record, c_eval, c_grad)`` for each."""
+        self._reserve(1 + sum(model.record(t).partition.count("F") for t in range(1, up_to_degree + 1)))
         for t in range(1, up_to_degree + 1):
-            rec = self.model.record(t)
-            if t == 1:
-                pre = self.points[:, list(rec.parents)]
-                if self.need_grads:
-                    m, n = self.points.shape
-                    pre_grad = np.zeros((m, n, len(rec.parents)))
-                    for j, k in enumerate(rec.parents):
-                        pre_grad[:, int(k), j] = 1.0
-            else:
-                pre = _pair_eval(self.f_evals[1], self.f_evals[t - 1])
-                if self.need_grads:
-                    pre_grad = _pair_grad(
-                        self.f_evals[1], self.f_grads[1],
-                        self.f_evals[t - 1], self.f_grads[t - 1],
-                    )
-            f_all = np.concatenate(self.f_evals, axis=1)
-            c_eval = _apply_ortho(pre, f_all, rec.ortho_weights)
-            # same products as at fit time, so training-point replays are
-            # bit-identical to the fitted evaluation matrices
-            self.block_evals[t] = c_eval @ rec.eigvecs
-            f_cols = rec.columns("F")
-            v_f = rec.eigvecs[:, f_cols]
-            self.f_evals.append(c_eval @ v_f)
-            if self.need_grads:
-                f_grad_all = np.concatenate(self.f_grads, axis=2)
-                c_grad = _apply_ortho_grad(pre_grad, f_grad_all, rec.ortho_weights)
-                self.block_grads[t] = np.tensordot(c_grad, rec.eigvecs, axes=([2], [0]))
-                self.f_grads.append(np.tensordot(c_grad, v_f, axes=([2], [0])))
+            rec = model.record(t)
+            yield (t,) + self.step(
+                rec.parents,
+                lambda pre, f_eval, w=rec.ortho_weights: (_apply_ortho(pre, f_eval, w), w),
+                lambda *_, rec=rec: rec,
+            )
 
-    def handle_eval(self, handle: PolyHandle) -> np.ndarray:
-        if handle.degree == 0:
-            return np.full(self.points.shape[0], self.model.constant_value)
-        return self.block_evals[handle.degree][:, handle.column]
-
-    def handle_grad(self, handle: PolyHandle) -> np.ndarray:
-        m, n = self.points.shape
-        if handle.degree == 0:
-            return np.zeros((m, n))
-        return self.block_grads[handle.degree][:, :, handle.column]
+    def _reserve(self, capacity: int) -> None:
+        """Reallocate the buffers with room for ``capacity`` columns."""
+        evals = np.empty((self.evals.shape[0], capacity))
+        evals[:, : self.width] = self.evals[:, : self.width]
+        self.evals = evals
+        if self.grads is not None:
+            grads = np.empty(self.grads.shape[:2] + (capacity,))
+            grads[:, :, : self.width] = self.grads[:, :, : self.width]
+            self.grads = grads
 
 
 def _check_handles(model: BasisModel, handles) -> list[PolyHandle]:
@@ -365,6 +377,22 @@ def _check_handles(model: BasisModel, handles) -> list[PolyHandle]:
     return out
 
 
+def _by_degree(handles: list[PolyHandle]) -> dict[int, tuple]:
+    """Degree -> (positions in ``handles``, stored columns) of the handles;
+    a run of consecutive indices becomes a slice, which copies faster."""
+    grouped: dict[int, tuple[list[int], list[int]]] = {}
+    for pos, h in enumerate(handles):
+        positions, columns = grouped.setdefault(h.degree, ([], []))
+        positions.append(pos)
+        columns.append(h.column)
+    return {t: (_as_slice(p), _as_slice(c)) for t, (p, c) in grouped.items()}
+
+
+def _as_slice(index: list[int]):
+    start, stop = index[0], index[0] + len(index)
+    return slice(start, stop) if index == list(range(start, stop)) else index
+
+
 def _model_space(model: BasisModel, points) -> np.ndarray:
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -376,6 +404,27 @@ def _model_space(model: BasisModel, points) -> np.ndarray:
     return model.preprocessing.apply(pts)
 
 
+def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.ndarray:
+    """Values (or gradients) of ``handles``, one per entry of the last axis."""
+    handles = _check_handles(model, handles)
+    pts = _model_space(model, points)
+    out = np.empty((pts.shape if need_grads else pts.shape[:1]) + (len(handles),))
+    wanted = _by_degree(handles)
+    if 0 in wanted:
+        out[..., wanted.pop(0)[0]] = 0.0 if need_grads else model.constant_value
+    top = max(wanted, default=0)
+    for t, rec, c_eval, c_grad in _Forward(pts, model.constant_value, need_grads).replay(model, top):
+        if t in wanted:
+            positions, columns = wanted[t]
+            # the whole block, as the fit computed it, then the asked columns
+            if need_grads:
+                block = np.tensordot(c_grad, rec.eigvecs, axes=([2], [0]))
+            else:
+                block = c_eval @ rec.eigvecs
+            out[..., positions] = block[..., columns]
+    return out
+
+
 def evaluate(model: BasisModel, handles, points) -> np.ndarray:
     """Evaluation matrix of the given handles at the given points.
 
@@ -383,13 +432,7 @@ def evaluate(model: BasisModel, handles, points) -> np.ndarray:
     recorded preprocessing is applied before the replay.  Returns shape
     ``(num_points, len(handles))``.
     """
-    handles = _check_handles(model, handles)
-    pts = _model_space(model, points)
-    fwd = _Forward(model, pts, need_grads=False)
-    fwd.run(max((h.degree for h in handles), default=0))
-    if not handles:
-        return np.zeros((pts.shape[0], 0))
-    return np.column_stack([fwd.handle_eval(h) for h in handles])
+    return _replay_handles(model, handles, points, need_grads=False)
 
 
 def gradient(model: BasisModel, handles, points) -> list[np.ndarray]:
@@ -400,11 +443,8 @@ def gradient(model: BasisModel, handles, points) -> list[np.ndarray]:
     product-rule recursion over cached parent values, not by symbolic
     differentiation or finite differences.
     """
-    handles = _check_handles(model, handles)
-    pts = _model_space(model, points)
-    fwd = _Forward(model, pts, need_grads=True)
-    fwd.run(max((h.degree for h in handles), default=0))
-    return [fwd.handle_grad(h) for h in handles]
+    out = _replay_handles(model, handles, points, need_grads=True)
+    return [out[:, :, i] for i in range(out.shape[2])]
 
 
 def _combine_expansion(pre_exps, flat_f, w, u) -> DensePolynomial:
@@ -516,15 +556,9 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
     if handle.degree == 0:
         return np.zeros(n), 0
 
-    fwd = _Forward(model, pts, need_grads=True)
-    fwd.run(handle.degree - 1)
     rec = model.record(handle.degree)
     u = rec.eigvecs[:, handle.column]
     wu = rec.ortho_weights @ u  # per-polynomial description, shared across points
-
-    f_vals = [blk[0] for blk in fwd.f_evals]  # per degree: (count,)
-    f_grads = [blk[0] for blk in fwd.f_grads]  # per degree: (n, count)
-
     ops = 0
     grad = np.zeros(n)
     if handle.degree == 1:
@@ -536,8 +570,11 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
             ops += 1
         return grad, ops
 
-    left_vals, left_grads = f_vals[1], f_grads[1]
-    right_vals, right_grads = f_vals[handle.degree - 1], f_grads[handle.degree - 1]
+    fwd = _Forward(pts, model.constant_value, True)
+    for _ in fwd.replay(model, handle.degree - 1):
+        pass
+    left_vals, left_grads = fwd.first[0], fwd.first_grad[0]
+    right_vals, right_grads = fwd.last[0], fwd.last_grad[0]
     pairs = [(int(i), int(j)) for i, j in rec.parents]
     a = np.zeros(len(pairs))
     b = np.zeros(len(pairs))
@@ -545,7 +582,7 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
         a[c] = u[c] * right_vals[j]
         b[c] = u[c] * left_vals[i]
         ops += 2
-    flat_f_grads = np.concatenate(f_grads, axis=1)  # (n, total F columns)
+    flat_f_grads = fwd.grads[0, :, : fwd.width]  # (n, total F columns)
     for k in range(n):
         acc = 0.0
         for c, (i, j) in enumerate(pairs):

@@ -104,6 +104,14 @@ def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> d
     return out
 
 
+def _expect(where: str, value, kind: type):
+    """``value`` itself, or a ValueError naming ``where`` when it is not a ``kind``."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"model JSON {where}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _decode(where: str, decode, *args):
     """Run ``decode(*args)``, reporting malformed JSON data as ValueError.
 
@@ -173,14 +181,21 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    entries = _decode("", data.__getitem__, "degrees")
-    if not isinstance(entries, list):
-        raise ValueError("model JSON: field 'degrees' must be a list")
-    decoded = [_decode(f"degrees[{i}]", _degree_from_dict, e) for i, e in enumerate(entries)]
+    entries = _expect("degrees", _decode("", data.__getitem__, "degrees"), list)
+    decoded = [
+        _decode(f"degrees[{i}]", _degree_from_dict, _expect(f"degrees[{i}]", e, dict))
+        for i, e in enumerate(entries)
+    ]
     records = tuple(rec for _, rec in sorted(decoded, key=lambda tr: tr[0]))
+    if "normalization" in data:
+        _expect("normalization", data["normalization"], dict)
+    if data.get("preprocessing") is not None:
+        _expect("preprocessing", data["preprocessing"], dict)
     model = _decode("", _model_from_dict, data, records)
     model.validate()
-    report = report_from_dict(data["reduction"]) if "reduction" in data else None
+    report = None
+    if "reduction" in data:
+        report = report_from_dict(_expect("reduction", data["reduction"], dict))
     return model, report
 
 

@@ -263,12 +263,20 @@ class TestEpsilonSearchCommand:
         assert code == 1
 
 
-def _model_without_parents(tmp_path):
+def _fitted_model(tmp_path):
     main(["fit", write_four_points(tmp_path / "fit.csv"), "-o", str(tmp_path / "m.json"),
           "--epsilon", "0"])
-    data = json.loads((tmp_path / "m.json").read_text())
+    return json.loads((tmp_path / "m.json").read_text())
+
+
+def _model_without_parents(tmp_path):
+    data = _fitted_model(tmp_path)
     del data["degrees"][1]["parents"]
     return data
+
+
+def _model_with(**fields):
+    return lambda tmp_path: {**_fitted_model(tmp_path), **fields}
 
 
 class TestMalformedModel:
@@ -277,8 +285,14 @@ class TestMalformedModel:
         [
             (lambda tmp_path: {"format_version": 1, "num_vars": 2}, "'degrees'"),
             (_model_without_parents, "degrees[1]: missing field 'parents'"),
+            (_model_with(normalization=[1]), "normalization: expected an object, got list"),
+            (_model_with(preprocessing="x"), "preprocessing: expected an object, got str"),
+            (_model_with(degrees={"1": {}}), "degrees: expected a list, got dict"),
+            (_model_with(degrees=[3]), "degrees[0]: expected an object, got int"),
+            (_model_with(reduction=[]), "reduction: expected an object, got list"),
         ],
-        ids=["no degrees", "degree without parents"],
+        ids=["no degrees", "degree without parents", "normalization list",
+             "preprocessing string", "degrees object", "degree number", "reduction list"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"
@@ -286,7 +300,7 @@ class TestMalformedModel:
         capsys.readouterr()
         code = main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "v.csv")])
         err = capsys.readouterr().err
-        assert code != 0
+        assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
         assert "Traceback" not in err

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import avibasis.model
 
 from avibasis import (
     DensePolynomial,
@@ -219,3 +223,81 @@ class TestValidate:
         object.__setattr__(rec, "partition", flipped)
         with pytest.raises(ValueError):
             model.validate()
+
+
+@st.composite
+def _fitted_cloud(draw):
+    """A fit of a small random cloud under any of the four normalizations,
+    with or without preprocessing, and the raw training points."""
+    num_points = draw(st.integers(3, 8))
+    num_vars = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.5, 1.5, size=(num_points, num_vars)) * 10.0 ** draw(st.integers(-2, 2))
+    kinds = [
+        NormalizationKind.identity(),
+        NormalizationKind.coefficient(),
+        NormalizationKind.gradient(),
+        NormalizationKind.subsampled_gradient(
+            draw(st.lists(st.integers(0, num_vars - 1), min_size=1, max_size=num_vars, unique=True)),
+            draw(st.lists(st.integers(0, num_points - 1), min_size=1, max_size=num_points, unique=True)),
+        ),
+    ]
+    config = FitConfig(
+        epsilon=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        normalization=draw(st.sampled_from(kinds)),
+        center=draw(st.booleans()),
+        unit_mean_norm=draw(st.booleans()),
+    )
+    return fit(pts, config), pts
+
+
+class TestReplayProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_fitted_cloud(), st.data())
+    def test_handle_subset_is_exactly_the_matching_columns(self, fitted, data):
+        model, pts = fitted
+        everything = list(model.handles())
+        # unordered, with duplicates, with or without the constant, or empty
+        picks = data.draw(st.lists(st.integers(0, len(everything) - 1), max_size=2 * len(everything)))
+        subset = [everything[i] for i in picks]
+        probes = np.vstack([pts, np.random.default_rng(len(picks)).uniform(-2.0, 2.0, size=(5, model.num_vars))])
+
+        all_values = evaluate(model, everything, probes)
+        values = evaluate(model, subset, probes)
+        assert values.shape == (probes.shape[0], len(subset))
+        assert np.array_equal(values, all_values[:, picks])
+
+        all_grads = gradient(model, everything, probes)
+        grads = gradient(model, subset, probes)
+        assert len(grads) == len(subset)
+        for i, g in zip(picks, grads):
+            assert np.array_equal(g, all_grads[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fitted_cloud())
+    def test_training_replay_reproduces_eigvals_bit_for_bit(self, fitted):
+        model, pts = fitted
+        for t, rec in enumerate(model.degrees, start=1):
+            handles = [PolyHandle(t, c, tag) for c, tag in enumerate(rec.partition)]
+            block = evaluate(model, handles, pts)
+            assert np.array_equal(np.einsum("ij,ij->j", block, block), rec.eigvals)
+
+
+class TestGradientFreeFits:
+    @pytest.mark.parametrize("kind", [NormalizationKind.identity(), NormalizationKind.coefficient()])
+    def test_non_gradient_fit_builds_no_gradients(self, kind, monkeypatch):
+        pts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(12, 3))
+        expected = fit(pts, FitConfig(epsilon=0.01, normalization=kind))
+
+        def forbidden(*args):
+            raise AssertionError("a non-gradient fit propagated gradients")
+
+        monkeypatch.setattr(avibasis.model, "_pair_grad", forbidden)
+        with pytest.raises(AssertionError):  # the patched helper is on the fit's path
+            fit(pts, FitConfig(epsilon=0.01, normalization=NormalizationKind.gradient()))
+        model = fit(pts, FitConfig(epsilon=0.01, normalization=kind))
+        assert model.max_degree >= 2
+        for got, want in zip(model.degrees, expected.degrees, strict=True):
+            assert got.partition == want.partition
+            for name in ("eigvals", "eigvecs", "ortho_weights"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
