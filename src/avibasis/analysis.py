@@ -22,6 +22,7 @@ from .fit import (
     IDENTITY,
     NormalizationKind,
     SUBSAMPLED_GRADIENT,
+    _fit_path,
     fit,
 )
 from .model import BasisModel, PointSet, Preprocessing, evaluate, expand, gradient
@@ -335,33 +336,28 @@ def epsilon_search(
 ) -> EpsilonSearchResult:
     """Linear scan for tolerances whose basis matches the target shape.
 
-    Fits once per grid value, finds the longest contiguous run of
-    satisfying tolerances ``(eps_1, eps_2)``, and reports their midpoint.
-    When nothing on the grid qualifies the result carries ``found=False``
-    and the full scan trace.
+    Fits every grid value as one prefix tree of fits, which runs each
+    distinct degree-step once (degree t depends on the tolerance only
+    through the F/G splits below it), and gives at each grid value the
+    model ``fit`` would.  Finds the longest contiguous run of satisfying
+    tolerances ``(eps_1, eps_2)`` and reports their midpoint.  When nothing
+    on the grid qualifies the result carries ``found=False`` and the full
+    scan trace.
     """
     normalization = normalization or NormalizationKind.gradient()
     grid = default_epsilon_grid(points) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
+    if grid.size == 0 or not np.all(grid > 0):
         raise ValueError("the tolerance grid must be positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("the tolerance grid must be strictly increasing")
 
-    trace = []
-    flags = np.zeros(grid.size, dtype=bool)
-    for i, eps in enumerate(grid):
-        model = fit(
-            points,
-            FitConfig(
-                epsilon=float(eps),
-                normalization=normalization,
-                rank_tol=rank_tol,
-                max_degree=max_degree,
-            ),
-        )
+    config = FitConfig(normalization=normalization, rank_tol=rank_tol, max_degree=max_degree)
+    epsilons = [float(eps) for eps in grid]
+    trace: list = [None] * len(epsilons)
+    for i, model in _fit_path(points, config, epsilons):
         g_counts, ok = _satisfies(model, target)
-        flags[i] = ok
-        trace.append(EpsilonScanPoint(float(eps), g_counts, ok))
+        trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
+    flags = [point.satisfied for point in trace]
 
     best_start, best_len = -1, 0
     run_start = None

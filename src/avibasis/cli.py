@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -305,26 +306,66 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _variety_from_json(data: dict):
+_REQUIRED = object()
+
+
+def _spec_field(spec: str, data: dict, key: str, convert, default=_REQUIRED, where: str = ""):
+    """``convert(data[key])``, or ``default`` when the key is absent.
+
+    A missing required field or a value ``convert`` rejects is a usage
+    error naming the field (``where`` prefixes nested ones).
+    """
+    if key not in data:
+        if default is _REQUIRED:
+            raise CliError(f"{spec}: missing field '{where}{key}'", code=2)
+        return default
+    try:
+        return convert(data[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"{spec}: {where}{key}: invalid value: {exc}", code=2) from None
+
+
+def _spec_object(spec: str, where: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise CliError(f"{spec}: {where}expected an object, got {type(value).__name__}", code=2)
+    return value
+
+
+def _polynomials_from_json(num_vars: int, polynomials) -> tuple:
+    polys = []
+    for terms in polynomials:
+        parsed = {}
+        for key, coeff in terms.items():
+            exps = tuple(int(tok) for tok in key.split(","))
+            parsed[exps] = float(coeff)
+        polys.append(DensePolynomial(num_vars, parsed))
+    return tuple(polys)
+
+
+def _mixture_weights(entries) -> tuple:
+    """Scalars stay scalars and vectors become float tuples."""
+    return tuple(
+        float(w) if np.ndim(w) == 0 else tuple(float(x) for x in w) for w in entries
+    )
+
+
+def _variety_from_json(spec: str, data):
+    data = _spec_object(spec, "variety: ", data)
+    field = functools.partial(_spec_field, spec, data, where="variety.")
     kind = data.get("kind")
     if kind == "concentric_ellipses":
         return ConcentricEllipses(
-            radii=tuple((float(a), float(b)) for a, b in data["radii"]),
-            rotation=float(data.get("rotation", 0.0)),
+            radii=field("radii", lambda v: tuple((float(a), float(b)) for a, b in v)),
+            rotation=field("rotation", float, 0.0),
         )
     if kind == "polynomial_system":
-        num_vars = int(data["num_vars"])
-        polys = []
-        for terms in data["polynomials"]:
-            parsed = {}
-            for key, coeff in terms.items():
-                exps = tuple(int(tok) for tok in key.split(","))
-                parsed[exps] = float(coeff)
-            polys.append(DensePolynomial(num_vars, parsed))
-        return PolynomialSystem(tuple(polys))
+        num_vars = field("num_vars", int)
+        return PolynomialSystem(
+            field("polynomials", lambda v: _polynomials_from_json(num_vars, v))
+        )
     if kind == "custom":
-        return CustomPoints(np.array(data["points"], dtype=float))
-    raise CliError(f"unknown variety kind {kind!r}", code=2)
+        return CustomPoints(field("points", lambda v: np.array(v, dtype=float)))
+    raise CliError(f"{spec}: unknown variety kind {kind!r}", code=2)
 
 
 def _cmd_generate(args) -> int:
@@ -335,16 +376,14 @@ def _cmd_generate(args) -> int:
         raise CliError(f"cannot read {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.spec}: invalid JSON: {exc}") from exc
-    try:
-        spec = DatasetSpec(
-            variety=_variety_from_json(data["variety"]),
-            samples=int(data["samples"]),
-            extra_linear_vars=tuple(data.get("extra_linear_vars", ())),
-            noise_std_fraction=float(data.get("noise_std_fraction", 0.0)),
-            seed=int(data.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise CliError(f"{args.spec}: missing field {exc}", code=2) from exc
+    field = functools.partial(_spec_field, args.spec, _spec_object(args.spec, "", data))
+    spec = DatasetSpec(
+        variety=field("variety", lambda v: _variety_from_json(args.spec, v)),
+        samples=field("samples", int),
+        extra_linear_vars=field("extra_linear_vars", _mixture_weights, ()),
+        noise_std_fraction=field("noise_std_fraction", float, 0.0),
+        seed=field("seed", int, 0),
+    )
     dataset = generate_dataset(spec)
     write_csv(args.output, None, dataset.points)
     print(f"{dataset.num_points} points ({dataset.num_vars} variables) written to {args.output}")
@@ -360,7 +399,7 @@ def _cmd_epsilon_search(args) -> int:
     if args.grid_lo is not None or args.grid_hi is not None:
         if args.grid_lo is None or args.grid_hi is None:
             raise CliError("--grid-lo and --grid-hi must be given together", code=2)
-        if args.grid_lo <= 0 or args.grid_hi <= args.grid_lo:
+        if not 0 < args.grid_lo < args.grid_hi:  # also rejects NaN
             raise CliError("grid bounds must satisfy 0 < lo < hi", code=2)
         grid = np.geomspace(args.grid_lo, args.grid_hi, args.grid_count)
     result = epsilon_search(

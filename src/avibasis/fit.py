@@ -7,8 +7,11 @@ symmetric eigenproblem whose right-hand side is a pluggable normalization
 Gram matrix.  Columns split into nonvanishing (F) and vanishing (G) by
 comparing sqrt(eigenvalue) -- the evaluation norm of the polynomial --
 against the tolerance epsilon.  The numeric work of each degree runs in
-the degree-step kernel of ``model``, which replays use too; ``fit``
-supplies the orthogonalization and the eigensolve.
+the degree-step kernel of ``model``, which replays use too; the fit
+supplies the orthogonalization and the eigensolve.  Degree t depends on
+epsilon only through the splits below it, so one driver, ``_fit_path``,
+fits a whole set of tolerances as a prefix tree; ``fit`` is its
+one-tolerance case.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class FitConfig:
     expansion_cap: int = EXPANSION_TERM_CAP
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
@@ -228,9 +231,34 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     ``points`` may be a PointSet or a plain ``(num_points, num_vars)``
     array.  Iterates degree by degree until no nonvanishing polynomial
     appears (natural termination) or the degree cap is reached, in which
-    case the returned model carries ``truncated=True``.
+    case the returned model carries ``truncated=True``.  This is the
+    one-tolerance case of the driver the tolerance search runs.
     """
     config = config or FitConfig()
+    ((_, model),) = _fit_path(points, config, [config.epsilon])
+    return model
+
+
+def _fit_path(points, config: FitConfig, epsilons):
+    """Yield ``(i, model)`` once for each tolerance ``epsilons[i]``, the
+    model bit-identical to ``fit(points, replace(config, epsilon=eps))``;
+    ``config.epsilon`` is not read.
+
+    Degree t depends on the tolerance only through the F/G partitions of
+    the degrees below it, so the fits of all tolerances form a prefix tree
+    whose nodes are those partition prefixes.  The tree is walked depth
+    first: each node runs the tolerance-free part of its degree once
+    (candidates, orthogonalization, normalization Gram, eigensolve) and
+    groups its tolerances by the partition ``classify`` gives them; each
+    group is a child, which appends its own F block and expansions before
+    stepping the next degree, or a leaf.  Children rewind the one kernel
+    to their parent's state, which is safe because sibling subtrees never
+    interleave.  Models of tolerances that share a prefix share its
+    records; they are yielded as their leaf is reached, in tree order, so
+    a caller that drops them keeps only the current path's records alive.
+    """
+    if not all(eps >= 0 for eps in epsilons):  # also rejects NaN
+        raise ValueError("epsilon must be >= 0")
     pts_in = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if pts_in.ndim != 2 or pts_in.shape[0] < 1 or pts_in.shape[1] < 1:
         raise ValueError("empty point set")
@@ -261,11 +289,17 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     # gradient reaches the model, so other fits carry none.
     fwd = _Forward(pts, m, kind.uses_gradients)
     symbolic = kind.variant == COEFFICIENT
-    f_exps: list[list[DensePolynomial]] = [[DensePolynomial.constant(num_vars, m)]]
-
-    records: list[DegreeRecord] = []
-    truncated = True
-    for t in range(1, max_degree + 1):
+    # A pending child: its parent's kernel width, the F block it appends
+    # (None for the root), its F expansions per degree (coefficient
+    # normalization only), its records and the indices of its tolerances.
+    f_exps0 = [[DensePolynomial.constant(num_vars, m)]] if symbolic else None
+    stack = [(fwd.width, None, f_exps0, (), list(range(len(epsilons))))]
+    while stack:
+        width, f_block, f_exps, records, members = stack.pop()
+        fwd.rewind(width)
+        if f_block is not None:
+            fwd.append(*f_block)
+        t = len(records) + 1
         if t == 1:
             parents: tuple = tuple(range(num_vars))
             pre_exps = [DensePolynomial.variable(num_vars, k) for k in parents] if symbolic else None
@@ -277,66 +311,65 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
             )
         flat_exps = [p for block in f_exps for p in block] if symbolic else None
 
-        def solve(c_eval, c_grad, w):
-            c_exps = None
-            if symbolic:
-                if monomial_count(num_vars, t) > config.expansion_cap:
-                    raise ExpansionLimitError(
-                        f"coefficient normalization at degree {t} in {num_vars} variables "
-                        f"exceeds the {config.expansion_cap}-term expansion guard"
-                    )
-                c_exps = []
-                for j, p in enumerate(pre_exps):
-                    combo = p
-                    for f_idx, fp in enumerate(flat_exps):
-                        if w[f_idx, j] != 0.0:
-                            combo = combo - fp.scale(float(w[f_idx, j]))
-                    c_exps.append(combo)
-                c_exps = tuple(c_exps)
+        c_eval, c_grad, w = fwd.candidates(
+            parents, lambda pre, f_eval: orthogonalize(pre, f_eval, config.rank_tol)
+        )
+        c_exps = None
+        if symbolic:
+            if monomial_count(num_vars, t) > config.expansion_cap:
+                raise ExpansionLimitError(
+                    f"coefficient normalization at degree {t} in {num_vars} variables "
+                    f"exceeds the {config.expansion_cap}-term expansion guard"
+                )
+            c_exps = []
+            for j, p in enumerate(pre_exps):
+                combo = p
+                for f_idx, fp in enumerate(flat_exps):
+                    if w[f_idx, j] != 0.0:
+                        combo = combo - fp.scale(float(w[f_idx, j]))
+                c_exps.append(combo)
+            c_exps = tuple(c_exps)
 
-            cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
-            gram = normalization_matrix(cands, kind)
-            outer = c_eval.T @ c_eval
-            eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram, config.rank_tol)
-            # Store the squared evaluation norms of the output columns rather
-            # than the solver's eigenvalues: they agree to solver precision, but
-            # for exactly vanishing directions the solver value carries
-            # eps-level noise whose square root (~1e-8) would pollute the
-            # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
-            out_evals = c_eval @ eig.eigenvectors
-            eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
-            partition = classify(eigvals, config.epsilon)
-            return DegreeRecord(
+        cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
+        gram = normalization_matrix(cands, kind)
+        outer = c_eval.T @ c_eval
+        eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram, config.rank_tol)
+        # Store the squared evaluation norms of the output columns rather
+        # than the solver's eigenvalues: they agree to solver precision, but
+        # for exactly vanishing directions the solver value carries
+        # eps-level noise whose square root (~1e-8) would pollute the
+        # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
+        out_evals = c_eval @ eig.eigenvectors
+        eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
+
+        groups: dict = {}
+        for i in members:
+            groups.setdefault(classify(eigvals, epsilons[i]), []).append(i)
+        for partition, group in groups.items():
+            rec = DegreeRecord(
                 parents=parents,
                 ortho_weights=w,
                 eigvecs=eig.eigenvectors,
                 eigvals=eigvals,
                 partition=partition,
             )
-
-        rec, _, _ = fwd.step(
-            parents, lambda pre, f_eval: orthogonalize(pre, f_eval, config.rank_tol), solve
-        )
-        records.append(rec)
-        f_cols = rec.columns("F")
-        if symbolic:
-            f_exps.append(
-                [
-                    _combine_expansion(pre_exps, flat_exps, rec.ortho_weights, rec.eigvecs[:, c])
-                    for c in f_cols
+            path = records + (rec,)
+            f_cols = rec.columns("F")
+            if len(f_cols) == 0 or t == max_degree:
+                for i in group:
+                    yield i, BasisModel(
+                        num_vars=num_vars,
+                        constant_value=m,
+                        degrees=path,
+                        epsilon=epsilons[i],
+                        normalization=kind,
+                        preprocessing=prep,
+                        truncated=len(f_cols) > 0,
+                    )
+                continue
+            child_exps = None
+            if symbolic:
+                child_exps = f_exps + [
+                    [_combine_expansion(pre_exps, flat_exps, w, rec.eigvecs[:, c]) for c in f_cols]
                 ]
-            )
-
-        if len(f_cols) == 0:
-            truncated = False
-            break
-
-    return BasisModel(
-        num_vars=num_vars,
-        constant_value=m,
-        degrees=tuple(records),
-        epsilon=config.epsilon,
-        normalization=kind,
-        preprocessing=prep,
-        truncated=truncated,
-    )
+            stack.append((fwd.width, (c_eval, c_grad, rec.eigvecs[:, f_cols]), child_exps, path, group))

@@ -6,7 +6,7 @@ enough to re-evaluate any basis polynomial, its gradient (via the product
 rule over cached parent values, no differentiation), or its explicit
 expansion, at arbitrary points.
 
-There is one numeric path, the degree-step kernel ``_Forward``: ``fit``
+There is one numeric path, the degree-step kernel ``_Forward``: fitting
 drives it with its eigensolve and the replays with the stored records, so
 a replay at the training points reproduces the fit-time evaluation
 matrices bit for bit by construction.  Its F columns sit in one row-major
@@ -288,6 +288,8 @@ class _Forward:
     row-major, so the prefix is a strided view that BLAS and the SVD read
     with the arithmetic of the contiguous concatenation of the blocks the
     buffer replaces.  A full buffer doubles; a replay sizes it up front.
+    A degree is ``candidates`` then ``append``; the tolerance search's
+    prefix tree of fits ``rewind``s to a parent's width to step a sibling.
     """
 
     def __init__(self, points: np.ndarray, constant_value: float, need_grads: bool):
@@ -299,16 +301,17 @@ class _Forward:
         self.first = self.first_grad = None  # degree-1 F block
         self.last = self.last_grad = None  # latest degree's F block
 
-    def step(self, parents, orthogonalize, solve):
-        """Build one degree; return ``(record, c_eval, c_grad)``.
+    def candidates(self, parents, orthogonalize):
+        """Form one degree's candidates and orthogonalize them against the
+        F prefix; return ``(c_eval, c_grad, w)``.
 
         ``parents`` is read at degree 1 only; above it the candidates are
         all (degree-1 F, latest F) pair products.  ``orthogonalize(pre,
-        f_eval)`` returns ``(pre - f_eval @ w, w)`` and ``solve(c_eval,
-        c_grad, w)`` the degree's record; ``c_grad`` is None without gradients.
+        f_eval)`` returns ``(pre - f_eval @ w, w)``; ``c_grad`` is None
+        without gradients.
         """
         grads = self.grads is not None
-        if self.first is None:
+        if self.width == 1:  # only the constant so far: degree 1
             pre = self.points[:, list(parents)]
             if grads:
                 m, n = self.points.shape
@@ -321,21 +324,32 @@ class _Forward:
         width = self.width
         c_eval, w = orthogonalize(pre, self.evals[:, :width])
         c_grad = pre_grad - np.tensordot(self.grads[:, :, :width], w, axes=([2], [0])) if grads else None
-        rec = solve(c_eval, c_grad, w)
-        v_f = rec.eigvecs[:, rec.columns("F")]
+        return c_eval, c_grad, w
+
+    def append(self, c_eval, c_grad, v_f) -> None:
+        """Append the F block ``c_eval @ v_f`` (and its gradients) as the
+        latest degree."""
         f_eval = c_eval @ v_f
-        f_grad = np.tensordot(c_grad, v_f, axes=([2], [0])) if grads else None
-        if self.first is None:
+        f_grad = np.tensordot(c_grad, v_f, axes=([2], [0])) if c_grad is not None else None
+        if self.width == 1:
             self.first, self.first_grad = f_eval, f_grad
         self.last, self.last_grad = f_eval, f_grad
-        end = width + f_eval.shape[1]
+        width, end = self.width, self.width + f_eval.shape[1]
         if end > self.evals.shape[1]:
             self._reserve(max(end, 2 * self.evals.shape[1]))
         self.evals[:, width:end] = f_eval
-        if grads:
+        if f_grad is not None:
             self.grads[:, :, width:end] = f_grad
         self.width = end
-        return rec, c_eval, c_grad
+
+    def rewind(self, width: int) -> None:
+        """Forget the F blocks past column ``width``, an earlier width.
+
+        Their columns are overwritten by the next ``append``, which also
+        sets the latest block again (and the degree-1 block, at width 1),
+        so the width is all a rewind has to restore.
+        """
+        self.width = width
 
     def replay(self, model: BasisModel, up_to_degree: int):
         """Step through ``model``'s records of degrees 1..up_to_degree,
@@ -343,11 +357,12 @@ class _Forward:
         self._reserve(1 + sum(model.record(t).partition.count("F") for t in range(1, up_to_degree + 1)))
         for t in range(1, up_to_degree + 1):
             rec = model.record(t)
-            yield (t,) + self.step(
+            c_eval, c_grad, _ = self.candidates(
                 rec.parents,
                 lambda pre, f_eval, w=rec.ortho_weights: (_apply_ortho(pre, f_eval, w), w),
-                lambda *_, rec=rec: rec,
             )
+            self.append(c_eval, c_grad, rec.eigvecs[:, rec.columns("F")])
+            yield t, rec, c_eval, c_grad
 
     def _reserve(self, capacity: int) -> None:
         """Reallocate the buffers with room for ``capacity`` columns."""

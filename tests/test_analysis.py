@@ -176,6 +176,13 @@ class TestEpsilonSearch:
         with pytest.raises(ValueError):
             epsilon_search(pts, target, grid=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.1, math.nan], [math.nan], [math.nan, 0.1]])
+    def test_nan_grid_rejected(self, grid):
+        pts = random_cloud(np.random.default_rng(9), 6, 2)
+        target = EpsilonTarget(num_linear=0, d_min=2, num_at_dmin=0)
+        with pytest.raises(ValueError, match="positive"):
+            epsilon_search(pts, target, grid=grid)
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             EpsilonTarget(num_linear=-1, d_min=2, num_at_dmin=0)

@@ -71,6 +71,14 @@ class TestFitCommand:
         assert code != 0
         assert "empty point set" in capsys.readouterr().err
 
+    def test_nan_epsilon_is_an_error(self, four_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", four_csv, "-o", str(out), "--epsilon", "nan"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: epsilon must be >= 0\n"
+        assert not out.exists()
+
     def test_subsample_flags_conflict(self, four_csv, tmp_path, capsys):
         code = main(
             ["fit", four_csv, "-o", str(tmp_path / "m.json"),
@@ -232,6 +240,41 @@ class TestGenerateCommand:
         spec_path.write_text(json.dumps({"variety": {"kind": "nope"}, "samples": 3}))
         assert main(["generate", str(spec_path), "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"variety": [1]}, "variety: expected an object, got list"),
+            ([1, 2], "spec.json: expected an object, got list"),
+            ({"extra_linear_vars": 3}, "extra_linear_vars: invalid value"),
+            ({"extra_linear_vars": [[1, [2]]]}, "extra_linear_vars: invalid value"),
+            ({"samples": [5]}, "samples: invalid value"),
+            ({"seed": None}, "seed: invalid value"),
+            ({"noise_std_fraction": "lots"}, "noise_std_fraction: invalid value"),
+            ({"variety": {"kind": "concentric_ellipses", "radii": 1}}, "variety.radii: invalid value"),
+            ({"variety": {"kind": "concentric_ellipses"}}, "missing field 'variety.radii'"),
+            ({"variety": {"kind": "polynomial_system", "num_vars": 2, "polynomials": [[1]]}},
+             "variety.polynomials: invalid value"),
+            ({"variety": {"kind": "custom", "points": [[1, 2], [3]]}}, "variety.points: invalid value"),
+        ],
+        ids=["variety list", "top-level list", "mixtures number", "mixture nested",
+             "samples list", "seed null", "noise string", "radii number", "no radii",
+             "polynomial list", "ragged points"],
+    )
+    def test_malformed_spec_names_the_field(self, change, field, tmp_path, capsys):
+        spec = {
+            "variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]},
+            "samples": 5,
+        }
+        spec = {**spec, **change} if isinstance(change, dict) else change
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = main(["generate", str(spec_path), "-o", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1
+        assert field in err
+
 
 class TestEpsilonSearchCommand:
     def test_search_on_noiseless_circle(self, tmp_path, capsys):
@@ -254,6 +297,14 @@ class TestEpsilonSearchCommand:
         data = json.loads(report_path.read_text())
         assert data["found"] is True
         assert data["lower"] < data["epsilon"] < data["upper"]
+
+    def test_nan_grid_bound_is_a_usage_error(self, four_csv, capsys):
+        code = main(
+            ["epsilon-search", four_csv, "--num-linear", "1", "--dmin", "2",
+             "--num-at-dmin", "1", "--grid-lo", "nan", "--grid-hi", "1"]
+        )
+        assert code == 2
+        assert "0 < lo < hi" in capsys.readouterr().err
 
     def test_not_found_exit_code(self, four_csv, tmp_path):
         code = main(

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avibasis import (
     DensePolynomial,
+    EpsilonTarget,
     FitConfig,
     NormalizationKind,
     classify,
+    epsilon_search,
     evaluate,
     expand,
     fit,
@@ -14,7 +20,7 @@ from avibasis import (
     normalization_matrix,
     orthogonalize,
 )
-from avibasis.fit import CandidateData
+from avibasis.fit import CandidateData, _fit_path
 from conftest import random_cloud, random_polynomial
 
 
@@ -159,6 +165,12 @@ class TestFitSmallCases:
         with pytest.raises(ValueError):
             FitConfig(epsilon=-0.1)
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            FitConfig(epsilon=float("nan"))
+        with pytest.raises(ValueError, match="epsilon"):
+            list(_fit_path(np.eye(3), FitConfig(), [0.1, float("nan")]))
+
     def test_subsample_out_of_range(self):
         pts = np.eye(3)
         cfg = FitConfig(normalization=NormalizationKind.subsampled_gradient((5,), (0,)))
@@ -290,3 +302,83 @@ class TestFitInvariants:
         for h, g in zip(handles, gradient(model, handles, pts)):
             restricted = g[np.ix_((0, 2, 4), (0, 1))]
             assert np.linalg.norm(restricted) == pytest.approx(1.0, abs=1e-6)
+
+
+@st.composite
+def _path_case(draw):
+    """A cloud, a fit configuration, and an increasing tolerance grid that
+    holds some stored sqrt(eigenvalues) exactly (``classify`` cuts with <=)."""
+    num_points, num_vars = draw(st.integers(3, 15)), draw(st.integers(1, 4))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.5, 1.5, size=(num_points, num_vars))
+    kind = draw(st.sampled_from([
+        NormalizationKind.identity(),
+        NormalizationKind.coefficient(),
+        NormalizationKind.gradient(),
+        NormalizationKind.subsampled_gradient(
+            draw(st.lists(st.integers(0, num_vars - 1), min_size=1, max_size=num_vars, unique=True)),
+            draw(st.lists(st.integers(0, num_points - 1), min_size=1, max_size=num_points, unique=True)),
+        ),
+    ]))
+    if kind.variant == "coefficient":  # symbolic expansions grow fast with the degree
+        max_degree = draw(st.integers(1, 4))
+    else:
+        max_degree = draw(st.one_of(st.none(), st.integers(1, 6)))
+    config = FitConfig(normalization=kind, max_degree=max_degree, rank_tol=1e-12)
+    probe = fit(pts, replace(config, epsilon=draw(st.sampled_from([0.0, 0.05, 0.3]))))
+    roots = sorted({float(r) for rec in probe.degrees
+                    for r in np.sqrt(np.clip(rec.eigvals, 0.0, None)) if r > 0.0})
+    stored = draw(st.lists(st.sampled_from(roots), max_size=4)) if roots else []
+    spread = draw(st.lists(st.floats(-4.0, 0.5).map(lambda e: 10.0**e), min_size=1, max_size=12))
+    return pts, config, sorted(set(stored + spread))
+
+
+class TestFitPath:
+    """The prefix tree of fits gives, at every tolerance, the lone fit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_path_case())
+    def test_every_model_is_the_lone_fit_bit_for_bit(self, case):
+        pts, config, grid = case
+        pairs = list(_fit_path(pts, config, grid))
+        assert sorted(i for i, _ in pairs) == list(range(len(grid)))
+        for i, got in pairs:
+            eps = grid[i]
+            want = fit(pts, replace(config, epsilon=eps))
+            assert got.epsilon == want.epsilon == eps
+            assert got.truncated == want.truncated
+            assert got.constant_value == want.constant_value
+            assert len(got.degrees) == len(want.degrees)
+            for g, w in zip(got.degrees, want.degrees):
+                assert g.parents == w.parents
+                assert g.partition == w.partition
+                assert np.array_equal(g.eigvals, w.eigvals)
+                assert np.array_equal(g.eigvecs, w.eigvecs)
+                assert np.array_equal(g.ortho_weights, w.ortho_weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_path_case())
+    def test_search_trace_is_the_lone_fits_counts(self, case):
+        pts, config, grid = case
+        target = EpsilonTarget(num_linear=1, d_min=2, num_at_dmin=1)
+        result = epsilon_search(pts, target, normalization=config.normalization, grid=grid,
+                                rank_tol=config.rank_tol, max_degree=config.max_degree)
+        assert [p.epsilon for p in result.trace] == grid
+        for point in result.trace:
+            lone = fit(pts, replace(config, epsilon=point.epsilon))
+            assert point.g_counts == tuple(g for g, _ in lone.degree_counts())
+
+    def test_one_eigensolve_per_distinct_degree_step(self, monkeypatch):
+        import avibasis.linalg
+
+        pts = random_cloud(np.random.default_rng(3), 10, 2)
+        grid = list(np.geomspace(1e-3, 3.0, 25))
+        lone = [fit(pts, FitConfig(epsilon=e)) for e in grid]
+        # degree t of a fit is determined by the partitions of degrees 1..t-1
+        prefixes = {tuple(rec.partition for rec in m.degrees[:t])
+                    for m in lone for t in range(len(m.degrees))}
+        calls = []
+        solve = avibasis.linalg.gen_sym_eig
+        monkeypatch.setattr(avibasis.linalg, "gen_sym_eig", lambda *a: calls.append(1) or solve(*a))
+        list(_fit_path(pts, FitConfig(), grid))
+        assert len(calls) == len(prefixes) < sum(len(m.degrees) for m in lone)
