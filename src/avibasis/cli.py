@@ -325,6 +325,13 @@ def _spec_field(spec: str, data: dict, key: str, convert, default=_REQUIRED, whe
         raise CliError(f"{spec}: {where}{key}: invalid value: {exc}", code=2) from None
 
 
+def _spec_integer(value) -> int:
+    """``value`` as an int; a bool or a fractional number is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _spec_object(spec: str, where: str, value) -> dict:
     if not isinstance(value, dict):
         raise CliError(f"{spec}: {where}expected an object, got {type(value).__name__}", code=2)
@@ -359,7 +366,7 @@ def _variety_from_json(spec: str, data):
             rotation=field("rotation", float, 0.0),
         )
     if kind == "polynomial_system":
-        num_vars = field("num_vars", int)
+        num_vars = field("num_vars", _spec_integer)
         return PolynomialSystem(
             field("polynomials", lambda v: _polynomials_from_json(num_vars, v))
         )
@@ -379,10 +386,10 @@ def _cmd_generate(args) -> int:
     field = functools.partial(_spec_field, args.spec, _spec_object(args.spec, "", data))
     spec = DatasetSpec(
         variety=field("variety", lambda v: _variety_from_json(args.spec, v)),
-        samples=field("samples", int),
+        samples=field("samples", _spec_integer),
         extra_linear_vars=field("extra_linear_vars", _mixture_weights, ()),
         noise_std_fraction=field("noise_std_fraction", float, 0.0),
-        seed=field("seed", int, 0),
+        seed=field("seed", _spec_integer, 0),
     )
     dataset = generate_dataset(spec)
     write_csv(args.output, None, dataset.points)

@@ -8,10 +8,11 @@ Gram matrix.  Columns split into nonvanishing (F) and vanishing (G) by
 comparing sqrt(eigenvalue) -- the evaluation norm of the polynomial --
 against the tolerance epsilon.  The numeric work of each degree runs in
 the degree-step kernel of ``model``, which replays use too; the fit
-supplies the orthogonalization and the eigensolve.  Degree t depends on
-epsilon only through the splits below it, so one driver, ``_fit_path``,
-fits a whole set of tolerances as a prefix tree; ``fit`` is its
-one-tolerance case.
+supplies the orthogonalization and the eigensolve.  Coefficient
+normalization's expansions come from that kernel's symbolic twin, which
+``expand`` replays.  Degree t depends on epsilon only through the splits
+below it, so one driver, ``_fit_path``, fits a whole set of tolerances as
+a prefix tree; ``fit`` is its one-tolerance case.
 """
 
 from __future__ import annotations
@@ -21,18 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .densepoly import DensePolynomial, coeff_dot, monomial_count
-from .model import (
-    BasisModel,
-    DegreeRecord,
-    ExpansionLimitError,
-    EXPANSION_TERM_CAP,
-    PointSet,
-    Preprocessing,
-    _apply_ortho,
-    _combine_expansion,
-    _Forward,
-)
+from .densepoly import DensePolynomial, coeff_dot
+from .model import BasisModel, DegreeRecord, PointSet, Preprocessing, _apply_ortho, _Expansions, _Forward
 
 __all__ = [
     "NormalizationKind",
@@ -108,8 +99,6 @@ class FitConfig:
     ``max_degree`` (default: number of points) is a hard safety cap;
     ``center``/``unit_mean_norm`` request mean-centering and scaling to
     unit mean point norm before fitting, recorded on the model.
-    ``expansion_cap`` bounds the dense term count coefficient
-    normalization may reach; exceeding it is an error, never a fallback.
     """
 
     epsilon: float = 0.0
@@ -118,7 +107,6 @@ class FitConfig:
     rank_tol: float = 1e-12
     center: bool = False
     unit_mean_norm: bool = False
-    expansion_cap: int = EXPANSION_TERM_CAP
 
     def __post_init__(self) -> None:
         if not self.epsilon >= 0:  # also rejects NaN
@@ -127,8 +115,6 @@ class FitConfig:
             raise ValueError("max_degree must be >= 1")
         if self.rank_tol <= 0:
             raise ValueError("rank_tol must be positive")
-        if self.expansion_cap < 1:
-            raise ValueError("expansion_cap must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +237,8 @@ def _fit_path(points, config: FitConfig, epsilons):
     (candidates, orthogonalization, normalization Gram, eigensolve) and
     groups its tolerances by the partition ``classify`` gives them; each
     group is a child, which appends its own F block and expansions before
-    stepping the next degree, or a leaf.  Children rewind the one kernel
-    to their parent's state, which is safe because sibling subtrees never
+    stepping the next degree, or a leaf.  Children rewind the kernels to
+    their parent's state, which is safe because sibling subtrees never
     interleave.  Models of tolerances that share a prefix share its
     records; they are yielded as their leaf is reached, in tree order, so
     a caller that drops them keeps only the current path's records alive.
@@ -288,47 +274,33 @@ def _fit_path(points, config: FitConfig, epsilons):
     # Only gradient normalizations read candidate gradients, and no
     # gradient reaches the model, so other fits carry none.
     fwd = _Forward(pts, m, kind.uses_gradients)
-    symbolic = kind.variant == COEFFICIENT
+    sym = _Expansions(num_vars, m) if kind.variant == COEFFICIENT else None
     # A pending child: its parent's kernel width, the F block it appends
-    # (None for the root), its F expansions per degree (coefficient
-    # normalization only), its records and the indices of its tolerances.
-    f_exps0 = [[DensePolynomial.constant(num_vars, m)]] if symbolic else None
-    stack = [(fwd.width, None, f_exps0, (), list(range(len(epsilons))))]
+    # (None for the root), its records and the indices of its tolerances.
+    stack = [(fwd.width, None, (), list(range(len(epsilons))))]
     while stack:
-        width, f_block, f_exps, records, members = stack.pop()
+        width, f_block, records, members = stack.pop()
         fwd.rewind(width)
+        if sym is not None:
+            sym.rewind(width)
         if f_block is not None:
             fwd.append(*f_block)
+            if sym is not None:
+                sym.append(records[-1])
         t = len(records) + 1
         if t == 1:
             parents: tuple = tuple(range(num_vars))
-            pre_exps = [DensePolynomial.variable(num_vars, k) for k in parents] if symbolic else None
         else:
             n1, ntm1 = fwd.first.shape[1], fwd.last.shape[1]
             parents = tuple((i, j) for i in range(n1) for j in range(ntm1))
-            pre_exps = (
-                [f_exps[1][i] * f_exps[t - 1][j] for i, j in parents] if symbolic else None
-            )
-        flat_exps = [p for block in f_exps for p in block] if symbolic else None
 
         c_eval, c_grad, w = fwd.candidates(
             parents, lambda pre, f_eval: orthogonalize(pre, f_eval, config.rank_tol)
         )
         c_exps = None
-        if symbolic:
-            if monomial_count(num_vars, t) > config.expansion_cap:
-                raise ExpansionLimitError(
-                    f"coefficient normalization at degree {t} in {num_vars} variables "
-                    f"exceeds the {config.expansion_cap}-term expansion guard"
-                )
-            c_exps = []
-            for j, p in enumerate(pre_exps):
-                combo = p
-                for f_idx, fp in enumerate(flat_exps):
-                    if w[f_idx, j] != 0.0:
-                        combo = combo - fp.scale(float(w[f_idx, j]))
-                c_exps.append(combo)
-            c_exps = tuple(c_exps)
+        if sym is not None:  # the orthogonalized candidates: combinations at the unit columns
+            sym.candidates(parents, w)
+            c_exps = tuple(sym.combine(t, u) for u in np.eye(len(parents)))
 
         cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
         gram = normalization_matrix(cands, kind)
@@ -367,9 +339,4 @@ def _fit_path(points, config: FitConfig, epsilons):
                         truncated=len(f_cols) > 0,
                     )
                 continue
-            child_exps = None
-            if symbolic:
-                child_exps = f_exps + [
-                    [_combine_expansion(pre_exps, flat_exps, w, rec.eigvecs[:, c]) for c in f_cols]
-                ]
-            stack.append((fwd.width, (c_eval, c_grad, rec.eigvecs[:, f_cols]), child_exps, path, group))
+            stack.append((fwd.width, (c_eval, c_grad, rec.eigvecs[:, f_cols]), path, group))

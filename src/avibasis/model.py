@@ -12,6 +12,9 @@ a replay at the training points reproduces the fit-time evaluation
 matrices bit for bit by construction.  Its F columns sit in one row-major
 buffer, whose column prefix gives BLAS the same arithmetic as the
 concatenation of the lower-degree blocks.
+
+The one symbolic path is its twin ``_Expansions``, over exact dense
+polynomials: coefficient fits and ``expand`` both run it.
 """
 
 from __future__ import annotations
@@ -462,96 +465,98 @@ def gradient(model: BasisModel, handles, points) -> list[np.ndarray]:
     return [out[:, :, i] for i in range(out.shape[2])]
 
 
-def _combine_expansion(pre_exps, flat_f, w, u) -> DensePolynomial:
-    """Weighted candidate products minus the orthogonalization subtraction."""
-    num_vars = flat_f[0].num_vars
-    wu = w @ u
-    out = DensePolynomial.zero(num_vars)
-    for j, p in enumerate(pre_exps):
-        if u[j] != 0.0:
-            out = out + p.scale(float(u[j]))
-    for f_idx, p in enumerate(flat_f):
-        if wu[f_idx] != 0.0:
-            out = out - p.scale(float(wu[f_idx]))
-    return out
+class _Expansions:
+    """The symbolic twin of ``_Forward``: the same degree-step over exact
+    dense polynomials, which coefficient fits and ``expand`` run.
+
+    It keeps the F expansions built so far, one block per degree from the
+    constant on, and each stepped degree's pre-candidate expansions and
+    orthogonalization weights.  A degree is ``candidates`` then ``append``;
+    ``rewind`` returns to an earlier width.  ``combine`` expands one
+    combination of a degree's orthogonalized candidates.
+    """
+
+    def __init__(self, num_vars: int, constant_value: float):
+        self.num_vars = num_vars
+        self.blocks = [[DensePolynomial.constant(num_vars, constant_value)]]
+        self.steps: list[tuple[list[DensePolynomial], np.ndarray]] = []
+
+    def candidates(self, parents, w: np.ndarray) -> None:
+        """Form the next degree's pre-candidate expansions, to be combined
+        with the orthogonalization weights ``w``: the variables ``parents``
+        at degree 1, above it the pair products in ``_Forward``'s order.
+        The one term guard: a degree whose dense size bound exceeds
+        ``EXPANSION_TERM_CAP`` raises ``ExpansionLimitError``."""
+        t, n = len(self.blocks), self.num_vars
+        if monomial_count(n, t) > EXPANSION_TERM_CAP:
+            raise ExpansionLimitError(
+                f"expansion at degree {t} in {n} variables may exceed {EXPANSION_TERM_CAP} terms"
+            )
+        if t == 1:
+            pre = [DensePolynomial.variable(n, int(k)) for k in parents]
+        else:
+            pre = [p * q for p in self.blocks[1] for q in self.blocks[-1]]
+        self.steps.append((pre, w))
+
+    def combine(self, degree: int, u: np.ndarray) -> DensePolynomial:
+        """Expansion of the degree-``degree`` combination ``u`` of the
+        orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f F_f``
+        over that degree's pre-candidates and the F expansions below it.
+        Negating ``w u`` is exact, so ``F_f`` scaled by ``-(w u)_f`` and
+        added is bit for bit ``F_f`` scaled by ``(w u)_f`` and subtracted."""
+        pre, w = self.steps[degree - 1]
+        lower = [p for block in self.blocks[:degree] for p in block]
+        out = DensePolynomial.zero(self.num_vars)
+        for p, c in zip(pre + lower, np.concatenate([u, -(w @ u)])):
+            if c != 0.0:
+                out = out + p.scale(float(c))
+        return out
+
+    def append(self, rec: DegreeRecord) -> None:
+        """Append the latest degree's F expansions: the combinations at the
+        F columns of its record ``rec``, each read in place from ``eigvecs``
+        (at degree 1, ``w @ u`` is a dot product whose rounding depends on
+        the stride of ``u``, so a copied column could differ in the last bit)."""
+        degree = len(self.steps)
+        self.blocks.append([self.combine(degree, rec.eigvecs[:, c]) for c in rec.columns("F")])
+
+    def rewind(self, width: int) -> None:
+        """Forget the F blocks past column ``width``, an earlier width, and
+        the steps of the degrees above the one formed there."""
+        while sum(len(block) for block in self.blocks) > width:
+            self.blocks.pop()
+        del self.steps[len(self.blocks):]
+
+    def replay(self, model: BasisModel, degree: int) -> None:
+        """Step ``model``'s records of the degrees up to ``degree`` that
+        earlier calls have not stepped."""
+        for t in range(len(self.steps) + 1, degree + 1):
+            rec = model.record(t)
+            self.candidates(rec.parents, rec.ortho_weights)
+            self.append(rec)
 
 
-_EXPANSION_CACHE: "weakref.WeakKeyDictionary[BasisModel, dict]" = weakref.WeakKeyDictionary()
+_EXPANSION_CACHE: "weakref.WeakKeyDictionary[BasisModel, _Expansions]" = weakref.WeakKeyDictionary()
 _EXPANSION_LOCK = threading.Lock()
 
 
-def _extend_expansions(model: BasisModel, degree: int, term_cap: int) -> dict:
-    """Per-model cache of degree-wise expansions, grown on demand.
-
-    ``pre`` maps a degree to its pre-candidate expansions; ``f_blocks[t]``
-    holds the degree-t nonvanishing expansions.  Models are immutable, so
-    the cache is shared by all expansion requests against the same model.
-    """
-    with _EXPANSION_LOCK:
-        state = _EXPANSION_CACHE.get(model)
-        if state is None:
-            n = model.num_vars
-            state = {
-                "f_blocks": [[DensePolynomial.constant(n, model.constant_value)]],
-                "pre": {},
-            }
-            _EXPANSION_CACHE[model] = state
-        n = model.num_vars
-        for t in range(1, degree + 1):
-            done_pre = t in state["pre"]
-            need_f_block = t < degree and len(state["f_blocks"]) <= t
-            if done_pre and not need_f_block:
-                continue
-            if monomial_count(n, t) > term_cap:
-                raise ExpansionLimitError(
-                    f"expansion at degree {t} in {n} variables may exceed "
-                    f"{term_cap} terms"
-                )
-            rec = model.record(t)
-            if not done_pre:
-                if t == 1:
-                    pre = [DensePolynomial.variable(n, int(k)) for k in rec.parents]
-                else:
-                    f1 = state["f_blocks"][1]
-                    ftm1 = state["f_blocks"][t - 1]
-                    pre = [f1[int(i)] * ftm1[int(j)] for i, j in rec.parents]
-                state["pre"][t] = pre
-            if need_f_block:
-                flat_f = [p for block in state["f_blocks"][:t] for p in block]
-                state["f_blocks"].append(
-                    [
-                        _combine_expansion(
-                            state["pre"][t], flat_f, rec.ortho_weights,
-                            rec.eigvecs[:, int(c)],
-                        )
-                        for c in rec.columns("F")
-                    ]
-                )
-        return state
-
-
-def expand(model: BasisModel, handle: PolyHandle, term_cap: int = EXPANSION_TERM_CAP) -> DensePolynomial:
+def expand(model: BasisModel, handle: PolyHandle) -> DensePolynomial:
     """Exact symbolic expansion of one basis polynomial (model space).
 
-    Replays the construction over dense polynomial arithmetic.  Cost is
-    exponential in degree, so a term-count guard refuses expansions whose
-    dense size bound exceeds ``term_cap``.
+    Replays the construction through the symbolic kernel, kept per model
+    (models are immutable).  Cost is exponential in degree, so the
+    kernel's term guard refuses degrees whose dense size bound exceeds
+    ``EXPANSION_TERM_CAP``.
     """
     (handle,) = _check_handles(model, [handle])
     if handle.degree == 0:
         return DensePolynomial.constant(model.num_vars, model.constant_value)
-    if monomial_count(model.num_vars, handle.degree) > term_cap:
-        raise ExpansionLimitError(
-            f"expansion at degree {handle.degree} in {model.num_vars} variables "
-            f"may exceed {term_cap} terms"
-        )
-    state = _extend_expansions(model, handle.degree, term_cap)
-    rec = model.record(handle.degree)
-    flat_f = [p for block in state["f_blocks"][: handle.degree] for p in block]
-    return _combine_expansion(
-        state["pre"][handle.degree], flat_f, rec.ortho_weights,
-        rec.eigvecs[:, handle.column],
-    )
+    with _EXPANSION_LOCK:
+        kernel = _EXPANSION_CACHE.get(model)
+        if kernel is None:
+            kernel = _EXPANSION_CACHE[model] = _Expansions(model.num_vars, model.constant_value)
+        kernel.replay(model, handle.degree)
+        return kernel.combine(handle.degree, model.record(handle.degree).eigvecs[:, handle.column])
 
 
 def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tuple[np.ndarray, int]:

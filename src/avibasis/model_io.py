@@ -128,8 +128,17 @@ def _decode(where: str, decode, *args):
         raise ValueError(f"{label}: invalid value: {exc}") from None
 
 
-def _degree_from_dict(entry: dict) -> tuple[int, DegreeRecord]:
-    t = int(entry["degree"])
+def _finite(name: str, values):
+    """``values`` itself, or a ValueError naming ``name`` when one is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return values
+
+
+def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
+    """The record of degree ``t``, which ``entry`` must say it holds."""
+    if entry["degree"] != t:
+        raise ValueError(f"degree {entry['degree']!r}, expected {t}")
     if t == 1:
         parents: tuple = tuple(int(k) for k in entry["parents"])
     else:
@@ -139,10 +148,10 @@ def _degree_from_dict(entry: dict) -> tuple[int, DegreeRecord]:
     if eigvecs.shape[0] == 0:
         eigvecs = np.zeros((len(parents), eigvals.size))
     weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
-    return t, DegreeRecord(
+    return DegreeRecord(
         parents=parents,
-        ortho_weights=weights,
-        eigvecs=eigvecs,
+        ortho_weights=_finite("ortho_weights", weights),
+        eigvecs=_finite("eigvecs", eigvecs),
         eigvals=eigvals,
         partition=tuple(str(tag) for tag in entry["partition"]),
     )
@@ -155,18 +164,24 @@ def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisMode
         tuple(norm["var_subset"]) if norm.get("var_subset") is not None else None,
         tuple(norm["point_subset"]) if norm.get("point_subset") is not None else None,
     )
+    num_vars = int(data["num_vars"])
     prep_data = data.get("preprocessing") or {}
-    prep = Preprocessing(
-        center=_dec_vector(prep_data["center"]) if prep_data.get("center") is not None else None,
-        scale=float(prep_data["scale"]) if prep_data.get("scale") is not None else None,
-    )
+    center = scale = None
+    if prep_data.get("center") is not None:
+        center = _finite("preprocessing.center", _dec_vector(prep_data["center"]))
+        if center.shape != (num_vars,):
+            raise ValueError(f"preprocessing.center must hold {num_vars} numbers")
+    if prep_data.get("scale") is not None:
+        scale = float(prep_data["scale"])
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"preprocessing.scale must be finite and > 0, got {scale!r}")
     return BasisModel(
-        num_vars=int(data["num_vars"]),
-        constant_value=float(data["constant_value"]),
+        num_vars=num_vars,
+        constant_value=_finite("constant_value", float(data["constant_value"])),
         degrees=records,
         epsilon=float(data["epsilon"]),
         normalization=kind,
-        preprocessing=prep,
+        preprocessing=Preprocessing(center=center, scale=scale),
         truncated=bool(data.get("truncated", False)),
     )
 
@@ -182,11 +197,10 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     entries = _expect("degrees", _decode("", data.__getitem__, "degrees"), list)
-    decoded = [
-        _decode(f"degrees[{i}]", _degree_from_dict, _expect(f"degrees[{i}]", e, dict))
+    records = tuple(
+        _decode(f"degrees[{i}]", _degree_from_dict, _expect(f"degrees[{i}]", e, dict), i + 1)
         for i, e in enumerate(entries)
-    ]
-    records = tuple(rec for _, rec in sorted(decoded, key=lambda tr: tr[0]))
+    )
     if "normalization" in data:
         _expect("normalization", data["normalization"], dict)
     if data.get("preprocessing") is not None:

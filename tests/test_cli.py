@@ -255,10 +255,17 @@ class TestGenerateCommand:
             ({"variety": {"kind": "polynomial_system", "num_vars": 2, "polynomials": [[1]]}},
              "variety.polynomials: invalid value"),
             ({"variety": {"kind": "custom", "points": [[1, 2], [3]]}}, "variety.points: invalid value"),
+            ({"samples": 4.9}, "samples: invalid value"),
+            ({"samples": True}, "samples: invalid value"),
+            ({"seed": True}, "seed: invalid value"),
+            ({"seed": 1.5}, "seed: invalid value"),
+            ({"variety": {"kind": "polynomial_system", "num_vars": 2.7, "polynomials": [{"2,0": 1.0}]}},
+             "variety.num_vars: invalid value"),
         ],
         ids=["variety list", "top-level list", "mixtures number", "mixture nested",
              "samples list", "seed null", "noise string", "radii number", "no radii",
-             "polynomial list", "ragged points"],
+             "polynomial list", "ragged points", "samples fraction", "samples bool",
+             "seed bool", "seed fraction", "num_vars fraction"],
     )
     def test_malformed_spec_names_the_field(self, change, field, tmp_path, capsys):
         spec = {
@@ -330,6 +337,22 @@ def _model_with(**fields):
     return lambda tmp_path: {**_fitted_model(tmp_path), **fields}
 
 
+def _model_edited(edit):
+    """A fitted model's JSON with ``edit`` applied in place."""
+    def make(tmp_path):
+        data = _fitted_model(tmp_path)
+        edit(data)
+        return data
+    return make
+
+
+def _set_entry(name, value, degree=0, row=0):
+    """Set one stored float of ``degrees[degree][name]`` to ``value``."""
+    def edit(data):
+        data["degrees"][degree][name][row][0] = value
+    return edit
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize(
         "make_data,field",
@@ -341,9 +364,27 @@ class TestMalformedModel:
             (_model_with(degrees={"1": {}}), "degrees: expected a list, got dict"),
             (_model_with(degrees=[3]), "degrees[0]: expected an object, got int"),
             (_model_with(reduction=[]), "reduction: expected an object, got list"),
+            (_model_edited(lambda d: d["degrees"][2].update(degree=0)),
+             "degrees[2]: invalid value: degree 0, expected 3"),
+            (_model_edited(lambda d: d["degrees"][2].update(degree=2)),
+             "degrees[2]: invalid value: degree 2, expected 3"),
+            (_model_edited(lambda d: d["degrees"][0].update(degree=1.5)),
+             "degrees[0]: invalid value: degree 1.5, expected 1"),
+            (_model_edited(_set_entry("eigvecs", "nan", degree=1)), "degrees[1]: invalid value: eigvecs"),
+            (_model_edited(_set_entry("ortho_weights", "inf")), "degrees[0]: invalid value: ortho_weights"),
+            (_model_with(constant_value="nan"), "constant_value holds a non-finite value"),
+            (_model_with(preprocessing={"center": ["nan", "0"], "scale": None}),
+             "preprocessing.center holds a non-finite value"),
+            (_model_with(preprocessing={"center": ["0"], "scale": None}),
+             "preprocessing.center must hold 2 numbers"),
+            (_model_with(preprocessing={"center": None, "scale": "0"}), "preprocessing.scale must be"),
+            (_model_with(preprocessing={"center": None, "scale": "nan"}), "preprocessing.scale must be"),
+            (_model_with(preprocessing={"center": None, "scale": "inf"}), "preprocessing.scale must be"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
-             "preprocessing string", "degrees object", "degree number", "reduction list"],
+             "preprocessing string", "degrees object", "degree number", "reduction list",
+             "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight",
+             "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"

@@ -183,14 +183,13 @@ class TestFitSmallCases:
         model = fit(pts, FitConfig(epsilon=0.0, max_degree=1))
         assert model.truncated
 
-    def test_coefficient_expansion_guard_raises(self):
+    def test_coefficient_expansion_guard_raises(self, monkeypatch):
         from avibasis import ExpansionLimitError
 
+        monkeypatch.setattr("avibasis.model.EXPANSION_TERM_CAP", 4)
         rng = np.random.default_rng(1)
         pts = random_cloud(rng, 8, 2)
-        cfg = FitConfig(
-            normalization=NormalizationKind.coefficient(), expansion_cap=4
-        )
+        cfg = FitConfig(normalization=NormalizationKind.coefficient())
         with pytest.raises(ExpansionLimitError):
             fit(pts, cfg)
 

@@ -19,7 +19,9 @@ from avibasis import (
     fit,
     gradient,
     gradient_with_op_count,
+    load_model,
     reduce_basis,
+    save_model,
 )
 from conftest import random_model
 
@@ -182,11 +184,45 @@ class TestExpand:
         )
         assert np.allclose(grad[0], linear_coeffs, atol=1e-12)
 
-    def test_term_guard(self, four_points):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_expansions_are_expand(self, seed, tmp_path, monkeypatch):
+        """The F expansions a coefficient fit forms are, bit for bit and in
+        term order, ``expand`` of its F handles, also after a round trip
+        through model JSON."""
+        kernels = []
+        init = avibasis.model._Expansions.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            kernels.append(self)
+
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(3, 10)), int(rng.integers(1, 4))))
+        config = FitConfig(epsilon=float(rng.choice([0.0, 1e-3, 0.05])),
+                           normalization=NormalizationKind.coefficient())
+        with monkeypatch.context() as patch:
+            patch.setattr(avibasis.model._Expansions, "__init__", recording_init)
+            model = fit(pts, config)
+        (kernel,) = kernels
+        fitted = [p for block in kernel.blocks for p in block]
+        save_model(tmp_path / "m.json", model)
+        loaded, _ = load_model(tmp_path / "m.json")
+
+        def bits(poly):
+            return [(exps, float(c).hex()) for exps, c in poly.terms.items()]
+
+        handles = [h for h in model.f_handles() if h.degree < model.max_degree]
+        assert len(handles) == len(fitted)
+        for h, poly in zip(handles, fitted):
+            assert bits(expand(model, h)) == bits(poly)
+            assert bits(expand(loaded, h)) == bits(poly)
+
+    def test_term_guard(self, four_points, monkeypatch):
         model = fit(four_points, FitConfig(epsilon=0.0))
         handle = model.g_handles()[0]
+        monkeypatch.setattr("avibasis.model.EXPANSION_TERM_CAP", 2)
         with pytest.raises(ExpansionLimitError):
-            expand(model, handle, term_cap=2)
+            expand(model, handle)
 
 
 class TestOpCount:
