@@ -293,6 +293,11 @@ class EpsilonTarget:
 
 @dataclass(frozen=True, eq=False)
 class EpsilonScanPoint:
+    """One grid tolerance of a search.  ``g_counts`` holds the G counts of
+    the degrees the search stepped at this tolerance: the leading entries
+    of the full fit's counts, up to ``d_min`` or to the first degree that
+    rules the target out."""
+
     epsilon: float
     g_counts: tuple[int, ...]
     satisfied: bool
@@ -338,11 +343,14 @@ def epsilon_search(
 
     Fits every grid value as one prefix tree of fits, which runs each
     distinct degree-step once (degree t depends on the tolerance only
-    through the F/G splits below it), and gives at each grid value the
-    model ``fit`` would.  Finds the longest contiguous run of satisfying
-    tolerances ``(eps_1, eps_2)`` and reports their midpoint.  When nothing
-    on the grid qualifies the result carries ``found=False`` and the full
-    scan trace.
+    through the F/G splits below it).  The target reads degrees 1..d_min
+    only, so the tree is stepped no deeper than ``d_min`` and not below a
+    prefix that already misses the target; each grid value's
+    ``satisfied`` flag is the one the full fit at that tolerance gives,
+    and its ``g_counts`` cover the degrees stepped.  Finds the longest
+    contiguous run of satisfying tolerances ``(eps_1, eps_2)`` and reports
+    their midpoint.  When nothing on the grid qualifies the result carries
+    ``found=False`` and the full scan trace.
     """
     normalization = normalization or NormalizationKind.gradient()
     grid = default_epsilon_grid(points) if grid is None else np.asarray(grid, dtype=float)
@@ -353,8 +361,14 @@ def epsilon_search(
 
     config = FitConfig(normalization=normalization, rank_tol=rank_tol, max_degree=max_degree)
     epsilons = [float(eps) for eps in grid]
+
+    def descend(path) -> bool:
+        """Whether a deeper degree could still change a ``satisfied`` flag."""
+        g_counts = [rec.partition.count("G") for rec in path]
+        return len(path) < target.d_min and g_counts[0] == target.num_linear and not any(g_counts[1:])
+
     trace: list = [None] * len(epsilons)
-    for i, model in _fit_path(points, config, epsilons):
+    for i, model in _fit_path(points, config, epsilons, descend):
         g_counts, ok = _satisfies(model, target)
         trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
     flags = [point.satisfied for point in trace]

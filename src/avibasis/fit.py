@@ -133,17 +133,25 @@ def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:
     zero, and sqrt values below 1e-10 times max(largest sqrt, 1) count as
     numerically vanishing even at epsilon = 0.
     """
+    return _classify_all(eigvals, [epsilon])[0]
+
+
+def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
+    """``classify(eigvals, eps)`` for each ``eps`` of ``epsilons``, the
+    tolerance-free work (checks, square roots, floor) done once."""
     ev = np.asarray(eigvals, dtype=float)
     if ev.size == 0:
-        return ()
+        return [()] * len(epsilons)
     scale = max(1.0, float(np.abs(ev).max()))
     if np.any(np.diff(ev) > 1e-9 * scale):
         raise ValueError("eigenvalues must be sorted in descending order")
     if float(ev.min()) < -1e-10 * scale:
         raise ValueError("eigenvalue is negative beyond roundoff")
     roots = np.sqrt(np.clip(ev, 0.0, None))
-    cut = max(float(epsilon), 1e-10 * max(float(roots.max()), 1.0))
-    return tuple("G" if r <= cut else "F" for r in roots)
+    floor = 1e-10 * max(float(roots.max()), 1.0)
+    values = roots.tolist()  # Python floats compare like float64, only faster
+    return [tuple("G" if r <= cut else "F" for r in values)
+            for cut in (max(float(eps), floor) for eps in epsilons)]
 
 
 def orthogonalize(
@@ -225,17 +233,24 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     return model
 
 
-def _fit_path(points, config: FitConfig, epsilons):
+def _fit_path(points, config: FitConfig, epsilons, descend=None):
     """Yield ``(i, model)`` once for each tolerance ``epsilons[i]``, the
     model bit-identical to ``fit(points, replace(config, epsilon=eps))``;
     ``config.epsilon`` is not read.
+
+    ``descend``, when given, is called with the records of every node that
+    would step a further degree; a node whose records it rejects becomes a
+    leaf, and its tolerances get that prefix of their fit, marked
+    ``truncated``.  The tolerance search uses it to step only the degrees
+    its target reads.
 
     Degree t depends on the tolerance only through the F/G partitions of
     the degrees below it, so the fits of all tolerances form a prefix tree
     whose nodes are those partition prefixes.  The tree is walked depth
     first: each node runs the tolerance-free part of its degree once
-    (candidates, orthogonalization, normalization Gram, eigensolve) and
-    groups its tolerances by the partition ``classify`` gives them; each
+    (candidates, orthogonalization, normalization Gram, eigensolve, and
+    the checks and square roots of ``classify``) and groups its
+    tolerances by the partition ``classify`` gives them; each
     group is a child, which appends its own F block and expansions before
     stepping the next degree, or a leaf.  Children rewind the kernels to
     their parent's state, which is safe because sibling subtrees never
@@ -315,8 +330,8 @@ def _fit_path(points, config: FitConfig, epsilons):
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
         groups: dict = {}
-        for i in members:
-            groups.setdefault(classify(eigvals, epsilons[i]), []).append(i)
+        for i, partition in zip(members, _classify_all(eigvals, [epsilons[i] for i in members])):
+            groups.setdefault(partition, []).append(i)
         for partition, group in groups.items():
             rec = DegreeRecord(
                 parents=parents,
@@ -327,7 +342,7 @@ def _fit_path(points, config: FitConfig, epsilons):
             )
             path = records + (rec,)
             f_cols = rec.columns("F")
-            if len(f_cols) == 0 or t == max_degree:
+            if len(f_cols) == 0 or t == max_degree or (descend is not None and not descend(path)):
                 for i in group:
                     yield i, BasisModel(
                         num_vars=num_vars,

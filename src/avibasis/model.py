@@ -204,11 +204,7 @@ class BasisModel:
 
     def degree_counts(self) -> tuple[tuple[int, int], ...]:
         """Per-degree ``(|G_t|, |F_t|)`` for degrees 1..max_degree."""
-        return tuple(
-            (int(np.sum([tag == "G" for tag in rec.partition])),
-             int(np.sum([tag == "F" for tag in rec.partition])))
-            for rec in self.degrees
-        )
+        return tuple((rec.partition.count("G"), rec.partition.count("F")) for rec in self.degrees)
 
     def extent_of_vanishing(self, handle: PolyHandle) -> float:
         """sqrt(eigenvalue) of the handle, i.e. its training evaluation norm."""

@@ -55,8 +55,15 @@ def _handle_to_dict(h: PolyHandle) -> dict:
     return {"degree": h.degree, "column": h.column, "kind": h.kind}
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a fractional number is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _handle_from_dict(d: dict) -> PolyHandle:
-    return PolyHandle(int(d["degree"]), int(d["column"]), str(d["kind"]))
+    return PolyHandle(_integer("degree", d["degree"]), _integer("column", d["column"]), str(d["kind"]))
 
 
 def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> dict:
@@ -137,16 +144,14 @@ def _finite(name: str, values):
 
 def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
     """The record of degree ``t``, which ``entry`` must say it holds."""
-    if entry["degree"] != t:
+    if isinstance(entry["degree"], bool) or entry["degree"] != t:
         raise ValueError(f"degree {entry['degree']!r}, expected {t}")
     if t == 1:
-        parents: tuple = tuple(int(k) for k in entry["parents"])
+        parents: tuple = tuple(_integer("parents", k) for k in entry["parents"])
     else:
-        parents = tuple((int(i), int(j)) for i, j in entry["parents"])
+        parents = tuple((_integer("parents", i), _integer("parents", j)) for i, j in entry["parents"])
     eigvals = _dec_vector(entry["eigvals"])
     eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
-    if eigvecs.shape[0] == 0:
-        eigvecs = np.zeros((len(parents), eigvals.size))
     weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
     return DegreeRecord(
         parents=parents,
@@ -159,12 +164,12 @@ def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
 
 def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisModel:
     norm = data["normalization"]
-    kind = NormalizationKind(
-        norm["variant"],
-        tuple(norm["var_subset"]) if norm.get("var_subset") is not None else None,
-        tuple(norm["point_subset"]) if norm.get("point_subset") is not None else None,
-    )
-    num_vars = int(data["num_vars"])
+    subsets = [
+        tuple(_integer(name, i) for i in norm[name]) if norm.get(name) is not None else None
+        for name in ("var_subset", "point_subset")
+    ]
+    kind = NormalizationKind(norm["variant"], *subsets)
+    num_vars = _integer("num_vars", data["num_vars"])
     prep_data = data.get("preprocessing") or {}
     center = scale = None
     if prep_data.get("center") is not None:
@@ -250,10 +255,10 @@ def _report_from_dict(data: dict) -> ReductionReport:
         ),
         rank_deflated=tuple(
             DeflationRecord(
-                int(rec["degree"]),
+                _integer("degree", rec["degree"]),
                 tuple(_handle_from_dict(h) for h in rec["removed"]),
-                int(rec["original_count"]),
-                int(rec["gram_rank"]),
+                _integer("original_count", rec["original_count"]),
+                _integer("gram_rank", rec["gram_rank"]),
             )
             for rec in data["rank_deflated"]
         ),

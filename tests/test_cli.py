@@ -380,11 +380,17 @@ class TestMalformedModel:
             (_model_with(preprocessing={"center": None, "scale": "0"}), "preprocessing.scale must be"),
             (_model_with(preprocessing={"center": None, "scale": "nan"}), "preprocessing.scale must be"),
             (_model_with(preprocessing={"center": None, "scale": "inf"}), "preprocessing.scale must be"),
+            (_model_edited(lambda d: d["degrees"][1].update(eigvecs=[])),
+             "degree-2 eigenvector rows != candidate count"),
+            (_model_edited(lambda d: d["degrees"][0].update(parents=[0.9, 1.2])),
+             "degrees[0]: invalid value: parents: expected an integer, got 0.9"),
+            (_model_with(num_vars=True), "invalid value: num_vars: expected an integer, got True"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight",
-             "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale"],
+             "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
+             "empty eigvecs", "fractional parents", "bool num_vars"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"

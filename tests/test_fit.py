@@ -20,7 +20,8 @@ from avibasis import (
     normalization_matrix,
     orthogonalize,
 )
-from avibasis.fit import CandidateData, _fit_path
+from avibasis.analysis import _satisfies
+from avibasis.fit import CandidateData, _classify_all, _fit_path
 from conftest import random_cloud, random_polynomial
 
 
@@ -37,6 +38,25 @@ class TestClassify:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             classify(np.array([1.0, 2.0]), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1e-22, 1e-12, 0.01, 0.25, 1.0, 4.0, 1e3]), max_size=8),
+           st.lists(st.sampled_from([0.0, 1e-11, 0.05, 0.1, 0.5, 1.0, 2.0, 40.0]), min_size=1, max_size=10),
+           st.floats(-1e-12, 1e-12))
+    def test_one_pass_gives_each_tolerances_partition(self, values, epsilons, jitter):
+        def reference(eigvals, eps):  # the per-tolerance rule, numpy scalars throughout
+            if eigvals.size == 0:
+                return ()
+            roots = np.sqrt(np.clip(eigvals, 0.0, None))
+            cut = max(float(eps), 1e-10 * max(float(roots.max()), 1.0))
+            return tuple("G" if r <= cut else "F" for r in roots)
+
+        # descending up to roundoff: ties broken by a jitter classify tolerates
+        eigvals = np.array(sorted(values, reverse=True)) + jitter * np.arange(len(values))
+        eigvals = np.clip(eigvals, -1e-11, None)
+        want = [reference(eigvals, eps) for eps in epsilons]
+        assert _classify_all(eigvals, epsilons) == want
+        assert [classify(eigvals, eps) for eps in epsilons] == want
 
     def test_rejects_very_negative(self):
         with pytest.raises(ValueError):
@@ -355,17 +375,44 @@ class TestFitPath:
                 assert np.array_equal(g.eigvecs, w.eigvecs)
                 assert np.array_equal(g.ortho_weights, w.ortho_weights)
 
-    @settings(max_examples=40, deadline=None)
-    @given(_path_case())
-    def test_search_trace_is_the_lone_fits_counts(self, case):
+    @settings(max_examples=60, deadline=None)
+    @given(_path_case(), st.builds(EpsilonTarget, num_linear=st.integers(0, 3),
+                                   d_min=st.integers(2, 3), num_at_dmin=st.integers(0, 2)))
+    def test_search_trace_is_the_lone_fits_counts(self, case, target):
         pts, config, grid = case
-        target = EpsilonTarget(num_linear=1, d_min=2, num_at_dmin=1)
         result = epsilon_search(pts, target, normalization=config.normalization, grid=grid,
                                 rank_tol=config.rank_tol, max_degree=config.max_degree)
         assert [p.epsilon for p in result.trace] == grid
         for point in result.trace:
             lone = fit(pts, replace(config, epsilon=point.epsilon))
-            assert point.g_counts == tuple(g for g, _ in lone.degree_counts())
+            lone_counts = tuple(g for g, _ in lone.degree_counts())
+            assert 1 <= len(point.g_counts) <= target.d_min
+            assert point.g_counts == lone_counts[:len(point.g_counts)]
+            assert point.satisfied == _satisfies(lone, target)[1]
+
+    @pytest.mark.parametrize("target", [EpsilonTarget(0, 2, 1), EpsilonTarget(1, 2, 1),
+                                        EpsilonTarget(0, 3, 1), EpsilonTarget(1, 3, 0)])
+    def test_search_steps_each_surviving_prefix_once(self, target, monkeypatch):
+        import avibasis.linalg
+
+        pts = random_cloud(np.random.default_rng(3), 10, 2)
+        grid = list(np.geomspace(1e-3, 3.0, 25))
+        lone = [fit(pts, FitConfig(epsilon=e)) for e in grid]
+
+        def survives(prefix):  # the target can still be met below this prefix
+            g = [rec.partition.count("G") for rec in prefix]
+            return not g or (g[0] == target.num_linear and not any(g[1:]))
+
+        # degree t of a fit is determined by the partitions of degrees 1..t-1
+        prefixes = {tuple(rec.partition for rec in m.degrees[:t])
+                    for m in lone for t in range(min(len(m.degrees), target.d_min))
+                    if survives(m.degrees[:t])}
+        calls = []
+        solve = avibasis.linalg.gen_sym_eig
+        monkeypatch.setattr(avibasis.linalg, "gen_sym_eig", lambda *a: calls.append(1) or solve(*a))
+        epsilon_search(pts, target, grid=grid)
+        assert len(calls) == len(prefixes)
+        assert 1 < len(prefixes) <= target.d_min
 
     def test_one_eigensolve_per_distinct_degree_step(self, monkeypatch):
         import avibasis.linalg

@@ -1,10 +1,13 @@
 """Model JSON under corruption: a saved model with one field deleted or
 replaced must load into a model that validates and replays to finite
-values, or be refused with a ValueError."""
+values, or be refused with a ValueError.  An integer field holding a bool
+or a fractional number, and an emptied matrix, are always refused."""
 
 import json
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +35,7 @@ SAVED = {
                   FitConfig(normalization=NormalizationKind.identity(), center=True, unit_mean_norm=True)),
 }
 DELETE = "<delete the field>"
-VALUES = [DELETE, None, 0, -1, 1.5, "x", [], {}, [[1]], True, 10**6, "nan"]
+VALUES = [DELETE, None, 0, -1, 0.9, 1.5, "x", [], {}, [[1]], True, 10**6, "nan"]
 
 
 def _field_paths(node, path=()):
@@ -45,7 +48,35 @@ def _field_paths(node, path=()):
             yield from _field_paths(value, path + (key,))
 
 
-FIELDS = [(name, path) for name, (text, _) in SAVED.items() for path in _field_paths(json.loads(text))]
+# Entries of the integer parent lists, which _field_paths does not reach.
+PARENT_ENTRIES = [("grad", ("degrees", 0, "parents", 1)), ("grad", ("degrees", 1, "parents", 0, 1)),
+                  ("vca", ("degrees", 2, "parents", 1, 0))]
+FIELDS = [(name, path) for name, (text, _) in SAVED.items()
+          for path in _field_paths(json.loads(text))] + PARENT_ENTRIES
+INTEGER_KEYS = ("num_vars", "degree", "column", "original_count", "gram_rank", "parents")
+MATRIX_KEYS = ("eigvecs", "ortho_weights")
+
+
+def _must_refuse(path, value) -> bool:
+    """Whether the mutation leaves an integer field a bool or a fraction,
+    or empties a degree's matrix."""
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    if key in INTEGER_KEYS:
+        return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    return key in MATRIX_KEYS and path[-1] == key and value == []
+
+
+def _mutated(name, path, value):
+    """The saved model ``name`` with the field at ``path`` replaced by ``value`` or deleted."""
+    data = json.loads(SAVED[name][0])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
 
 
 def test_fixtures_cover_the_report_sections():
@@ -59,20 +90,38 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("grad", ("constant_value",)), value="nan")
 @example(field=("grad", ("preprocessing", "scale")), value="nan")
 @example(field=("grad", ("preprocessing", "scale")), value=0)
+@example(field=("grad", ("degrees", 1, "eigvecs")), value=[])
+@example(field=("grad", ("degrees", 0, "parents", 1)), value=0.9)
+@example(field=("grad", ("degrees", 1, "parents", 0, 1)), value=True)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=1.5)
+@example(field=("vca", ("reduction", "kept", 0, "column")), value=True)
+@example(field=("grad", ("num_vars",)), value=1.5)
 def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     name, path = field
-    text, points = SAVED[name]
-    data = json.loads(text)
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    data = _mutated(name, path, value)
     try:
         model, _ = model_from_dict(data)
     except ValueError:
         return
+    assert not _must_refuse(path, value), "the mutated model loaded"
     model.validate()
-    assert np.isfinite(evaluate(model, model.handles(), points)).all()
+    assert np.isfinite(evaluate(model, model.handles(), SAVED[name][1])).all()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    (("grad", ("degrees", 1, "eigvecs")), [], "degree-2 eigenvector rows != candidate count"),
+    (("grad", ("degrees", 0, "parents")), [0.9, 1.2], "parents: expected an integer, got 0.9"),
+    (("grad", ("degrees", 1, "parents", 0, 1)), True, "parents: expected an integer, got True"),
+    (("grad", ("num_vars",)), 2.5, "num_vars: expected an integer, got 2.5"),
+    (("grad", ("degrees", 0, "degree")), True, "degree True, expected 1"),
+    (("grad", ("reduction", "kept", 0, "column")), 2.5, "column: expected an integer, got 2.5"),
+    (("vca", ("reduction", "rank_deflated", 0, "degree")), True, "degree: expected an integer, got True"),
+    (("vca", ("reduction", "rank_deflated", 0, "original_count")), 3.5,
+     "original_count: expected an integer, got 3.5"),
+], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "bool degree",
+        "fractional column", "bool deflated degree", "fractional original_count"])
+def test_refused_with_a_one_line_field_error(field, value, message):
+    data = _mutated(*field, value)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        model_from_dict(data)
+    assert "\n" not in str(info.value)
