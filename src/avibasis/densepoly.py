@@ -8,11 +8,19 @@ coefficients stays exact; float coefficients behave like ordinary floats.
 
 Variables are indexed 0-based.  An exponent vector is a tuple of
 ``num_vars`` non-negative ints; zero coefficients are never stored.
+
+Term order is insertion order; it decides the last bits of ``coeff_dot``
+and ``evaluate``.  ``+`` and the symbolic kernel's combinations add in
+place by one rule, ``_add_scaled``: a monomial keeps its place while its
+coefficient stays nonzero, one that cancels to exactly 0 is dropped, and
+one that (re)appears goes to the end.  A product keeps each monomial at
+its first appearance and drops zero sums only at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -104,8 +112,7 @@ class DensePolynomial:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
+        _add_scaled(out, other, 1)
         return DensePolynomial._from_clean(self.num_vars, out)
 
     def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
@@ -120,10 +127,11 @@ class DensePolynomial:
         if isinstance(other, DensePolynomial):
             self._check_compatible(other)
             out: dict[tuple[int, ...], float] = {}
+            get, add = out.get, operator.add
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    out[exps] = out.get(exps, 0) + c1 * c2
+                    exps = tuple(map(add, e1, e2))
+                    out[exps] = get(exps, 0) + c1 * c2
             return DensePolynomial._from_clean(self.num_vars, out)
         return self.scale(other)
 
@@ -196,6 +204,21 @@ class DensePolynomial:
             coeff = self.terms[exps]
             parts.append(f"{coeff}" if not mono else f"{coeff}*{mono}")
         return " + ".join(parts)
+
+
+def _add_scaled(out: dict, p: DensePolynomial, c) -> None:
+    """Add ``c * p`` into the terms ``out`` in place: ``out + p.scale(c)``
+    without its copies.  A product ``c * a`` that is 0 is skipped and a sum
+    that is exactly 0 deleted, so a monomial that reappears goes last."""
+    get = out.get
+    for e, a in p.terms.items():
+        v = c * a
+        if v != 0:
+            s = get(e, 0) + v
+            if s != 0:
+                out[e] = s
+            else:
+                del out[e]
 
 
 def coeff_dot(p: DensePolynomial, q: DensePolynomial) -> float:

@@ -28,7 +28,6 @@ from .model import BasisModel, DegreeRecord, PointSet, Preprocessing, _apply_ort
 __all__ = [
     "NormalizationKind",
     "FitConfig",
-    "CandidateData",
     "fit",
     "normalization_matrix",
     "orthogonalize",

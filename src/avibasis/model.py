@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densepoly import DensePolynomial, monomial_count
+from .densepoly import DensePolynomial, _add_scaled, monomial_count
 
 __all__ = [
     "Preprocessing",
@@ -263,12 +263,14 @@ def _pair_grad(
     ftm1_eval: np.ndarray,
     ftm1_grad: np.ndarray,
 ) -> np.ndarray:
-    """Product-rule gradients of the pair products, same column order."""
+    """Product-rule gradients of the pair products, same column order.
+
+    The second term is added in place, one degree-1 column at a time, so
+    the only full-size array is the output."""
     m, n, _ = f1_grad.shape
-    g = (
-        f1_grad[:, :, :, None] * ftm1_eval[:, None, None, :]
-        + f1_eval[:, None, :, None] * ftm1_grad[:, :, None, :]
-    )
+    g = f1_grad[:, :, :, None] * ftm1_eval[:, None, None, :]
+    for i in range(f1_eval.shape[1]):
+        g[:, :, i] += f1_eval[:, None, i, None] * ftm1_grad
     return g.reshape(m, n, -1)
 
 
@@ -309,11 +311,11 @@ class _Forward:
         f_eval)`` returns ``(pre - f_eval @ w, w)``; ``c_grad`` is None
         without gradients.
         """
+        m, n = self.points.shape
         grads = self.grads is not None
         if self.width == 1:  # only the constant so far: degree 1
             pre = self.points[:, list(parents)]
             if grads:
-                m, n = self.points.shape
                 pre_grad = np.zeros((m, n, len(parents)))
                 pre_grad[:, list(parents), range(len(parents))] = 1.0
         else:
@@ -322,7 +324,10 @@ class _Forward:
                 pre_grad = _pair_grad(self.first, self.first_grad, self.last, self.last_grad)
         width = self.width
         c_eval, w = orthogonalize(pre, self.evals[:, :width])
-        c_grad = pre_grad - np.tensordot(self.grads[:, :, :width], w, axes=([2], [0])) if grads else None
+        c_grad = None
+        if grads:  # through the 2-D view of the gradient prefix, not a copy
+            c_grad = pre_grad
+            c_grad -= (self.grads.reshape(m * n, -1)[:, :width] @ w).reshape(m, n, -1)
         return c_eval, c_grad, w
 
     def append(self, c_eval, c_grad, v_f) -> None:
@@ -469,7 +474,8 @@ class _Expansions:
     constant on, and each stepped degree's pre-candidate expansions and
     orthogonalization weights.  A degree is ``candidates`` then ``append``;
     ``rewind`` returns to an earlier width.  ``combine`` expands one
-    combination of a degree's orthogonalized candidates.
+    combination of a degree's orthogonalized candidates, folding its
+    terms into one dict with ``densepoly._add_scaled``.
     """
 
     def __init__(self, num_vars: int, constant_value: float):
@@ -497,16 +503,17 @@ class _Expansions:
     def combine(self, degree: int, u: np.ndarray) -> DensePolynomial:
         """Expansion of the degree-``degree`` combination ``u`` of the
         orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f F_f``
-        over that degree's pre-candidates and the F expansions below it.
-        Negating ``w u`` is exact, so ``F_f`` scaled by ``-(w u)_f`` and
-        added is bit for bit ``F_f`` scaled by ``(w u)_f`` and subtracted."""
+        over that degree's pre-candidates and the F expansions below it,
+        each nonzero term added in place into one dict.  Negating ``w u`` is
+        exact, so ``F_f`` scaled by ``-(w u)_f`` and added is bit for bit
+        ``F_f`` scaled by ``(w u)_f`` and subtracted."""
         pre, w = self.steps[degree - 1]
         lower = [p for block in self.blocks[:degree] for p in block]
-        out = DensePolynomial.zero(self.num_vars)
-        for p, c in zip(pre + lower, np.concatenate([u, -(w @ u)])):
+        out: dict = {}
+        for p, c in zip(pre + lower, np.concatenate([u, -(w @ u)]).tolist()):
             if c != 0.0:
-                out = out + p.scale(float(c))
-        return out
+                _add_scaled(out, p, c)
+        return DensePolynomial._from_clean(self.num_vars, out)
 
     def append(self, rec: DegreeRecord) -> None:
         """Append the latest degree's F expansions: the combinations at the

@@ -157,7 +157,7 @@ def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
         parents=parents,
         ortho_weights=_finite("ortho_weights", weights),
         eigvecs=_finite("eigvecs", eigvecs),
-        eigvals=eigvals,
+        eigvals=_finite("eigvals", eigvals),
         partition=tuple(str(tag) for tag in entry["partition"]),
     )
 

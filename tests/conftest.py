@@ -44,6 +44,25 @@ def random_polynomial(rng, num_vars, max_degree, max_terms=5, coeff_range=4):
     return DensePolynomial(num_vars, terms)
 
 
+def bits(terms):
+    """Term order, exponents, and each coefficient's type and exact value."""
+    return [(e, type(c).__name__, repr(c)) for e, c in terms.items()]
+
+
+def copying_fold(pairs):
+    """``out = out + p.scale(c)`` over ``pairs`` with a fresh dict per
+    step: the scaled copy drops zero products, the sum keeps every key in
+    place and the zero sums are dropped at the end of the step."""
+    terms = {}
+    for p, c in pairs:
+        scaled = {e: c * a for e, a in p.terms.items() if c * a != 0}
+        merged = dict(terms)
+        for e, v in scaled.items():
+            merged[e] = merged.get(e, 0) + v
+        terms = {e: v for e, v in merged.items() if v != 0}
+    return terms
+
+
 def circle_and_hyperbola_targets(num_vars=2):
     """The two generators of the four-point variety: x^2 + y^2 - 1 and xy."""
     circle = DensePolynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})

@@ -372,6 +372,8 @@ class TestMalformedModel:
              "degrees[0]: invalid value: degree 1.5, expected 1"),
             (_model_edited(_set_entry("eigvecs", "nan", degree=1)), "degrees[1]: invalid value: eigvecs"),
             (_model_edited(_set_entry("ortho_weights", "inf")), "degrees[0]: invalid value: ortho_weights"),
+            (_model_edited(lambda d: d["degrees"][1]["eigvals"].__setitem__(0, "nan")),
+             "degrees[1]: invalid value: eigvals holds a non-finite value"),
             (_model_with(constant_value="nan"), "constant_value holds a non-finite value"),
             (_model_with(preprocessing={"center": ["nan", "0"], "scale": None}),
              "preprocessing.center holds a non-finite value"),
@@ -388,7 +390,7 @@ class TestMalformedModel:
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
-             "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight",
+             "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
              "empty eigvecs", "fractional parents", "bool num_vars"],
     )

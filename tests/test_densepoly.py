@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from avibasis.densepoly import (
     DensePolynomial,
+    _add_scaled,
     coeff_dot,
     coefficient_vector,
     finite_diff_gradient,
     graded_monomials,
     monomial_count,
 )
+from conftest import bits, copying_fold
 
 X = DensePolynomial.variable(2, 0)
 Y = DensePolynomial.variable(2, 1)
@@ -73,6 +75,61 @@ class TestArithmetic:
         lhs = (a * b)(x)
         rhs = a(x) * b(x)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+# Small integers and dyadic fractions: sums of them are exact, so a
+# monomial can cancel to exactly 0 and then reappear.
+COEFFICIENT = st.one_of(st.integers(-3, 3), st.integers(-8, 8).map(lambda k: k / 4.0))
+
+
+def dyadic_poly(num_vars=2, max_degree=2):
+    exponent = st.tuples(*([st.integers(0, max_degree)] * num_vars)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    return st.dictionaries(exponent, COEFFICIENT, max_size=4).map(
+        lambda terms: DensePolynomial(num_vars, terms)
+    )
+
+
+def nested_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+class TestInPlaceArithmetic:
+    """The in-place fold and the pair product keep the term order and the
+    bits of the copying rules written out above."""
+
+    def test_cancelled_monomial_reappears_at_the_end(self):
+        one = DensePolynomial.constant(2, 1)
+        pairs = [(X + one + Y, 1.0), (X, 1.0), (Y, -1.0), (Y, 0.5)]
+        out = {}
+        for p, c in pairs:
+            _add_scaled(out, p, c)
+        # x keeps its place when it grows; y cancels, then comes back last
+        assert out == {(1, 0): 2.0, (0, 0): 1.0, (0, 1): 0.5}
+        assert list(out) == [(1, 0), (0, 0), (0, 1)]
+        assert bits(out) == bits(copying_fold(pairs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(dyadic_poly(), COEFFICIENT), max_size=8))
+    def test_add_scaled_is_the_copying_fold(self, pairs):
+        out = {}
+        total = DensePolynomial.zero(2)
+        for p, c in pairs:
+            _add_scaled(out, p, c)
+            total = total + p.scale(c)
+        assert bits(out) == bits(copying_fold(pairs))
+        assert bits(total.terms) == bits(copying_fold(pairs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_poly(max_degree=3), dyadic_poly(max_degree=3))
+    def test_product_is_the_nested_loop(self, p, q):
+        assert bits((p * q).terms) == bits(nested_product(p, q))
 
 
 class TestDiffEval:

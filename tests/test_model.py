@@ -23,7 +23,7 @@ from avibasis import (
     reduce_basis,
     save_model,
 )
-from conftest import random_model
+from conftest import bits, copying_fold, random_model
 
 
 class TestPointSet:
@@ -216,6 +216,27 @@ class TestExpand:
         for h, poly in zip(handles, fitted):
             assert bits(expand(model, h)) == bits(poly)
             assert bits(expand(loaded, h)) == bits(poly)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_combine_is_the_copying_fold(self, seed):
+        """``_Expansions.combine`` keeps the bits and the term order of
+        ``out = out + p.scale(c)`` over its terms, on clouds of quarter-
+        integer points, whose expansions have exact cancellations."""
+        rng = np.random.default_rng(100 + seed)
+        pts = np.round(4 * rng.uniform(-1.5, 1.5, size=(int(rng.integers(3, 9)), int(rng.integers(1, 4))))) / 4
+        model = fit(pts, FitConfig(epsilon=float(rng.choice([0.0, 1e-3])),
+                                   normalization=NormalizationKind.coefficient()))
+        kernel = avibasis.model._Expansions(model.num_vars, model.constant_value)
+        kernel.replay(model, model.max_degree)
+        for h in model.handles():
+            if h.degree == 0:
+                continue
+            pre, w = kernel.steps[h.degree - 1]
+            lower = [p for block in kernel.blocks[: h.degree] for p in block]
+            u = model.record(h.degree).eigvecs[:, h.column]
+            coeffs = [float(c) for c in np.concatenate([u, -(w @ u)])]
+            want = copying_fold([(p, c) for p, c in zip(pre + lower, coeffs) if c != 0.0])
+            assert bits(kernel.combine(h.degree, u).terms) == bits(want)
 
     def test_term_guard(self, four_points, monkeypatch):
         model = fit(four_points, FitConfig(epsilon=0.0))

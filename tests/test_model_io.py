@@ -1,7 +1,8 @@
 """Model JSON under corruption: a saved model with one field deleted or
 replaced must load into a model that validates and replays to finite
 values, or be refused with a ValueError.  An integer field holding a bool
-or a fractional number, and an emptied matrix, are always refused."""
+or a fractional number, an emptied matrix and a non-finite eigenvalue are
+always refused."""
 
 import json
 import re
@@ -35,7 +36,7 @@ SAVED = {
                   FitConfig(normalization=NormalizationKind.identity(), center=True, unit_mean_norm=True)),
 }
 DELETE = "<delete the field>"
-VALUES = [DELETE, None, 0, -1, 0.9, 1.5, "x", [], {}, [[1]], True, 10**6, "nan"]
+VALUES = [DELETE, None, 0, -1, 0.9, 1.5, "x", [], {}, [[1]], True, 10**6, "nan", "-inf"]
 
 
 def _field_paths(node, path=()):
@@ -48,21 +49,25 @@ def _field_paths(node, path=()):
             yield from _field_paths(value, path + (key,))
 
 
-# Entries of the integer parent lists, which _field_paths does not reach.
-PARENT_ENTRIES = [("grad", ("degrees", 0, "parents", 1)), ("grad", ("degrees", 1, "parents", 0, 1)),
-                  ("vca", ("degrees", 2, "parents", 1, 0))]
+# Entries of the integer parent lists and of the eigenvalue vectors, which
+# _field_paths does not reach.
+LIST_ENTRIES = [("grad", ("degrees", 0, "parents", 1)), ("grad", ("degrees", 1, "parents", 0, 1)),
+                ("vca", ("degrees", 2, "parents", 1, 0)), ("grad", ("degrees", 1, "eigvals", 0)),
+                ("vca", ("degrees", 0, "eigvals", 1))]
 FIELDS = [(name, path) for name, (text, _) in SAVED.items()
-          for path in _field_paths(json.loads(text))] + PARENT_ENTRIES
+          for path in _field_paths(json.loads(text))] + LIST_ENTRIES
 INTEGER_KEYS = ("num_vars", "degree", "column", "original_count", "gram_rank", "parents")
 MATRIX_KEYS = ("eigvecs", "ortho_weights")
 
 
 def _must_refuse(path, value) -> bool:
     """Whether the mutation leaves an integer field a bool or a fraction,
-    or empties a degree's matrix."""
+    empties a degree's matrix, or makes an eigenvalue non-finite."""
     key = next(k for k in reversed(path) if isinstance(k, str))
     if key in INTEGER_KEYS:
         return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if key == "eigvals" and path[-1] != key:
+        return value in ("nan", "-inf")
     return key in MATRIX_KEYS and path[-1] == key and value == []
 
 
@@ -96,6 +101,8 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=1.5)
 @example(field=("vca", ("reduction", "kept", 0, "column")), value=True)
 @example(field=("grad", ("num_vars",)), value=1.5)
+@example(field=("grad", ("degrees", 1, "eigvals", 0)), value="nan")
+@example(field=("vca", ("degrees", 0, "eigvals", 1)), value="-inf")
 def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     name, path = field
     data = _mutated(name, path, value)
