@@ -32,7 +32,7 @@ from .analysis import (
 from .densepoly import DensePolynomial
 from .fit import FitConfig, NormalizationKind, fit
 from .model import BasisModel, evaluate
-from .model_io import load_model, save_model
+from .model_io import FLOAT_FORMAT, load_model, save_model
 from .reduction import reduce_basis
 
 __all__ = ["main"]
@@ -58,10 +58,6 @@ def _default_rank_tol() -> float:
         return float(raw)
     except ValueError as exc:
         raise CliError(f"AVIBASIS_RANK_TOL is not a number: {raw!r}", code=2) from exc
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -100,12 +96,14 @@ def read_points_csv(path: str) -> np.ndarray:
 
 
 def write_csv(path: str, header: list[str] | None, rows) -> None:
+    """Write ``rows`` (equal-length float rows) as ``csv.writer`` would, one
+    ``%``-format of a per-width template per row."""
+    values = np.asarray(rows, dtype=float)
+    line = ",".join([FLOAT_FORMAT] * values.shape[-1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row) for row in values.tolist())
 
 
 def _parse_index_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -183,8 +181,8 @@ def _cmd_reduce(args) -> int:
                 code=2,
             )
         threshold = 1e-9
-    if threshold < 0:
-        raise CliError("--threshold must be >= 0", code=2)
+    if not 0 <= threshold < np.inf:  # also rejects NaN
+        raise CliError("--threshold must be finite and >= 0", code=2)
     report = reduce_basis(model, points, threshold=threshold, rank_tol=args.rank_tol)
     out = args.output or args.model
     save_model(out, model, report)

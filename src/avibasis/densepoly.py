@@ -222,11 +222,16 @@ def _add_scaled(out: dict, p: DensePolynomial, c) -> None:
 
 
 def coeff_dot(p: DensePolynomial, q: DensePolynomial) -> float:
-    """Inner product of the coefficient vectors of two polynomials."""
+    """Inner product of the coefficient vectors of two polynomials.
+
+    The products and their ``sum`` are taken in the coefficients' own
+    arithmetic, in the term order of the polynomial with fewer terms.
+    """
     if p.num_vars != q.num_vars:
         raise ValueError("variable counts differ")
     small, large = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    return float(sum(float(c) * float(large[e]) for e, c in small.items() if e in large))
+    get = large.get
+    return float(sum(c * v for e, c in small.items() if (v := get(e)) is not None))
 
 
 def graded_monomials(num_vars: int, max_degree: int) -> Iterator[tuple[int, ...]]:

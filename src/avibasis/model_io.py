@@ -3,6 +3,13 @@
 Floats are stored as 17-significant-digit decimal strings so doubles
 round-trip exactly: serialize -> deserialize -> serialize is byte-identical
 and a reloaded model evaluates bit-for-bit like the in-memory one.
+
+The file is the text ``json.dumps(document, indent=2, sort_keys=True)``
+would write, rendered straight from the record arrays: each float array is
+one ``%``-format of its ``tolist()`` against a template that holds the
+indentation, commas and quotes as literal text.  (CPython's C JSON encoder
+is not used when ``indent`` is set, and the pure-Python one formats every
+number one at a time.)  Golden files under ``tests/data`` pin the bytes.
 """
 
 from __future__ import annotations
@@ -16,27 +23,53 @@ from .model import BasisModel, DegreeRecord, PolyHandle, Preprocessing
 from .reduction import DeflationRecord, ReductionReport, RemovedPolynomial
 
 __all__ = [
+    "FLOAT_FORMAT",
     "FORMAT_VERSION",
     "model_to_dict",
     "model_from_dict",
-    "report_to_dict",
     "report_from_dict",
     "save_model",
     "load_model",
-    "dumps",
 ]
 
 FORMAT_VERSION = 1
 
+FLOAT_FORMAT = "%.17g"
+"""The one float format of model files and value CSVs: 17 significant
+digits, so every double reads back bit for bit."""
 
-def _enc(x: float) -> str:
-    return f"{float(x):.17g}"
+
+def _template(shape: tuple[int, ...], pad: str) -> str:
+    """The text of a float array of ``shape`` indented by ``pad``, with one
+    quoted ``FLOAT_FORMAT`` slot per entry in row-major order."""
+    if not shape:
+        return '"' + FLOAT_FORMAT + '"'
+    if shape[0] == 0:
+        return "[]"
+    inner = pad + "  "
+    item = inner + _template(shape[1:], inner)
+    return "[\n" + item + (",\n" + item) * (shape[0] - 1) + "\n" + pad + "]"
 
 
-def _enc_array(a: np.ndarray):
-    if a.ndim == 1:
-        return [_enc(x) for x in a]
-    return [_enc_array(row) for row in a]
+def _render(node, pad: str = "") -> str:
+    """``node`` as ``json.dumps(node, indent=2, sort_keys=True)`` writes it
+    at indentation ``pad``, except that a NumPy array (0-d for a scalar) is
+    written as nested lists of 17-digit strings."""
+    if isinstance(node, np.ndarray):
+        return _template(node.shape, pad) % tuple(node.ravel().tolist())
+    if not isinstance(node, (dict, list)) or not node:
+        return json.dumps(node)
+    inner = pad + "  "
+    if isinstance(node, dict):
+        items = ",\n".join(f'{inner}"{key}": {_render(node[key], inner)}' for key in sorted(node))
+        return "{\n" + items + "\n" + pad + "}"
+    items = ",\n".join(inner + _render(item, inner) for item in node)
+    return "[\n" + items + "\n" + pad + "]"
+
+
+def _floats(x) -> np.ndarray:
+    """A float scalar or array as a document leaf, which renders as 17-digit strings."""
+    return np.asarray(x, dtype=float)
 
 
 def _dec_vector(data) -> np.ndarray:
@@ -66,30 +99,27 @@ def _handle_from_dict(d: dict) -> PolyHandle:
     return PolyHandle(_integer("degree", d["degree"]), _integer("column", d["column"]), str(d["kind"]))
 
 
-def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> dict:
-    degrees = []
-    for t, rec in enumerate(model.degrees, start=1):
-        parents = (
-            [int(k) for k in rec.parents]
+def _document(model: BasisModel, report: ReductionReport | None) -> dict:
+    """The model file's content: JSON values, with float data as NumPy arrays."""
+    degrees = [
+        {
+            "degree": t,
+            "parents": [int(k) for k in rec.parents]
             if t == 1
-            else [[int(i), int(j)] for i, j in rec.parents]
-        )
-        degrees.append(
-            {
-                "degree": t,
-                "parents": parents,
-                "ortho_weights": _enc_array(rec.ortho_weights),
-                "eigvecs": _enc_array(rec.eigvecs),
-                "eigvals": _enc_array(rec.eigvals),
-                "partition": list(rec.partition),
-            }
-        )
+            else [[int(i), int(j)] for i, j in rec.parents],
+            "ortho_weights": _floats(rec.ortho_weights),
+            "eigvecs": _floats(rec.eigvecs),
+            "eigvals": _floats(rec.eigvals),
+            "partition": list(rec.partition),
+        }
+        for t, rec in enumerate(model.degrees, start=1)
+    ]
     prep = model.preprocessing
     out = {
         "format_version": FORMAT_VERSION,
         "num_vars": model.num_vars,
-        "constant_value": _enc(model.constant_value),
-        "epsilon": _enc(model.epsilon),
+        "constant_value": _floats(model.constant_value),
+        "epsilon": _floats(model.epsilon),
         "normalization": {
             "variant": model.normalization.variant,
             "var_subset": list(model.normalization.var_subset)
@@ -100,15 +130,44 @@ def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> d
             else None,
         },
         "preprocessing": {
-            "center": _enc_array(prep.center) if prep.center is not None else None,
-            "scale": _enc(prep.scale) if prep.scale is not None else None,
+            "center": _floats(prep.center) if prep.center is not None else None,
+            "scale": _floats(prep.scale) if prep.scale is not None else None,
         },
         "truncated": model.truncated,
         "degrees": degrees,
     }
     if report is not None:
-        out["reduction"] = report_to_dict(report)
+        out["reduction"] = {
+            "threshold": _floats(report.threshold),
+            "kept": [_handle_to_dict(h) for h in report.kept],
+            "removed": [
+                {
+                    "handle": _handle_to_dict(r.handle),
+                    "max_residual": _floats(r.max_residual),
+                    "per_point_residuals": _floats(r.per_point_residuals),
+                }
+                for r in report.removed
+            ],
+            "rank_deflated": [
+                {
+                    "degree": rec.degree,
+                    "removed": [_handle_to_dict(h) for h in rec.removed],
+                    "original_count": rec.original_count,
+                    "gram_rank": rec.gram_rank,
+                }
+                for rec in report.rank_deflated
+            ],
+        }
     return out
+
+
+def _model_text(model: BasisModel, report: ReductionReport | None) -> str:
+    return _render(_document(model, report)) + "\n"
+
+
+def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> dict:
+    """The JSON object ``save_model`` writes, floats as 17-digit strings."""
+    return json.loads(_model_text(model, report))
 
 
 def _expect(where: str, value, kind: type):
@@ -218,38 +277,17 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     return model, report
 
 
-def report_to_dict(report: ReductionReport) -> dict:
-    return {
-        "threshold": _enc(report.threshold),
-        "kept": [_handle_to_dict(h) for h in report.kept],
-        "removed": [
-            {
-                "handle": _handle_to_dict(r.handle),
-                "max_residual": _enc(r.max_residual),
-                "per_point_residuals": _enc_array(r.per_point_residuals),
-            }
-            for r in report.removed
-        ],
-        "rank_deflated": [
-            {
-                "degree": rec.degree,
-                "removed": [_handle_to_dict(h) for h in rec.removed],
-                "original_count": rec.original_count,
-                "gram_rank": rec.gram_rank,
-            }
-            for rec in report.rank_deflated
-        ],
-    }
-
-
 def _report_from_dict(data: dict) -> ReductionReport:
+    threshold = _finite("threshold", float(data["threshold"]))
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     return ReductionReport(
         kept=tuple(_handle_from_dict(h) for h in data["kept"]),
         removed=tuple(
             RemovedPolynomial(
                 _handle_from_dict(r["handle"]),
-                float(r["max_residual"]),
-                _dec_vector(r["per_point_residuals"]),
+                _finite("max_residual", float(r["max_residual"])),
+                _finite("per_point_residuals", _dec_vector(r["per_point_residuals"])),
             )
             for r in data["removed"]
         ),
@@ -262,7 +300,7 @@ def _report_from_dict(data: dict) -> ReductionReport:
             )
             for rec in data["rank_deflated"]
         ),
-        threshold=float(data["threshold"]),
+        threshold=threshold,
     )
 
 
@@ -271,13 +309,9 @@ def report_from_dict(data: dict) -> ReductionReport:
     return _decode("reduction", _report_from_dict, data)
 
 
-def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def save_model(path, model: BasisModel, report: ReductionReport | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model_to_dict(model, report)))
+        fh.write(_model_text(model, report))
 
 
 def load_model(path) -> tuple[BasisModel, ReductionReport | None]:

@@ -168,8 +168,8 @@ def reduce_basis(
     currently kept lower-degree polynomials.  For fits not normalized by
     the full gradient mapping, degrees are first rank-deflated.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not 0 <= threshold < np.inf:  # also rejects NaN
+        raise ValueError("threshold must be finite and >= 0")
     g_handles = model.g_handles()
     if not g_handles:
         return ReductionReport((), (), (), threshold)

@@ -1,11 +1,26 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avibasis import FitConfig, NormalizationKind, evaluate, fit, load_model, reduce_basis, save_model
-from avibasis.cli import main, read_points_csv
-from avibasis.model_io import dumps, model_to_dict
+from avibasis import (
+    ConcentricEllipses,
+    DatasetSpec,
+    FitConfig,
+    NormalizationKind,
+    evaluate,
+    extract_features,
+    fit,
+    generate_dataset,
+    load_model,
+    reduce_basis,
+    save_model,
+)
+from avibasis.cli import _grid_points, main, read_points_csv, write_csv
+from avibasis.model_io import model_to_dict
 from conftest import FOUR_POINTS
 
 
@@ -46,6 +61,74 @@ class TestCsvIO:
 
         with pytest.raises(CliError, match="line 2"):
             read_points_csv(str(p))
+
+
+def _oracle_csv(path, header, rows) -> bytes:
+    """The value CSV as ``csv.writer`` writes it, one 17-digit cell at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(x):.17g}" for x in row])
+    return path.read_bytes()
+
+
+CELL = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, 0.1, np.nan, np.inf, -np.inf])
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 2, 7])), with_header=st.booleans(),
+           data=st.data())
+    def test_bytes_are_the_csv_writer_oracle(self, tmp_path_factory, shape, with_header, data):
+        rows = np.array(data.draw(st.lists(CELL, min_size=shape[0] * shape[1],
+                                           max_size=shape[0] * shape[1]))).reshape(shape)
+        header = None
+        if with_header:
+            header = data.draw(st.lists(st.text('ab ,"x', max_size=3), min_size=shape[1], max_size=shape[1]))
+        work = tmp_path_factory.mktemp("csv")
+        write_csv(str(work / "new.csv"), header, rows)
+        assert (work / "new.csv").read_bytes() == _oracle_csv(work / "old.csv", header, rows)
+
+    def test_list_of_rows(self, tmp_path):
+        rows = [np.array([1.0, -0.0]), np.array([np.nan, 1e300])]
+        write_csv(str(tmp_path / "new.csv"), ["a", "b"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == _oracle_csv(tmp_path / "old.csv", ["a", "b"], rows)
+
+    def test_grid_eval_features_and_generate(self, four_csv, tmp_path):
+        """The CLI's four CSV writers, each against the oracle of the values it wrote."""
+        model_path, shifted = tmp_path / "m.json", tmp_path / "shifted.csv"
+        shifted.write_text("3,0\n2,1\n1,0\n2,-1\n")
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        main(["fit", str(shifted), "-o", str(tmp_path / "b.json"), "--epsilon", "0"])
+        model, _ = load_model(model_path)
+        other, _ = load_model(tmp_path / "b.json")
+        points = read_points_csv(four_csv)
+        labels = [h.label() for h in model.g_handles()]
+
+        assert main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "grid.csv"), "--grid", "7"]) == 0
+        grid = _grid_points(points, 7, None)
+        want = np.column_stack([grid, evaluate(model, model.g_handles(), grid)])
+        assert (tmp_path / "grid.csv").read_bytes() == _oracle_csv(tmp_path / "o.csv", ["x0", "x1"] + labels, want)
+
+        assert main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "values.csv")]) == 0
+        want = evaluate(model, model.g_handles(), points)
+        assert (tmp_path / "values.csv").read_bytes() == _oracle_csv(tmp_path / "o.csv", labels, want)
+
+        assert main(["features", str(model_path), str(tmp_path / "b.json"), four_csv,
+                     "-o", str(tmp_path / "features.csv")]) == 0
+        header = [f"c{i}_{h.label()}" for i, m in enumerate((model, other)) for h in m.g_handles()]
+        want = [extract_features([model, other], x) for x in points]
+        assert (tmp_path / "features.csv").read_bytes() == _oracle_csv(tmp_path / "o.csv", header, want)
+
+        spec = {"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]}, "samples": 9, "seed": 3,
+                "extra_linear_vars": [0.5], "noise_std_fraction": 0.1}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["generate", str(tmp_path / "spec.json"), "-o", str(tmp_path / "points.csv")]) == 0
+        want = generate_dataset(DatasetSpec(ConcentricEllipses(((1.0, 0.5),)), 9, (0.5,), 0.1, 3)).points
+        assert (tmp_path / "points.csv").read_bytes() == _oracle_csv(tmp_path / "o.csv", None, want)
 
 
 class TestFitCommand:
@@ -119,6 +202,15 @@ class TestReduceCommand:
         model_path = tmp_path / "model.json"
         main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
         assert main(["reduce", str(model_path), four_csv, "--threshold", "-1"]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_usage_error(self, four_csv, tmp_path, capsys, threshold):
+        model_path = tmp_path / "model.json"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        before = model_path.read_bytes()
+        assert main(["reduce", str(model_path), four_csv, "--threshold", threshold]) == 2
+        assert capsys.readouterr().err == "error: --threshold must be finite and >= 0\n"
+        assert model_path.read_bytes() == before
 
     def test_noisy_model_requires_threshold(self, four_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -327,6 +419,24 @@ def _fitted_model(tmp_path):
     return json.loads((tmp_path / "m.json").read_text())
 
 
+def _reduced_model(tmp_path):
+    """The four-point model with its reduction report, which removes two polynomials."""
+    main(["fit", write_four_points(tmp_path / "fit.csv"), "-o", str(tmp_path / "m.json"), "--epsilon", "0"])
+    main(["reduce", str(tmp_path / "m.json"), str(tmp_path / "fit.csv")])
+    data = json.loads((tmp_path / "m.json").read_text())
+    assert data["reduction"]["removed"]
+    return data
+
+
+def _report_edited(edit):
+    """A reduced model's JSON with ``edit`` applied to its report in place."""
+    def make(tmp_path):
+        data = _reduced_model(tmp_path)
+        edit(data["reduction"])
+        return data
+    return make
+
+
 def _model_without_parents(tmp_path):
     data = _fitted_model(tmp_path)
     del data["degrees"][1]["parents"]
@@ -387,12 +497,21 @@ class TestMalformedModel:
             (_model_edited(lambda d: d["degrees"][0].update(parents=[0.9, 1.2])),
              "degrees[0]: invalid value: parents: expected an integer, got 0.9"),
             (_model_with(num_vars=True), "invalid value: num_vars: expected an integer, got True"),
+            (_report_edited(lambda r: r.update(threshold="nan")),
+             "reduction: invalid value: threshold holds a non-finite value"),
+            (_report_edited(lambda r: r.update(threshold="-1")),
+             "reduction: invalid value: threshold must be >= 0, got -1.0"),
+            (_report_edited(lambda r: r["removed"][0].update(max_residual="inf")),
+             "reduction: invalid value: max_residual holds a non-finite value"),
+            (_report_edited(lambda r: r["removed"][1]["per_point_residuals"].__setitem__(2, "nan")),
+             "reduction: invalid value: per_point_residuals holds a non-finite value"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
-             "empty eigvecs", "fractional parents", "bool num_vars"],
+             "empty eigvecs", "fractional parents", "bool num_vars", "nan threshold", "negative threshold",
+             "inf max_residual", "nan residual"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"
@@ -434,7 +553,7 @@ class TestPersistence:
         data = model_to_dict(model)
         data["format_version"] = 99
         path = tmp_path / "bad.json"
-        path.write_text(dumps(data))
+        path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_model(path)
 

@@ -87,6 +87,12 @@ class TestFourPointReduction:
         with pytest.raises(ValueError):
             reduce_basis(model, FOUR_POINTS, threshold=-1.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+            reduce_basis(model, FOUR_POINTS, threshold=threshold)
+
 
 class TestSweepRules:
     def test_single_polynomial_kept(self):
