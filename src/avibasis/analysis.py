@@ -3,7 +3,8 @@
 Covers the experiment-side machinery: consistency reports under translation
 and scaling of the input, the max/min norm ratio of a basis under a chosen
 normalization mapping, a linear search for a workable vanishing tolerance,
-per-class feature vectors, and seeded samplers for benchmark varieties.
+per-class feature vectors, and seeded samplers for benchmark varieties
+(a polynomial system's by Gauss-Newton projection, point by point).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .densepoly import DensePolynomial
+from .densepoly import DensePolynomial, _compile, _evaluate
 from .fit import (
     COEFFICIENT,
     FitConfig,
@@ -141,30 +142,39 @@ def _sample_ellipses(spec: ConcentricEllipses, samples: int, rng) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _project_to_variety(system: PolynomialSystem, start: np.ndarray, rng) -> np.ndarray:
-    """Gauss-Newton projection of a seed point onto the zero set."""
-    grads = [p.gradient() for p in system.polynomials]
+def _project_to_variety(values: list, jacobian: list, start: np.ndarray, rng) -> np.ndarray:
+    """Gauss-Newton projection of a seed point onto the zero set.
+
+    ``values`` is the system compiled by ``densepoly._compile`` and
+    ``jacobian`` its partial derivatives, row by row.  Norms are
+    ``sqrt(v . v)``, the arithmetic ``np.linalg.norm`` uses on a vector.
+    """
     x = start.copy()
     for attempt in range(25):
         for _ in range(80):
-            res = np.array([p(x) for p in system.polynomials])
-            if np.abs(res).max() <= 1e-13:
+            point = x.tolist()
+            res = _evaluate(values, point)
+            if all(abs(r) <= 1e-13 for r in res):  # False on NaN, as the max is
                 return x
-            jac = np.array([[g(x) for g in gp] for gp in grads])
-            step, _ = linalg.lstsq(jac, -res)
-            limit = 1.0 + np.linalg.norm(x)
-            norm = np.linalg.norm(step)
+            jac = np.array(_evaluate(jacobian, point)).reshape(len(res), x.size)
+            step = linalg._lstsq_weights(jac, -np.array(res)[:, None])[:, 0]
+            limit = 1.0 + math.sqrt(x.dot(x))
+            norm = math.sqrt(step.dot(step))
             if norm > limit:
                 step = step * (limit / norm)
             x = x + step
-        x = rng.standard_normal(system.num_vars)
+        x = rng.standard_normal(x.size)
     raise RuntimeError("projection onto the variety failed to converge")
 
 
 def _sample_polynomial_system(system: PolynomialSystem, samples: int, rng) -> np.ndarray:
+    """Project standard-normal seed points onto the zero set one at a time,
+    with the system and its Jacobian compiled once."""
+    values = _compile(system.polynomials)
+    jacobian = _compile([g for p in system.polynomials for g in p.gradient()])
     pts = np.zeros((samples, system.num_vars))
     for i in range(samples):
-        pts[i] = _project_to_variety(system, rng.standard_normal(system.num_vars), rng)
+        pts[i] = _project_to_variety(values, jacobian, rng.standard_normal(system.num_vars), rng)
     return pts
 
 

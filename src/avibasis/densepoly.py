@@ -15,6 +15,10 @@ place by one rule, ``_add_scaled``: a monomial keeps its place while its
 coefficient stays nonzero, one that cancels to exactly 0 is dropped, and
 one that (re)appears goes to the end.  A product keeps each monomial at
 its first appearance and drops zero sums only at the end.
+
+Evaluation at one point runs through one scalar evaluator, ``_compile``
+then ``_evaluate``; the dataset sampler compiles a system once for all
+its points.
 """
 
 from __future__ import annotations
@@ -167,14 +171,7 @@ class DensePolynomial:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.num_vars,):
             raise ValueError(f"expected a point of dimension {self.num_vars}")
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
-            for xk, e in zip(x, exps):
-                if e:
-                    term *= xk**e
-            total += term
-        return total
+        return _evaluate(_compile((self,)), x.tolist())[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Vector of values at the rows of ``points`` (shape ``(m, num_vars)``)."""
@@ -219,6 +216,48 @@ def _add_scaled(out: dict, p: DensePolynomial, c) -> None:
                 out[e] = s
             else:
                 del out[e]
+
+
+def _compile(polys) -> list:
+    """Each polynomial as its list of ``(float(coeff), ((var, exp), ...))``
+    terms in term order, with the zero exponents left out: the form
+    ``_evaluate`` reads, built once for many points."""
+    return [
+        [(float(c), tuple((k, e) for k, e in enumerate(exps) if e)) for exps, c in p.terms.items()]
+        for p in polys
+    ]
+
+
+def _evaluate(compiled: list, x: list) -> list:
+    """Values of ``_compile``'s polynomials at the point ``x``.
+
+    Each term is ``coeff``, multiplied by ``x[k] ** e`` in variable order,
+    and added into a total starting at 0.0 in term order.  ``x`` holds
+    Python floats, whose ``**`` calls C ``pow`` as ``np.float64 ** int``
+    does, so the bits are those of NumPy scalars.  Where Python raises
+    ``OverflowError`` or a value comes out non-finite, the point is
+    evaluated again in NumPy scalars, which give inf or nan and warn (or
+    raise, under ``np.errstate``) as NumPy arithmetic does.
+    """
+    try:
+        values = _evaluate_as(compiled, x)
+        if math.isfinite(sum(values)):
+            return values
+    except OverflowError:
+        pass
+    return _evaluate_as(compiled, [np.float64(v) for v in x])
+
+
+def _evaluate_as(compiled: list, x: list) -> list:
+    values = []
+    for terms in compiled:
+        total = 0.0
+        for term, factors in terms:
+            for k, e in factors:
+                term *= x[k] ** e
+            total += term
+        values.append(total)
+    return values
 
 
 def coeff_dot(p: DensePolynomial, q: DensePolynomial) -> float:

@@ -112,7 +112,7 @@ class FitConfig:
             raise ValueError("epsilon must be >= 0")
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if self.rank_tol <= 0:
+        if not self.rank_tol > 0:  # also rejects NaN
             raise ValueError("rank_tol must be positive")
 
 
@@ -165,9 +165,10 @@ def orthogonalize(
     f_eval = np.asarray(f_eval, dtype=float)
     if c_pre_eval.shape[0] != f_eval.shape[0]:
         raise ValueError("row counts differ")
-    w, _ = linalg.lstsq(f_eval, c_pre_eval, rank_tol)
-    if w.ndim == 1:
-        w = w[:, None]
+    if f_eval.ndim != 2:
+        raise ValueError("design matrix must be 2-D")
+    rhs = c_pre_eval if c_pre_eval.ndim == 2 else c_pre_eval[:, None]
+    w = linalg._lstsq_weights(f_eval, rhs, rank_tol)
     return _apply_ortho(c_pre_eval, f_eval, w), w
 
 

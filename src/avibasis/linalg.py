@@ -159,18 +159,23 @@ def lstsq(
     if m.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {m.shape[0]} vs {y.shape[0]}")
     y2 = y if y.ndim == 2 else y[:, None]
+    w = _lstsq_weights(m, y2, rank_tol)
+    residual = float(np.linalg.norm(m @ w - y2))
+    if y.ndim == 1:
+        w = w[:, 0]
+    return w, residual
 
+
+def _lstsq_weights(m: np.ndarray, y2: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
+    """``lstsq``'s solution for a float matrix ``m`` and a 2-D right-hand
+    side ``y2``, without the residual: for callers that discard it."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size and s[0] > 0.0:
         keep = s > rank_tol * s[0]
     else:
         keep = np.zeros(s.shape, dtype=bool)
     coeff = (u[:, keep].T @ y2) / s[keep][:, None]
-    w = vt[keep].T @ coeff
-    residual = float(np.linalg.norm(m @ w - y2))
-    if y.ndim == 1:
-        w = w[:, 0]
-    return w, residual
+    return vt[keep].T @ coeff
 
 
 def orthonormal_basis(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:

@@ -239,11 +239,14 @@ def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisMode
         scale = float(prep_data["scale"])
         if not 0.0 < scale < np.inf:
             raise ValueError(f"preprocessing.scale must be finite and > 0, got {scale!r}")
+    epsilon = float(data["epsilon"])
+    if not epsilon >= 0:  # also rejects NaN; +inf (everything vanishes) loads
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     return BasisModel(
         num_vars=num_vars,
         constant_value=_finite("constant_value", float(data["constant_value"])),
         degrees=records,
-        epsilon=float(data["epsilon"]),
+        epsilon=epsilon,
         normalization=kind,
         preprocessing=Preprocessing(center=center, scale=scale),
         truncated=bool(data.get("truncated", False)),

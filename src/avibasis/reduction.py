@@ -170,6 +170,8 @@ def reduce_basis(
     """
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise ValueError("threshold must be finite and >= 0")
+    if not rank_tol > 0:  # also rejects NaN
+        raise ValueError("rank_tol must be positive")
     g_handles = model.g_handles()
     if not g_handles:
         return ReductionReport((), (), (), threshold)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from avibasis import (
     invariance_report,
     n_ratio,
 )
+from avibasis.analysis import _sample_polynomial_system
 from conftest import FOUR_POINTS, random_cloud
 
 
@@ -274,6 +277,48 @@ class TestGenerateDataset:
         object.__setattr__(spec, "seed", 0)
         with pytest.raises(ValueError):
             generate_dataset(spec)
+
+
+def _system(*polys):
+    return PolynomialSystem(tuple(DensePolynomial(len(next(iter(p))), p) for p in polys))
+
+
+# Pinned by the golden file below: 20 samples with noise fraction 0.01 each.
+SAMPLED_SYSTEMS = {
+    # the coefcurve200 benchmark curve: x^2 + y^2 + z^2 - 1 = 0, xy - z = 0
+    "space_curve": _system({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0},
+                           {(1, 1, 0): 1.0, (0, 0, 1): -1.0}),
+    # Gauss-Newton cycles 0 <-> 1 on x^3 - 2x + 2, so starts near 0 or 1
+    # are redrawn from the rng
+    "cubic": _system({(3,): 1.0, (1,): -2.0, (0,): 2.0}),
+}
+# Written by the sampler that evaluated the system and a freshly derived
+# gradient at every Gauss-Newton step as NumPy scalars, with the residual-
+# computing least-squares solve; the values are float.hex strings.
+SAMPLED = json.loads((Path(__file__).parent / "data" / "datasets" / "polynomial_systems.json").read_text())
+
+
+class TestPolynomialSystemSamples:
+    @pytest.mark.parametrize("case", sorted(SAMPLED))
+    def test_points_and_center_are_pinned_bit_for_bit(self, case):
+        name, seed = case.split("/seed=")
+        ds = generate_dataset(DatasetSpec(SAMPLED_SYSTEMS[name], 20, noise_std_fraction=0.01, seed=int(seed)))
+        assert [[v.hex() for v in row] for row in ds.points.tolist()] == SAMPLED[case]["points"]
+        assert [v.hex() for v in ds.preprocessing.center.tolist()] == SAMPLED[case]["center"]
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_cubic_cases_take_the_restart_path(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = []
+
+        class Counting:
+            def standard_normal(self, size):
+                draws.append(size)
+                return rng.standard_normal(size)
+
+        pts = _sample_polynomial_system(SAMPLED_SYSTEMS["cubic"], 20, Counting())
+        assert len(draws) > 20 + 10  # every start draws once; restarts draw again
+        assert np.abs(SAMPLED_SYSTEMS["cubic"].polynomials[0].evaluate(pts)).max() <= 1e-13
 
 
 class TestExtractFeatures:

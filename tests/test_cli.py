@@ -180,6 +180,31 @@ class TestFitCommand:
         assert model.normalization.variant == "subsampled_gradient"
 
 
+class TestRankTolerance:
+    def test_unparsable_environment_value_is_a_usage_error(self, four_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
+        out = tmp_path / "m.json"
+        assert main(["fit", four_csv, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: AVIBASIS_RANK_TOL is not a number: 'abc'\n"
+        assert not out.exists()
+
+    def test_nan_fit_tolerance_is_an_error(self, four_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["fit", four_csv, "-o", str(out), "--rank-tol", "nan"]) == 1
+        assert capsys.readouterr().err == "error: rank_tol must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rank_tol", ["nan", "0", "-1e-12"])
+    def test_bad_reduce_tolerance_is_an_error(self, four_csv, tmp_path, capsys, rank_tol):
+        model_path = tmp_path / "model.json"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        before = model_path.read_bytes()
+        capsys.readouterr()
+        assert main(["reduce", str(model_path), four_csv, f"--rank-tol={rank_tol}"]) == 1
+        assert capsys.readouterr().err == "error: rank_tol must be positive\n"
+        assert model_path.read_bytes() == before
+
+
 class TestReduceCommand:
     def test_reduce_four_points(self, four_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -505,13 +530,16 @@ class TestMalformedModel:
              "reduction: invalid value: max_residual holds a non-finite value"),
             (_report_edited(lambda r: r["removed"][1]["per_point_residuals"].__setitem__(2, "nan")),
              "reduction: invalid value: per_point_residuals holds a non-finite value"),
+            (_model_with(epsilon="-1"), "invalid value: epsilon must be >= 0, got -1.0"),
+            (_model_with(epsilon="-inf"), "invalid value: epsilon must be >= 0, got -inf"),
+            (_model_with(epsilon="nan"), "invalid value: epsilon must be >= 0, got nan"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
              "empty eigvecs", "fractional parents", "bool num_vars", "nan threshold", "negative threshold",
-             "inf max_residual", "nan residual"],
+             "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"

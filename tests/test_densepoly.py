@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from avibasis.densepoly import (
     DensePolynomial,
     _add_scaled,
+    _compile,
+    _evaluate,
     coeff_dot,
     coefficient_vector,
     finite_diff_gradient,
@@ -155,6 +158,68 @@ class TestDiffEval:
     def test_batch_evaluate(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         assert np.allclose(CIRCLE.evaluate(pts), [0.0, 0.0, 3.0])
+
+
+def numpy_scalar_call(p, x):
+    """``p(x)`` as one loop over NumPy scalars, a term and a variable at a
+    time: the arithmetic the compiled evaluator must reproduce."""
+    total = 0.0
+    for exps, coeff in p.terms.items():
+        term = float(coeff)
+        for xk, e in zip(np.asarray(x, dtype=float), exps):
+            if e:
+                term *= xk**e
+        total += term
+    return total
+
+
+EVAL_COEFFICIENT = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-1e3, 1e3),
+    st.fractions(min_value=-50, max_value=50, max_denominator=100),
+)
+
+
+@st.composite
+def poly_and_point(draw):
+    """A small polynomial with int, float or Fraction coefficients and a
+    point; coordinates reach 1e±9, and now and then inf, nan or an
+    overflowing power."""
+    num_vars = draw(st.integers(1, 3))
+    exponent = st.tuples(*([st.integers(0, 5)] * num_vars))
+    poly = DensePolynomial(num_vars, draw(st.dictionaries(exponent, EVAL_COEFFICIENT, max_size=6)))
+    coordinate = st.one_of(
+        st.floats(-1e9, 1e9),
+        st.floats(1e-9, 1e-6) | st.floats(-1e-6, -1e-9),
+        st.sampled_from([0.0, -0.0, 1e70, -1e70, math.inf, -math.inf, math.nan]),
+    )
+    return poly, draw(st.lists(coordinate, min_size=num_vars, max_size=num_vars))
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return np.float64(value).tobytes(), [str(w.message) for w in caught]
+
+
+class TestCompiledEvaluation:
+    @settings(max_examples=400, deadline=None)
+    @given(poly_and_point())
+    def test_call_is_the_numpy_scalar_loop_bit_for_bit(self, case):
+        p, x = case
+        assert _recorded(lambda: p(x)) == _recorded(lambda: numpy_scalar_call(p, x))
+
+    def test_overflowing_power_gives_inf_and_warns_as_numpy(self):
+        p = DensePolynomial(2, {(5, 0): 1, (0, 1): 1})
+        value, messages = _recorded(lambda: p([1e70, 1.0]))
+        assert value == np.float64(np.inf).tobytes()
+        assert messages == ["overflow encountered in scalar power"]
+
+    def test_compiled_terms_skip_zero_exponents(self):
+        assert _compile((CIRCLE, DensePolynomial.zero(2))) == [
+            [(1.0, ((0, 2),)), (1.0, ((1, 2),)), (-1.0, ())], []]
+        assert _evaluate(_compile((CIRCLE, X * Y)), [2.0, 3.0]) == [12.0, 6.0]
 
 
 class TestFiniteDifferences:

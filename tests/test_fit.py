@@ -191,6 +191,11 @@ class TestFitSmallCases:
         with pytest.raises(ValueError, match="epsilon"):
             list(_fit_path(np.eye(3), FitConfig(), [0.1, float("nan")]))
 
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, float("nan")])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol must be positive"):
+            FitConfig(rank_tol=rank_tol)
+
     def test_subsample_out_of_range(self):
         pts = np.eye(3)
         cfg = FitConfig(normalization=NormalizationKind.subsampled_gradient((5,), (0,)))

@@ -9,8 +9,8 @@ Under corruption, a saved model with one field deleted or replaced must
 load into a model that validates and replays to finite values, or be
 refused with a ValueError.  An integer field holding a bool or a
 fractional number, an emptied matrix, a non-finite eigenvalue or
-residual and a non-finite or negative reduction threshold are always
-refused."""
+residual, a non-finite or negative reduction threshold and a negative or
+NaN epsilon are always refused."""
 
 import dataclasses
 import json
@@ -83,8 +83,11 @@ FINITE_KEYS = ("threshold", "max_residual")
 def _must_refuse(path, value) -> bool:
     """Whether the mutation leaves an integer field a bool or a fraction,
     empties a degree's matrix, makes an eigenvalue, a residual or the
-    reduction threshold non-finite, or makes the threshold negative."""
+    reduction threshold non-finite, makes the threshold negative, or makes
+    epsilon negative or NaN."""
     key = next(k for k in reversed(path) if isinstance(k, str))
+    if path == ("epsilon",):
+        return value in ("nan", "-inf", -1)
     if key in INTEGER_KEYS:
         return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
     if key in FINITE_ENTRY_KEYS and path[-1] != key:
@@ -131,6 +134,9 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("vca", ("reduction", "threshold")), value=-1)
 @example(field=("grad", ("reduction", "removed", 0, "max_residual")), value="-inf")
 @example(field=("grad", ("reduction", "removed", 0, "per_point_residuals", 2)), value="nan")
+@example(field=("grad", ("epsilon",)), value=-1)
+@example(field=("vca", ("epsilon",)), value="-inf")
+@example(field=("vca", ("epsilon",)), value="nan")
 def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     name, path = field
     data = _mutated(name, path, value)
@@ -158,9 +164,13 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("reduction", "removed", 0, "max_residual")), "inf", "max_residual holds a non-finite value"),
     (("grad", ("reduction", "removed", 0, "per_point_residuals", 1)), "nan",
      "per_point_residuals holds a non-finite value"),
+    (("grad", ("epsilon",)), "-1", "epsilon must be >= 0, got -1.0"),
+    (("vca", ("epsilon",)), "-inf", "epsilon must be >= 0, got -inf"),
+    (("grad", ("epsilon",)), "nan", "epsilon must be >= 0, got nan"),
 ], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "bool degree",
         "fractional column", "bool deflated degree", "fractional original_count", "nan threshold",
-        "negative threshold", "inf max_residual", "nan residual"])
+        "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
+        "-inf epsilon", "nan epsilon"])
 def test_refused_with_a_one_line_field_error(field, value, message):
     data = _mutated(*field, value)
     with pytest.raises(ValueError, match=re.escape(message)) as info:

@@ -93,6 +93,12 @@ class TestFourPointReduction:
         with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
             reduce_basis(model, FOUR_POINTS, threshold=threshold)
 
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, np.nan])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
+        with pytest.raises(ValueError, match="rank_tol must be positive"):
+            reduce_basis(model, FOUR_POINTS, rank_tol=rank_tol)
+
 
 class TestSweepRules:
     def test_single_polynomial_kept(self):
