@@ -52,7 +52,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_rank_tol() -> float:
+def _rank_tol(args) -> float:
+    """``--rank-tol``, or when it is left unset ``AVIBASIS_RANK_TOL``, or
+    1e-12; read only by the commands that take a rank tolerance."""
+    if args.rank_tol is not None:
+        return args.rank_tol
     raw = os.environ.get("AVIBASIS_RANK_TOL", "1e-12")
     try:
         return float(raw)
@@ -153,12 +157,13 @@ def _print_fit_summary(model: BasisModel) -> None:
 
 
 def _cmd_fit(args) -> int:
+    rank_tol = _rank_tol(args)
     points = read_points_csv(args.input)
     config = FitConfig(
         epsilon=args.epsilon,
         normalization=_normalization_from_args(args),
         max_degree=args.max_degree,
-        rank_tol=args.rank_tol,
+        rank_tol=rank_tol,
         center=args.center,
         unit_mean_norm=args.unit_mean_norm,
     )
@@ -170,6 +175,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    rank_tol = _rank_tol(args)
     model, _ = load_model(args.model)
     points = read_points_csv(args.points)
     threshold = args.threshold
@@ -183,7 +189,7 @@ def _cmd_reduce(args) -> int:
         threshold = 1e-9
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise CliError("--threshold must be finite and >= 0", code=2)
-    report = reduce_basis(model, points, threshold=threshold, rank_tol=args.rank_tol)
+    report = reduce_basis(model, points, threshold=threshold, rank_tol=rank_tol)
     out = args.output or args.model
     save_model(out, model, report)
     victims = report.deflation_victims()
@@ -396,6 +402,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_epsilon_search(args) -> int:
+    rank_tol = _rank_tol(args)
     points = read_points_csv(args.points)
     target = EpsilonTarget(
         num_linear=args.num_linear, d_min=args.dmin, num_at_dmin=args.num_at_dmin
@@ -412,7 +419,7 @@ def _cmd_epsilon_search(args) -> int:
         target,
         normalization=_normalization_from_args(args),
         grid=grid,
-        rank_tol=args.rank_tol,
+        rank_tol=rank_tol,
     )
     payload = {
         "found": result.found,
@@ -442,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Approximate vanishing ideal basis construction and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    rank_tol = _default_rank_tol()
 
     def add_norm_flags(p) -> None:
         p.add_argument(
@@ -453,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--subsample-vars", help="comma list of variable indices (subgrad)")
         p.add_argument("--subsample-points", help="comma list of point indices (subgrad)")
-        p.add_argument("--rank-tol", type=float, default=rank_tol,
+        p.add_argument("--rank-tol", type=float, default=None,
                        help="relative rank tolerance (default from AVIBASIS_RANK_TOL or 1e-12)")
 
     p = sub.add_parser("fit", help="fit a basis model from a CSV point set")
@@ -473,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("points")
     p.add_argument("--threshold", type=float, default=None,
                    help="per-point residual threshold (default 1e-9 for epsilon=0 models)")
-    p.add_argument("--rank-tol", type=float, default=rank_tol)
+    p.add_argument("--rank-tol", type=float, default=None,
+                   help="relative rank tolerance (default from AVIBASIS_RANK_TOL or 1e-12)")
     p.add_argument("-o", "--output", default=None, help="output path (default: in place)")
     p.set_defaults(func=_cmd_reduce)
 
@@ -527,7 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads AVIBASIS_RANK_TOL, so a bad value is a CliError too
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:

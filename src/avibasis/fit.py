@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .densepoly import DensePolynomial, coeff_dot
+# coeff_dot is not called here, but stays importable as fit.coeff_dot: the
+# name bench/tracer.py wraps for its densepoly.coeff_dot metric
+from .densepoly import DensePolynomial, _gram, _Monomials, _Terms, coeff_dot  # noqa: F401
 from .model import BasisModel, DegreeRecord, PointSet, Preprocessing, _apply_ortho, _Expansions, _Forward
 
 __all__ = [
@@ -122,7 +124,8 @@ class CandidateData:
 
     evals: np.ndarray  # (points, candidates)
     grads: np.ndarray | None = None  # (points, vars, candidates)
-    expansions: tuple[DensePolynomial, ...] | None = None
+    # the symbolic kernel's term arrays, or any DensePolynomials
+    expansions: _Terms | tuple[DensePolynomial, ...] | None = None
 
 
 def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:
@@ -184,15 +187,12 @@ def normalization_matrix(candidates: CandidateData, kind: NormalizationKind) -> 
     if kind.variant == IDENTITY:
         return np.eye(count)
     if kind.variant == COEFFICIENT:
-        if candidates.expansions is None:
+        expansions = candidates.expansions
+        if expansions is None:
             raise ValueError("coefficient normalization requires cached expansions")
-        gram = np.zeros((count, count))
-        for i in range(count):
-            for j in range(i, count):
-                gram[i, j] = gram[j, i] = coeff_dot(
-                    candidates.expansions[i], candidates.expansions[j]
-                )
-        return gram
+        if not isinstance(expansions, _Terms):
+            expansions = _Terms.of(_Monomials(), expansions)
+        return _gram(expansions)
     if candidates.grads is None:
         raise ValueError("gradient normalization requires cached gradients")
     grads = candidates.grads
@@ -315,7 +315,7 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
         c_exps = None
         if sym is not None:  # the orthogonalized candidates: combinations at the unit columns
             sym.candidates(parents, w)
-            c_exps = tuple(sym.combine(t, u) for u in np.eye(len(parents)))
+            c_exps = sym.combine(t, list(np.eye(len(parents))))
 
         cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
         gram = normalization_matrix(cands, kind)

@@ -14,7 +14,9 @@ buffer, whose column prefix gives BLAS the same arithmetic as the
 concatenation of the lower-degree blocks.
 
 The one symbolic path is its twin ``_Expansions``, over exact dense
-polynomials: coefficient fits and ``expand`` both run it.
+polynomials held as term arrays (``densepoly._Terms``), whose order is
+the term order: coefficient fits and ``expand`` both run it, one batch
+of combinations, pair products or Gram entries per degree at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densepoly import DensePolynomial, _add_scaled, monomial_count
+from .densepoly import DensePolynomial, _Fold, _Monomials, _pair_products, _Terms, monomial_count
 
 __all__ = [
     "Preprocessing",
@@ -470,50 +472,54 @@ class _Expansions:
     """The symbolic twin of ``_Forward``: the same degree-step over exact
     dense polynomials, which coefficient fits and ``expand`` run.
 
-    It keeps the F expansions built so far, one block per degree from the
-    constant on, and each stepped degree's pre-candidate expansions and
-    orthogonalization weights.  A degree is ``candidates`` then ``append``;
-    ``rewind`` returns to an earlier width.  ``combine`` expands one
-    combination of a degree's orthogonalized candidates, folding its
-    terms into one dict with ``densepoly._add_scaled``.
+    Its polynomials are ``densepoly._Terms`` batches over one monomial
+    table, which grows only as monomials appear.  It keeps the F blocks
+    built so far, one per degree from the constant on, and for each
+    stepped degree the fold of its pre-candidates and the F blocks below
+    it, with the orthogonalization weights; a replay also keeps each
+    degree's expansions of every column.  A degree is ``candidates`` then
+    ``append``; ``rewind`` returns to an earlier width.  ``combine``
+    expands a batch of combinations of a degree's orthogonalized
+    candidates at once.
     """
 
     def __init__(self, num_vars: int, constant_value: float):
         self.num_vars = num_vars
-        self.blocks = [[DensePolynomial.constant(num_vars, constant_value)]]
-        self.steps: list[tuple[list[DensePolynomial], np.ndarray]] = []
+        self.constant_value = constant_value
+        self.table = _Monomials()
+        self.blocks: list[_Terms] = []  # the constant's block is formed with degree 1
+        self.steps: list[tuple[_Fold, np.ndarray]] = []
+        self.outputs: dict[int, _Terms] = {}
 
     def candidates(self, parents, w: np.ndarray) -> None:
         """Form the next degree's pre-candidate expansions, to be combined
         with the orthogonalization weights ``w``: the variables ``parents``
         at degree 1, above it the pair products in ``_Forward``'s order.
-        The one term guard: a degree whose dense size bound exceeds
-        ``EXPANSION_TERM_CAP`` raises ``ExpansionLimitError``."""
-        t, n = len(self.blocks), self.num_vars
+        The one term guard, checked before anything is built: a degree
+        whose dense size bound exceeds ``EXPANSION_TERM_CAP`` raises
+        ``ExpansionLimitError``."""
+        t, n = len(self.steps) + 1, self.num_vars
         if monomial_count(n, t) > EXPANSION_TERM_CAP:
             raise ExpansionLimitError(
                 f"expansion at degree {t} in {n} variables may exceed {EXPANSION_TERM_CAP} terms"
             )
         if t == 1:
-            pre = [DensePolynomial.variable(n, int(k)) for k in parents]
+            self.blocks = [_Terms.of(self.table, [DensePolynomial.constant(n, self.constant_value)])]
+            pre = _Terms.of(self.table, [DensePolynomial.variable(n, int(k)) for k in parents])
         else:
-            pre = [p * q for p in self.blocks[1] for q in self.blocks[-1]]
-        self.steps.append((pre, w))
+            pre = _pair_products(self.blocks[1], self.blocks[-1])
+        self.steps.append((_Fold(_Terms.concat([pre, *self.blocks])), w))
 
-    def combine(self, degree: int, u: np.ndarray) -> DensePolynomial:
-        """Expansion of the degree-``degree`` combination ``u`` of the
-        orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f F_f``
-        over that degree's pre-candidates and the F expansions below it,
-        each nonzero term added in place into one dict.  Negating ``w u`` is
-        exact, so ``F_f`` scaled by ``-(w u)_f`` and added is bit for bit
-        ``F_f`` scaled by ``(w u)_f`` and subtracted."""
-        pre, w = self.steps[degree - 1]
-        lower = [p for block in self.blocks[:degree] for p in block]
-        out: dict = {}
-        for p, c in zip(pre + lower, np.concatenate([u, -(w @ u)]).tolist()):
-            if c != 0.0:
-                _add_scaled(out, p, c)
-        return DensePolynomial._from_clean(self.num_vars, out)
+    def combine(self, degree: int, vectors) -> _Terms:
+        """Expansions of the degree-``degree`` combinations ``vectors`` of
+        the orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f
+        F_f`` over that degree's pre-candidates and the F expansions below
+        it.  Each vector's weights are formed on their own, as
+        ``[u, -(w @ u)]``: one product ``w @ U`` would round differently.
+        Negating ``w u`` is exact, so ``F_f`` scaled by ``-(w u)_f`` and
+        added is bit for bit ``F_f`` scaled by ``(w u)_f`` and subtracted."""
+        fold, w = self.steps[degree - 1]
+        return fold([np.concatenate([u, -(w @ u)]) for u in vectors])
 
     def append(self, rec: DegreeRecord) -> None:
         """Append the latest degree's F expansions: the combinations at the
@@ -521,7 +527,7 @@ class _Expansions:
         (at degree 1, ``w @ u`` is a dot product whose rounding depends on
         the stride of ``u``, so a copied column could differ in the last bit)."""
         degree = len(self.steps)
-        self.blocks.append([self.combine(degree, rec.eigvecs[:, c]) for c in rec.columns("F")])
+        self.blocks.append(self.combine(degree, [rec.eigvecs[:, c] for c in rec.columns("F")]))
 
     def rewind(self, width: int) -> None:
         """Forget the F blocks past column ``width``, an earlier width, and
@@ -532,11 +538,13 @@ class _Expansions:
 
     def replay(self, model: BasisModel, degree: int) -> None:
         """Step ``model``'s records of the degrees up to ``degree`` that
-        earlier calls have not stepped."""
+        earlier calls have not stepped, keeping the expansions of all
+        their columns in ``outputs``; the F block is taken from those."""
         for t in range(len(self.steps) + 1, degree + 1):
             rec = model.record(t)
             self.candidates(rec.parents, rec.ortho_weights)
-            self.append(rec)
+            out = self.outputs[t] = self.combine(t, [rec.eigvecs[:, c] for c in range(rec.num_outputs)])
+            self.blocks.append(out.take(rec.columns("F")))
 
 
 _EXPANSION_CACHE: "weakref.WeakKeyDictionary[BasisModel, _Expansions]" = weakref.WeakKeyDictionary()
@@ -547,9 +555,10 @@ def expand(model: BasisModel, handle: PolyHandle) -> DensePolynomial:
     """Exact symbolic expansion of one basis polynomial (model space).
 
     Replays the construction through the symbolic kernel, kept per model
-    (models are immutable).  Cost is exponential in degree, so the
-    kernel's term guard refuses degrees whose dense size bound exceeds
-    ``EXPANSION_TERM_CAP``.
+    (models are immutable), which steps each degree once, on the first
+    request that reaches it, and expands all of its columns in one batch;
+    each call returns a fresh polynomial.  Cost is exponential in degree, so the kernel's term guard
+    refuses degrees whose dense size bound exceeds ``EXPANSION_TERM_CAP``.
     """
     (handle,) = _check_handles(model, [handle])
     if handle.degree == 0:
@@ -559,7 +568,7 @@ def expand(model: BasisModel, handle: PolyHandle) -> DensePolynomial:
         if kernel is None:
             kernel = _EXPANSION_CACHE[model] = _Expansions(model.num_vars, model.constant_value)
         kernel.replay(model, handle.degree)
-        return kernel.combine(handle.degree, model.record(handle.degree).eigvecs[:, handle.column])
+        return kernel.outputs[handle.degree].polynomial(handle.column, model.num_vars)
 
 
 def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tuple[np.ndarray, int]:

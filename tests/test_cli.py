@@ -188,6 +188,40 @@ class TestRankTolerance:
         assert capsys.readouterr().err == "error: AVIBASIS_RANK_TOL is not a number: 'abc'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "reduce", "epsilon-search"])
+    def test_environment_value_is_read_by_the_commands_that_take_it(
+            self, four_csv, tmp_path, capsys, monkeypatch, command):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", four_csv, "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
+        argv = {
+            "fit": ["fit", four_csv, "-o", str(tmp_path / "again.json")],
+            "reduce": ["reduce", str(model_path), four_csv],
+            "epsilon-search": ["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+                               "--num-at-dmin", "1"],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: AVIBASIS_RANK_TOL is not a number: 'abc'\n"
+        # an explicit --rank-tol wins over the environment
+        assert main(argv + ["--rank-tol", "1e-12"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_commands_without_a_rank_tolerance_ignore_the_environment(
+            self, four_csv, tmp_path, capsys, monkeypatch):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", four_csv, "-o", str(model_path)]) == 0
+        monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]}, '
+                        '"samples": 6, "seed": 3}')
+        assert main(["generate", str(spec), "-o", str(tmp_path / "points.csv")]) == 0
+        assert main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "values.csv")]) == 0
+        assert "AVIBASIS_RANK_TOL" not in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+
     def test_nan_fit_tolerance_is_an_error(self, four_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["fit", four_csv, "-o", str(out), "--rank-tol", "nan"]) == 1

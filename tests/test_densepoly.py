@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avibasis.densepoly
 from avibasis.densepoly import (
     DensePolynomial,
     _add_scaled,
     _compile,
     _evaluate,
+    _Fold,
+    _gram,
+    _Monomials,
+    _pair_products,
+    _Terms,
     coeff_dot,
     coefficient_vector,
     finite_diff_gradient,
@@ -133,6 +139,125 @@ class TestInPlaceArithmetic:
     @given(dyadic_poly(max_degree=3), dyadic_poly(max_degree=3))
     def test_product_is_the_nested_loop(self, p, q):
         assert bits((p * q).terms) == bits(nested_product(p, q))
+
+
+# Quarter-integer floats: folds of them cancel exactly, as above.
+WEIGHT = st.integers(-8, 8).map(lambda k: k / 4.0)
+# Floats whose sums round, so the order of a sum shows in its bits.
+ROUNDING = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda c: c != 0.0)
+
+
+@st.composite
+def fold_case(draw, max_combinations=5):
+    """A batch of polynomials (int or quarter-integer coefficients, a zero
+    polynomial possible) and a weight matrix of 0 to ``max_combinations``
+    rows, zero weights included."""
+    polys = draw(st.lists(dyadic_poly(max_degree=3), min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(WEIGHT, min_size=len(polys), max_size=len(polys)),
+                         max_size=max_combinations))
+    return polys, rows
+
+
+def float_poly(num_vars=2, max_degree=2, coefficient=WEIGHT):
+    exponent = st.tuples(*([st.integers(0, max_degree)] * num_vars)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    return st.dictionaries(exponent, coefficient, max_size=5).map(
+        lambda terms: DensePolynomial(num_vars, terms)
+    )
+
+
+@st.composite
+def equal_length_polys(draw):
+    """Polynomials that share one monomial set, each in its own term order,
+    with coefficients whose sums round: ``coeff_dot``'s tie rule decides
+    which term order a pair is summed in."""
+    exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=2, max_size=6, unique=True))
+    polys = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(exps))
+        coeffs = draw(st.lists(ROUNDING, min_size=len(exps), max_size=len(exps)))
+        polys.append(DensePolynomial(2, dict(zip(order, coeffs))))
+    return polys
+
+
+def folded(polys, rows, num_vars=2):
+    terms = _Fold(_Terms.of(_Monomials(), polys))(rows)
+    assert np.all(terms.coef != 0)  # cancelled monomials leave the arrays too
+    return terms.polynomials(num_vars)
+
+
+class TestTermArrays:
+    """The symbolic kernel's batched fold, pair products and Gram keep the
+    bits and the term order of the dict rules they replace: the copying
+    fold, ``__mul__`` and ``coeff_dot``."""
+
+    def test_fold_keeps_the_term_order_of_a_reinserted_monomial(self):
+        one = DensePolynomial.constant(2, 1)
+        polys = [X + one + Y, X, Y, Y]
+        (got,) = folded(polys, [[1.0, 1.0, -1.0, 0.5]])
+        assert list(got.terms) == [(1, 0), (0, 0), (0, 1)]
+        assert bits(got.terms) == bits(copying_fold(zip(polys, [1.0, 1.0, -1.0, 0.5])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_case())
+    def test_fold_is_the_copying_fold(self, case):
+        polys, rows = case
+        got = folded(polys, rows)
+        assert len(got) == len(rows)
+        for poly, row in zip(got, rows):
+            assert bits(poly.terms) == bits(copying_fold([(p, c) for p, c in zip(polys, row) if c != 0.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fold_case(max_combinations=12))
+    def test_a_fold_split_at_the_byte_budget_is_unchanged(self, case):
+        polys, rows = case
+        whole = folded(polys, rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(avibasis.densepoly, "_CHUNK_BYTES", 8)  # one combination per chunk
+            split = folded(polys, rows)
+        assert [bits(p.terms) for p in split] == [bits(p.terms) for p in whole]
+
+    def test_degree_one_variables_keep_int_coefficients_exact(self):
+        variables = [DensePolynomial.variable(3, k) for k in range(3)]
+        polys = [DensePolynomial.constant(3, 1.0)] + variables
+        rows = [[0.5, 1.0, -0.25, 0.0], [0.0, 0.0, 3.0, 1e-300]]
+        for poly, row in zip(folded(polys, rows, num_vars=3), rows):
+            assert bits(poly.terms) == bits(copying_fold([(p, c) for p, c in zip(polys, row) if c != 0.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(float_poly(max_degree=3, coefficient=st.one_of(WEIGHT, ROUNDING)), max_size=4),
+           st.lists(float_poly(max_degree=3, coefficient=st.one_of(WEIGHT, ROUNDING)), max_size=4))
+    def test_pair_products_are_mul(self, left, right):
+        table = _Monomials()
+        terms = _Terms.of(table, left), _Terms.of(table, right)
+        want = [bits((p * q).terms) for p in left for q in right]
+        products = _pair_products(*terms)
+        assert [bits(p.terms) for p in products.polynomials(2)] == want
+        assert np.all(products.coef != 0)  # zero sums dropped from the arrays too
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(avibasis.densepoly, "_CHUNK_BYTES", 8)  # one product per chunk
+            assert [bits(p.terms) for p in _pair_products(*terms).polynomials(2)] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(float_poly(coefficient=ROUNDING), max_size=6), equal_length_polys()))
+    def test_gram_is_coeff_dot(self, polys):
+        gram = _gram(_Terms.of(_Monomials(), polys))
+        assert gram.shape == (len(polys), len(polys))
+        for i in range(len(polys)):
+            for j in range(i, len(polys)):
+                want = coeff_dot(polys[i], polys[j]).hex()
+                assert gram[i, j].hex() == want and gram[j, i].hex() == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(float_poly(coefficient=ROUNDING), min_size=1, max_size=8))
+    def test_a_gram_split_at_the_byte_budget_is_unchanged(self, polys):
+        terms = _Terms.of(_Monomials(), polys)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(avibasis.densepoly, "_CHUNK_BYTES", 8)  # one pair per chunk
+            split = _gram(terms)
+        assert split.tobytes() == _gram(terms).tobytes()
 
 
 class TestDiffEval:

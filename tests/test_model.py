@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avibasis.model
+from avibasis.densepoly import coeff_dot
+from avibasis.fit import CandidateData, normalization_matrix
 
 from avibasis import (
+    BasisModel,
+    DegreeRecord,
     DensePolynomial,
     ExpansionLimitError,
     FitConfig,
@@ -204,7 +210,7 @@ class TestExpand:
             patch.setattr(avibasis.model._Expansions, "__init__", recording_init)
             model = fit(pts, config)
         (kernel,) = kernels
-        fitted = [p for block in kernel.blocks for p in block]
+        fitted = [p for block in kernel.blocks for p in block.polynomials(model.num_vars)]
         save_model(tmp_path / "m.json", model)
         loaded, _ = load_model(tmp_path / "m.json")
 
@@ -231,12 +237,73 @@ class TestExpand:
         for h in model.handles():
             if h.degree == 0:
                 continue
-            pre, w = kernel.steps[h.degree - 1]
-            lower = [p for block in kernel.blocks[: h.degree] for p in block]
+            fold, w = kernel.steps[h.degree - 1]  # pre-candidates, then the F blocks below
             u = model.record(h.degree).eigvecs[:, h.column]
             coeffs = [float(c) for c in np.concatenate([u, -(w @ u)])]
-            want = copying_fold([(p, c) for p, c in zip(pre + lower, coeffs) if c != 0.0])
-            assert bits(kernel.combine(h.degree, u).terms) == bits(want)
+            polys = fold.terms.polynomials(model.num_vars)
+            want = copying_fold([(p, c) for p, c in zip(polys, coeffs) if c != 0.0])
+            assert bits(kernel.combine(h.degree, [u]).polynomial(0, model.num_vars).terms) == bits(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3]))
+    def test_kernel_steps_are_the_dict_rules(self, num_points, num_vars, seed, epsilon):
+        """On quarter-integer clouds, whose expansions cancel exactly, every
+        step of a replay keeps the bits and the term order of the dict
+        rules: the pair products of ``__mul__``, the combinations of the
+        copying fold, and the Gram of ``coeff_dot``."""
+        rng = np.random.default_rng(seed)
+        pts = np.round(4 * rng.uniform(-1.5, 1.5, size=(num_points, num_vars))) / 4
+        model = fit(pts, FitConfig(epsilon=epsilon, normalization=NormalizationKind.coefficient()))
+        kernel = avibasis.model._Expansions(num_vars, model.constant_value)
+        for t in range(1, model.max_degree + 1):
+            kernel.replay(model, t)
+            rec = model.record(t)
+            fold, w = kernel.steps[t - 1]
+            polys = fold.terms.polynomials(num_vars)
+            if t > 1:
+                first, last = (kernel.blocks[k].polynomials(num_vars) for k in (1, t - 1))
+                products = [p * q for p in first for q in last]
+                assert [bits(p.terms) for p in polys[: len(products)]] == [bits(p.terms) for p in products]
+            for c, poly in enumerate(kernel.outputs[t].polynomials(num_vars)):
+                u = rec.eigvecs[:, c]
+                weights = np.concatenate([u, -(w @ u)]).tolist()
+                want = copying_fold([(p, a) for p, a in zip(polys, weights) if a != 0.0])
+                assert bits(poly.terms) == bits(want)
+            units = kernel.combine(t, list(np.eye(rec.num_candidates)))
+            cands = CandidateData(np.zeros((num_points, len(units))), expansions=units)
+            gram = normalization_matrix(cands, NormalizationKind.coefficient())
+            dicts = units.polynomials(num_vars)
+            want = [[coeff_dot(dicts[min(i, j)], dicts[max(i, j)]) for j in range(len(dicts))]
+                    for i in range(len(dicts))]
+            assert gram.tobytes() == np.array(want).reshape(gram.shape).tobytes()
+
+    def test_mutating_an_expansion_leaves_the_cache_unchanged(self, four_points):
+        model = fit(four_points, FitConfig(epsilon=0.0, normalization=NormalizationKind.coefficient()))
+        handle = model.g_handles()[0]
+        first = expand(model, handle)
+        want = bits(first.terms)
+        first.terms.clear()
+        first.terms[(7, 7)] = 1.0
+        second = expand(model, handle)
+        assert bits(second.terms) == want
+        assert second is not expand(model, handle)
+
+    def test_term_guard_raises_before_the_kernel_allocates(self):
+        """A degree-1 expansion in a million variables has a dense size
+        bound over ``EXPANSION_TERM_CAP``; the guard refuses it before the
+        kernel forms anything (one exponent vector alone is 8 MB)."""
+        record = DegreeRecord(parents=(0,), ortho_weights=np.zeros((1, 1)), eigvecs=np.ones((1, 1)),
+                              eigvals=np.ones(1), partition=("F",))
+        model = BasisModel(num_vars=10**6, constant_value=1.0, degrees=(record,), epsilon=0.0,
+                           normalization=NormalizationKind.coefficient())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpansionLimitError):
+                expand(model, PolyHandle(1, 0, "F"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_term_guard(self, four_points, monkeypatch):
         model = fit(four_points, FitConfig(epsilon=0.0))

@@ -356,3 +356,37 @@ def test_fixture_bytes_are_the_json_dumps_oracle(name):
     text, points = SAVED[name]
     model, report = model_from_dict(json.loads(text))
     assert _saved_bytes(model, report).decode() == _oracle_text(model, report)
+
+
+# Written from fits of the space curve x^2 + y^2 + z^2 = 1, xy = z (60
+# samples, noise 0.01) in coefficient normalization at epsilon 0.01,
+# reduced at threshold 1e-2, by the dict-based symbolic kernel that the
+# array kernel replaced: each case holds the model JSON with its
+# reduction and the expansion of every handle, "exponents float.hex" per
+# term in term order.
+COEFFICIENT_GOLDEN = json.loads((DATA / "coefficient" / "curve_reduced.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_GOLDEN))
+def test_coefficient_fit_and_expansions_match_the_golden_file(case, tmp_path):
+    from avibasis import DensePolynomial, expand
+    from avibasis.analysis import DatasetSpec, PolynomialSystem, generate_dataset
+
+    golden = COEFFICIENT_GOLDEN[case]
+    curve = PolynomialSystem((
+        DensePolynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
+        DensePolynomial(3, {(1, 1, 0): 1.0, (0, 0, 1): -1.0}),
+    ))
+    seed = int(case.removeprefix("seed="))
+    points = generate_dataset(DatasetSpec(variety=curve, samples=60, noise_std_fraction=0.01, seed=seed)).points
+    model = fit(points, FitConfig(epsilon=0.01, normalization=NormalizationKind.coefficient()))
+    report = reduce_basis(model, points, threshold=1e-2)
+    save_model(tmp_path / "m.json", model, report)
+    assert (tmp_path / "m.json").read_text() == golden["model"]
+    loaded, _ = load_model(tmp_path / "m.json")
+
+    def terms(m, h):
+        return [",".join(map(str, e)) + " " + float(c).hex() for e, c in expand(m, h).terms.items()]
+
+    assert {h.label(): terms(model, h) for h in model.handles()} == golden["expansions"]
+    assert {h.label(): terms(loaded, h) for h in loaded.handles()} == golden["expansions"]
