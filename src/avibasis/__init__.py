@@ -22,14 +22,9 @@ from .analysis import (
     invariance_report,
     n_ratio,
 )
-from .densepoly import (
-    DensePolynomial,
-    coefficient_vector,
-    finite_diff_gradient,
-    graded_monomials,
-)
-from .fit import FitConfig, NormalizationKind, classify, fit, normalization_matrix, orthogonalize
-from .linalg import EigResult, gen_sym_eig, lstsq, principal_angles, sym_eig
+from .densepoly import DensePolynomial, finite_diff_gradient
+from .fit import FitConfig, NormalizationKind, fit
+from .linalg import lstsq
 from .model import (
     BasisModel,
     DegreeRecord,
@@ -43,7 +38,7 @@ from .model import (
     gradient_with_op_count,
 )
 from .model_io import load_model, save_model
-from .reduction import ReductionReport, rank_deflate_degree, reduce_basis
+from .reduction import ReductionReport, reduce_basis
 
 __version__ = "0.1.0"
 
@@ -54,7 +49,6 @@ __all__ = [
     "DatasetSpec",
     "DegreeRecord",
     "DensePolynomial",
-    "EigResult",
     "EpsilonSearchResult",
     "EpsilonTarget",
     "ExpansionLimitError",
@@ -66,28 +60,19 @@ __all__ = [
     "PolynomialSystem",
     "Preprocessing",
     "ReductionReport",
-    "classify",
-    "coefficient_vector",
     "epsilon_search",
     "evaluate",
     "expand",
     "extract_features",
     "finite_diff_gradient",
     "fit",
-    "gen_sym_eig",
     "generate_dataset",
-    "graded_monomials",
     "gradient",
     "gradient_with_op_count",
     "invariance_report",
     "load_model",
     "lstsq",
     "n_ratio",
-    "normalization_matrix",
-    "orthogonalize",
-    "principal_angles",
-    "rank_deflate_degree",
     "reduce_basis",
     "save_model",
-    "sym_eig",
 ]

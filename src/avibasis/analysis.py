@@ -226,23 +226,27 @@ def generate_dataset(spec: DatasetSpec) -> PointSet:
 
 
 def extract_features(class_models: list[BasisModel], x) -> np.ndarray:
-    """Concatenated absolute values of every class's vanishing polynomials
-    at one point, class by class, degree-ascending within each class."""
+    """Concatenated absolute values of every class's vanishing polynomials,
+    class by class, degree-ascending within each class.
+
+    A point ``(vars,)`` gives ``(features,)``; a matrix ``(points, vars)``
+    gives ``(points, features)`` from one ``evaluate`` per model.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point (1-D array)")
-    blocks = []
+    if x.ndim not in (1, 2):
+        raise ValueError("expected a point (1-D array) or points (2-D array)")
+    points = x if x.ndim == 2 else x[None, :]
+    blocks = [np.zeros((len(points), 0))]
     for model in class_models:
-        if model.num_vars != x.shape[0]:
+        if model.num_vars != points.shape[1]:
             raise ValueError(
-                f"model expects {model.num_vars} variables, point has {x.shape[0]}"
+                f"model expects {model.num_vars} variables, point has {points.shape[1]}"
             )
         handles = model.g_handles()
         if handles:
-            blocks.append(np.abs(evaluate(model, handles, x[None, :]))[0])
-        else:
-            blocks.append(np.zeros(0))
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+            blocks.append(np.abs(evaluate(model, handles, points)))
+    features = np.concatenate(blocks, axis=1)
+    return features if x.ndim == 2 else features[0]
 
 
 # -- norm-ratio metric --------------------------------------------------------

@@ -247,7 +247,7 @@ def _cmd_features(args) -> int:
         model, _ = load_model(path)
         models.append(model)
     points = read_points_csv(args.points)
-    rows = [extract_features(models, x) for x in points]
+    rows = extract_features(models, points)
     header = []
     for i, model in enumerate(models):
         header.extend(f"c{i}_{h.label()}" for h in model.g_handles())

@@ -35,15 +35,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
     "DensePolynomial",
     "coeff_dot",
-    "coefficient_vector",
-    "graded_monomials",
     "monomial_count",
     "finite_diff_gradient",
 ]
@@ -522,48 +520,9 @@ def _gram(terms: _Terms) -> np.ndarray:
     return np.where(np.tri(count, dtype=bool), gram.T, gram)
 
 
-def graded_monomials(num_vars: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors of total degree <= ``max_degree``, graded order.
-
-    Within each total degree the order is lexicographic-descending on the
-    exponent tuple.  The order is an internal fixture: only inner products
-    of coefficient vectors are ever consumed, never the order itself.
-    """
-
-    def of_degree(n: int, d: int) -> Iterator[tuple[int, ...]]:
-        if n == 1:
-            yield (d,)
-            return
-        for first in range(d, -1, -1):
-            for rest in of_degree(n - 1, d - first):
-                yield (first,) + rest
-
-    for d in range(max_degree + 1):
-        yield from of_degree(num_vars, d)
-
-
 def monomial_count(num_vars: int, max_degree: int) -> int:
     """Number of monomials of total degree <= ``max_degree``."""
     return math.comb(num_vars + max_degree, num_vars)
-
-
-def coefficient_vector(p: DensePolynomial, degree_bound: int) -> np.ndarray:
-    """Coefficients of ``p`` laid out on the graded monomial indexing.
-
-    Length is ``monomial_count(p.num_vars, degree_bound)``.  Raises if the
-    polynomial's degree exceeds the bound.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    if not p.is_zero and p.degree() > degree_bound:
-        raise ValueError(
-            f"polynomial degree {p.degree()} exceeds bound {degree_bound}"
-        )
-    index = {exps: i for i, exps in enumerate(graded_monomials(p.num_vars, degree_bound))}
-    vec = np.zeros(len(index))
-    for exps, coeff in p.terms.items():
-        vec[index[exps]] = float(coeff)
-    return vec
 
 
 def finite_diff_gradient(

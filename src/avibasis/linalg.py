@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolvers and tolerance-controlled least squares.
+"""Generalized symmetric eigensolver and tolerance-controlled least squares.
 
 Every routine is a pure function of its ndarray inputs and returns freshly
 allocated arrays, so concurrent callers never share mutable state.
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "EigResult",
-    "sym_eig",
     "gen_sym_eig",
     "lstsq",
     "orthonormal_basis",
@@ -28,10 +27,10 @@ _ASYMMETRY_RTOL = 1e-10
 class EigResult:
     """Eigenpairs sorted by descending eigenvalue.
 
-    ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.  For the
-    generalized problem, ``retained_rank`` is the numerical rank of the
-    right-hand matrix; directions in its null space carry no eigenpair and
-    the eigenvector matrix has exactly ``retained_rank`` columns.
+    ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.  ``retained_rank``
+    is the numerical rank of the right-hand matrix; directions in its null
+    space carry no eigenpair and the eigenvector matrix has exactly
+    ``retained_rank`` columns.
     """
 
     eigenvalues: np.ndarray
@@ -90,18 +89,6 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray) -> np.ndarray:
             v[:, start:i] = block @ q
         start = i
     return v
-
-
-def sym_eig(a: np.ndarray) -> EigResult:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a, "input matrix")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    # eigh returns ascending order; reversing keeps ties in a fixed order.
-    w = w[::-1].copy()
-    v = np.ascontiguousarray(v[:, ::-1])
-    v = _fix_signs(_canonicalize_degenerate(w, v))
-    return EigResult(w, v, a.shape[0])
 
 
 def gen_sym_eig(a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12) -> EigResult:
@@ -174,6 +161,10 @@ def _lstsq_weights(m: np.ndarray, y2: np.ndarray, rank_tol: float = 1e-12) -> np
         keep = s > rank_tol * s[0]
     else:
         keep = np.zeros(s.shape, dtype=bool)
+    # Keep the boolean-index copies even when every value is kept: the copy
+    # ``u[:, keep]`` is column-major where ``u`` is row-major, so the product
+    # takes another BLAS path, and the uncopied factors change a fit's bits
+    # (seen on a 5000-point noisy-ellipse fit).
     coeff = (u[:, keep].T @ y2) / s[keep][:, None]
     return vt[keep].T @ coeff
 

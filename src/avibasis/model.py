@@ -277,7 +277,9 @@ def _pair_grad(
 
 
 def _apply_ortho(pre: np.ndarray, f_all: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return pre - f_all @ w
+    # ``pre`` may be the caller's array, so the product is the only buffer.
+    prod = f_all @ w
+    return np.subtract(pre, prod, out=prod)
 
 
 class _Forward:

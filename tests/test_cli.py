@@ -120,7 +120,7 @@ class TestCsvWriter:
         assert main(["features", str(model_path), str(tmp_path / "b.json"), four_csv,
                      "-o", str(tmp_path / "features.csv")]) == 0
         header = [f"c{i}_{h.label()}" for i, m in enumerate((model, other)) for h in m.g_handles()]
-        want = [extract_features([model, other], x) for x in points]
+        want = extract_features([model, other], points)
         assert (tmp_path / "features.csv").read_bytes() == _oracle_csv(tmp_path / "o.csv", header, want)
 
         spec = {"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]}, "samples": 9, "seed": 3,
@@ -338,6 +338,24 @@ class TestFeaturesCommand:
             [float(x) for x in lines[1].split(",")[: len(model.g_handles())]]
         )
         assert np.abs(first_block).max() <= 1e-8
+
+    def test_matches_per_row_extraction(self, tmp_path):
+        """One batched extraction; within the stated bound of per-row calls."""
+        points = tmp_path / "points.csv"
+        data = generate_dataset(DatasetSpec(ConcentricEllipses(((1.41, 0.71), (2.0, 1.0))), 60,
+                                            (0.5,), 0.02, 7))
+        points.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in data.points))
+        paths = [str(tmp_path / f"{name}.json") for name in ("a", "b")]
+        for path, epsilon in zip(paths, ("0.05", "0.1")):
+            assert main(["fit", str(points), "-o", path, "--epsilon", epsilon, "--normalization", "grad"]) == 0
+        out = tmp_path / "features.csv"
+        assert main(["features", *paths, str(points), "-o", str(out)]) == 0
+        models = [load_model(path)[0] for path in paths]
+        rows = np.array([extract_features(models, x) for x in read_points_csv(str(points))])
+        got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert got.shape == rows.shape
+        scale = np.abs(rows).max(axis=0)
+        assert np.all(np.abs(got - rows) <= 1e-11 * scale)
 
 
 class TestDiagnoseCommand:

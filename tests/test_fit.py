@@ -10,18 +10,15 @@ from avibasis import (
     EpsilonTarget,
     FitConfig,
     NormalizationKind,
-    classify,
     epsilon_search,
     evaluate,
     expand,
     fit,
     gradient,
     lstsq,
-    normalization_matrix,
-    orthogonalize,
 )
 from avibasis.analysis import _satisfies
-from avibasis.fit import CandidateData, _classify_all, _fit_path
+from avibasis.fit import CandidateData, _classify_all, _fit_path, classify, normalization_matrix, orthogonalize
 from conftest import random_cloud, random_polynomial
 
 

@@ -15,12 +15,11 @@ from avibasis import (
     generate_dataset,
     gradient,
     lstsq,
-    rank_deflate_degree,
     reduce_basis,
 )
 from avibasis.fit import GRADIENT
 from avibasis.model import DegreeRecord
-from avibasis.reduction import gradient_dependence_residuals
+from avibasis.reduction import gradient_dependence_residuals, rank_deflate_degree
 from conftest import (
     FOUR_POINTS,
     circle_and_hyperbola_targets,
