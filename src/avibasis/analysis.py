@@ -345,6 +345,14 @@ def _satisfies(model: BasisModel, target: EpsilonTarget) -> tuple[tuple[int, ...
     return g_counts, ok
 
 
+def _descend(target: EpsilonTarget, path) -> bool:
+    """Whether a degree below the records ``path`` could still change the
+    target's ``satisfied`` flag: only the one prefix with ``num_linear`` G
+    at degree 1 and none above, so the prefixes stepped form a chain."""
+    g_counts = [rec.partition.count("G") for rec in path]
+    return len(path) < target.d_min and g_counts[0] == target.num_linear and not any(g_counts[1:])
+
+
 def epsilon_search(
     points,
     target: EpsilonTarget,
@@ -355,11 +363,11 @@ def epsilon_search(
 ) -> EpsilonSearchResult:
     """Linear scan for tolerances whose basis matches the target shape.
 
-    Fits every grid value as one prefix tree of fits, which runs each
-    distinct degree-step once (degree t depends on the tolerance only
-    through the F/G splits below it).  The target reads degrees 1..d_min
-    only, so the tree is stepped no deeper than ``d_min`` and not below a
-    prefix that already misses the target; each grid value's
+    Fits every grid value down one chain of shared degree-steps, each run
+    once (degree t depends on the tolerance only through the F/G splits
+    below it).  The target reads degrees 1..d_min only, so the chain is
+    stepped no deeper than ``d_min`` and not below a prefix that already
+    misses the target, which leaves one prefix per degree; each grid value's
     ``satisfied`` flag is the one the full fit at that tolerance gives,
     and its ``g_counts`` cover the degrees stepped.  Finds the longest
     contiguous run of satisfying tolerances ``(eps_1, eps_2)`` and reports
@@ -376,13 +384,8 @@ def epsilon_search(
     config = FitConfig(normalization=normalization, rank_tol=rank_tol, max_degree=max_degree)
     epsilons = [float(eps) for eps in grid]
 
-    def descend(path) -> bool:
-        """Whether a deeper degree could still change a ``satisfied`` flag."""
-        g_counts = [rec.partition.count("G") for rec in path]
-        return len(path) < target.d_min and g_counts[0] == target.num_linear and not any(g_counts[1:])
-
     trace: list = [None] * len(epsilons)
-    for i, model in _fit_path(points, config, epsilons, descend):
+    for i, model in _fit_path(points, config, epsilons, lambda path: _descend(target, path)):
         g_counts, ok = _satisfies(model, target)
         trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
     flags = [point.satisfied for point in trace]
@@ -453,6 +456,18 @@ def _block_gap(base_block: np.ndarray, other_block: np.ndarray) -> tuple[float, 
     return gap, energy
 
 
+def _blocks(model: BasisModel, eval_points) -> dict:
+    """(degree, kind) -> the evaluation block of those handles at
+    ``eval_points``, all from one replay of ``model``."""
+    handles = model.handles()
+    values = evaluate(model, handles, eval_points)
+    columns: dict = {}
+    for c, h in enumerate(handles):
+        columns.setdefault((h.degree, h.kind), []).append(c)
+    # contiguous, as an evaluate of just those handles returns them
+    return {key: np.ascontiguousarray(values[:, cols]) for key, cols in columns.items()}
+
+
 def _eig_ratios(
     lam_other: np.ndarray,
     lam_base: np.ndarray,
@@ -520,6 +535,8 @@ def invariance_report(
     base_scale = _model_eig_scale(base)
     scaled_scale = _model_eig_scale(scaled)
     translated_scale = _model_eig_scale(translated)
+    replays = [_blocks(base, probes), _blocks(translated, probes - b), _blocks(scaled, alpha * probes)]
+    empty = np.zeros((probe_count, 0))
     gaps = []
     ratios_scaled = []
     ratios_translated = []
@@ -534,17 +551,9 @@ def invariance_report(
             _eig_ratios(lam_tr, lam_b, 1.0, base_scale, translated_scale)
         )
         for kind_tag in ("F", "G"):
-            def block(model: BasisModel, eval_points) -> np.ndarray:
-                if t > model.max_degree:
-                    return np.zeros((probe_count, 0))
-                handles = [
-                    h for h in model.handles(kind_tag) if h.degree == t
-                ]
-                return evaluate(model, handles, eval_points)
-
-            base_block = block(base, probes)
-            gap_tr, energy_tr = _block_gap(base_block, block(translated, probes - b))
-            gap_sc, energy_sc = _block_gap(base_block, block(scaled, alpha * probes))
+            base_block, tr_block, sc_block = (blocks.get((t, kind_tag), empty) for blocks in replays)
+            gap_tr, energy_tr = _block_gap(base_block, tr_block)
+            gap_sc, energy_sc = _block_gap(base_block, sc_block)
             entry[f"{kind_tag}_translation"] = gap_tr
             entry[f"{kind_tag}_scaling"] = gap_sc
             for energy in (energy_tr, energy_sc):

@@ -11,8 +11,8 @@ the degree-step kernel of ``model``, which replays use too; the fit
 supplies the orthogonalization and the eigensolve.  Coefficient
 normalization's expansions come from that kernel's symbolic twin, which
 ``expand`` replays.  Degree t depends on epsilon only through the splits
-below it, so one driver, ``_fit_path``, fits a whole set of tolerances as
-a prefix tree; ``fit`` is its one-tolerance case.
+below it, so one driver, ``_fit_path``, fits a set of tolerances down one
+chain of shared degree-steps; ``fit`` is its one-tolerance case.
 """
 
 from __future__ import annotations
@@ -162,16 +162,16 @@ def orthogonalize(
     """Project candidate evaluations off the span of the nonvanishing block.
 
     Returns ``(c_eval, w)`` with ``c_eval = c_pre_eval - f_eval @ w`` and
-    ``w`` the tolerance-controlled least-squares weights.
+    ``w`` the tolerance-controlled least-squares weights.  Both blocks are
+    2-D, one column per polynomial.
     """
     c_pre_eval = np.asarray(c_pre_eval, dtype=float)
     f_eval = np.asarray(f_eval, dtype=float)
+    if c_pre_eval.ndim != 2 or f_eval.ndim != 2:
+        raise ValueError("candidate and design blocks must be 2-D")
     if c_pre_eval.shape[0] != f_eval.shape[0]:
         raise ValueError("row counts differ")
-    if f_eval.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
-    rhs = c_pre_eval if c_pre_eval.ndim == 2 else c_pre_eval[:, None]
-    w = linalg._lstsq_weights(f_eval, rhs, rank_tol)
+    w = linalg._lstsq_weights(f_eval, c_pre_eval, rank_tol)
     return _apply_ortho(c_pre_eval, f_eval, w), w
 
 
@@ -238,25 +238,21 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
     model bit-identical to ``fit(points, replace(config, epsilon=eps))``;
     ``config.epsilon`` is not read.
 
-    ``descend``, when given, is called with the records of every node that
-    would step a further degree; a node whose records it rejects becomes a
-    leaf, and its tolerances get that prefix of their fit, marked
-    ``truncated``.  The tolerance search uses it to step only the degrees
-    its target reads.
+    ``descend``, when given, is called with the records of every prefix
+    that would step a further degree; a prefix it rejects ends there, and
+    its tolerances get that prefix of their fit, marked ``truncated``.  The
+    tolerance search uses it to step only the degrees its target reads.
 
     Degree t depends on the tolerance only through the F/G partitions of
-    the degrees below it, so the fits of all tolerances form a prefix tree
-    whose nodes are those partition prefixes.  The tree is walked depth
-    first: each node runs the tolerance-free part of its degree once
-    (candidates, orthogonalization, normalization Gram, eigensolve, and
-    the checks and square roots of ``classify``) and groups its
-    tolerances by the partition ``classify`` gives them; each
-    group is a child, which appends its own F block and expansions before
-    stepping the next degree, or a leaf.  Children rewind the kernels to
-    their parent's state, which is safe because sibling subtrees never
-    interleave.  Models of tolerances that share a prefix share its
-    records; they are yielded as their leaf is reached, in tree order, so
-    a caller that drops them keeps only the current path's records alive.
+    the degrees below it, so the fits share their prefixes, and the driver
+    walks one chain of them.  Each degree runs its tolerance-free part once
+    (candidates, orthogonalization, normalization Gram, eigensolve, and the
+    checks and square roots of ``classify``), groups the live tolerances by
+    partition, yields the groups whose fit ends there, and appends the F
+    block of the one group that steps on.  A degree's partitions have
+    distinct G counts (a larger tolerance tags a superset G), so a
+    ``descend`` that keeps one G count, as the search's does, keeps the
+    walk a chain; two groups that would step on raise ``ValueError``.
     """
     if not all(eps >= 0 for eps in epsilons):  # also rejects NaN
         raise ValueError("epsilon must be >= 0")
@@ -266,15 +262,13 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
     if not np.isfinite(pts_in).all():
         raise ValueError("points contain NaN or Inf")
 
-    center = pts_in.mean(axis=0) if config.center else None
-    pts = pts_in - center if center is not None else pts_in
-    scale = None
+    prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
     if config.unit_mean_norm:
-        scale = float(np.linalg.norm(pts, axis=1).mean())
+        scale = float(np.linalg.norm(prep.apply(pts_in), axis=1).mean())
         if scale <= 0.0:
             raise ValueError("cannot scale a point set with zero mean norm")
-        pts = pts / scale
-    prep = Preprocessing(center=center, scale=scale)
+        prep = Preprocessing(center=prep.center, scale=scale)
+    pts = prep.apply(pts_in)
 
     kind = config.normalization
     num_points, num_vars = pts.shape
@@ -290,18 +284,9 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
     # gradient reaches the model, so other fits carry none.
     fwd = _Forward(pts, m, kind.uses_gradients)
     sym = _Expansions(num_vars, m) if kind.variant == COEFFICIENT else None
-    # A pending child: its parent's kernel width, the F block it appends
-    # (None for the root), its records and the indices of its tolerances.
-    stack = [(fwd.width, None, (), list(range(len(epsilons))))]
-    while stack:
-        width, f_block, records, members = stack.pop()
-        fwd.rewind(width)
-        if sym is not None:
-            sym.rewind(width)
-        if f_block is not None:
-            fwd.append(*f_block)
-            if sym is not None:
-                sym.append(records[-1])
+    records: tuple = ()
+    members = list(range(len(epsilons)))  # the tolerances still stepping
+    while members:
         t = len(records) + 1
         if t == 1:
             parents: tuple = tuple(range(num_vars))
@@ -332,6 +317,7 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
         groups: dict = {}
         for i, partition in zip(members, _classify_all(eigvals, [epsilons[i] for i in members])):
             groups.setdefault(partition, []).append(i)
+        prefix, members = records, []
         for partition, group in groups.items():
             rec = DegreeRecord(
                 parents=parents,
@@ -340,7 +326,7 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
                 eigvals=eigvals,
                 partition=partition,
             )
-            path = records + (rec,)
+            path = prefix + (rec,)
             f_cols = rec.columns("F")
             if len(f_cols) == 0 or t == max_degree or (descend is not None and not descend(path)):
                 for i in group:
@@ -353,5 +339,10 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
                         preprocessing=prep,
                         truncated=len(f_cols) > 0,
                     )
-                continue
-            stack.append((fwd.width, (c_eval, c_grad, rec.eigvecs[:, f_cols]), path, group))
+            elif members:
+                raise ValueError(f"two partitions step on from degree {t}; pass a descend that keeps one")
+            else:
+                members, records = group, path
+                fwd.append(c_eval, c_grad, rec.eigvecs[:, f_cols])
+                if sym is not None:
+                    sym.append(rec)

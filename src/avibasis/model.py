@@ -293,8 +293,8 @@ class _Forward:
     row-major, so the prefix is a strided view that BLAS and the SVD read
     with the arithmetic of the contiguous concatenation of the blocks the
     buffer replaces.  A full buffer doubles; a replay sizes it up front.
-    A degree is ``candidates`` then ``append``; the tolerance search's
-    prefix tree of fits ``rewind``s to a parent's width to step a sibling.
+    A degree is ``candidates`` then ``append``, and the kernel only steps
+    forward: a fit, like a replay, is one chain of degrees.
     """
 
     def __init__(self, points: np.ndarray, constant_value: float, need_grads: bool):
@@ -349,15 +349,6 @@ class _Forward:
         if f_grad is not None:
             self.grads[:, :, width:end] = f_grad
         self.width = end
-
-    def rewind(self, width: int) -> None:
-        """Forget the F blocks past column ``width``, an earlier width.
-
-        Their columns are overwritten by the next ``append``, which also
-        sets the latest block again (and the degree-1 block, at width 1),
-        so the width is all a rewind has to restore.
-        """
-        self.width = width
 
     def replay(self, model: BasisModel, up_to_degree: int):
         """Step through ``model``'s records of degrees 1..up_to_degree,
@@ -480,7 +471,7 @@ class _Expansions:
     stepped degree the fold of its pre-candidates and the F blocks below
     it, with the orthogonalization weights; a replay also keeps each
     degree's expansions of every column.  A degree is ``candidates`` then
-    ``append``; ``rewind`` returns to an earlier width.  ``combine``
+    ``append``, forward only, as in ``_Forward``.  ``combine``
     expands a batch of combinations of a degree's orthogonalized
     candidates at once.
     """
@@ -530,13 +521,6 @@ class _Expansions:
         the stride of ``u``, so a copied column could differ in the last bit)."""
         degree = len(self.steps)
         self.blocks.append(self.combine(degree, [rec.eigvecs[:, c] for c in rec.columns("F")]))
-
-    def rewind(self, width: int) -> None:
-        """Forget the F blocks past column ``width``, an earlier width, and
-        the steps of the degrees above the one formed there."""
-        while sum(len(block) for block in self.blocks) > width:
-            self.blocks.pop()
-        del self.steps[len(self.blocks):]
 
     def replay(self, model: BasisModel, degree: int) -> None:
         """Step ``model``'s records of the degrees up to ``degree`` that

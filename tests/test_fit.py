@@ -17,7 +17,7 @@ from avibasis import (
     gradient,
     lstsq,
 )
-from avibasis.analysis import _satisfies
+from avibasis.analysis import _descend, _satisfies
 from avibasis.fit import CandidateData, _classify_all, _fit_path, classify, normalization_matrix, orthogonalize
 from conftest import random_cloud, random_polynomial
 
@@ -55,6 +55,24 @@ class TestClassify:
         assert _classify_all(eigvals, epsilons) == want
         assert [classify(eigvals, eps) for eps in epsilons] == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e-12, 1e3), max_size=8).map(lambda v: np.array(sorted(v, reverse=True))),
+           st.lists(st.floats(0.0, 40.0), min_size=1, max_size=10), st.floats(-1e-12, 1e-12))
+    def test_partitions_are_nested_with_distinct_g_counts(self, eigvals, epsilons, jitter):
+        # out of order by up to the roundoff the sort check allows
+        eigvals = eigvals + jitter * np.arange(eigvals.size)
+        try:
+            partitions = _classify_all(eigvals, epsilons)
+        except ValueError:
+            return  # not accepted by classify
+        g_sets = {eps: {c for c, tag in enumerate(p) if tag == "G"} for eps, p in zip(epsilons, partitions)}
+        for small in epsilons:
+            for large in epsilons:
+                if small <= large:
+                    assert g_sets[small] <= g_sets[large]
+        distinct = set(partitions)
+        assert len({p.count("G") for p in distinct}) == len(distinct)
+
     def test_rejects_very_negative(self):
         with pytest.raises(ValueError):
             classify(np.array([1.0, -0.5]), 0.0)
@@ -88,6 +106,12 @@ class TestOrthogonalize:
         c_pre = rng.normal(size=(10, 4))
         c_out, _ = orthogonalize(c_pre, f)
         assert np.abs(f.T @ c_out).max() <= 1e-9
+
+    @pytest.mark.parametrize("c_pre, f", [(np.arange(5.0), np.ones((5, 2))),
+                                          (np.ones((5, 1)), np.arange(5.0))])
+    def test_rejects_one_dimensional_blocks(self, c_pre, f):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            orthogonalize(c_pre, f)
 
 
 class TestNormalizationMatrix:
@@ -354,22 +378,27 @@ def _path_case(draw):
     return pts, config, sorted(set(stored + spread))
 
 
+_targets = st.builds(EpsilonTarget, num_linear=st.integers(0, 3), d_min=st.integers(2, 3),
+                     num_at_dmin=st.integers(0, 2))
+
+
 class TestFitPath:
-    """The prefix tree of fits gives, at every tolerance, the lone fit."""
+    """The chain of fits gives, at every tolerance, a prefix of the lone fit."""
 
     @settings(max_examples=80, deadline=None)
-    @given(_path_case())
-    def test_every_model_is_the_lone_fit_bit_for_bit(self, case):
+    @given(_path_case(), _targets)
+    def test_every_model_is_the_lone_fit_bit_for_bit(self, case, target):
         pts, config, grid = case
-        pairs = list(_fit_path(pts, config, grid))
+        pairs = list(_fit_path(pts, config, grid, lambda path: _descend(target, path)))
         assert sorted(i for i, _ in pairs) == list(range(len(grid)))
         for i, got in pairs:
             eps = grid[i]
             want = fit(pts, replace(config, epsilon=eps))
             assert got.epsilon == want.epsilon == eps
-            assert got.truncated == want.truncated
+            # a prefix the search stops below is truncated, as is a capped fit
+            assert 1 <= len(got.degrees) <= len(want.degrees)
+            assert got.truncated == (len(got.degrees) < len(want.degrees) or want.truncated)
             assert got.constant_value == want.constant_value
-            assert len(got.degrees) == len(want.degrees)
             for g, w in zip(got.degrees, want.degrees):
                 assert g.parents == w.parents
                 assert g.partition == w.partition
@@ -378,8 +407,7 @@ class TestFitPath:
                 assert np.array_equal(g.ortho_weights, w.ortho_weights)
 
     @settings(max_examples=60, deadline=None)
-    @given(_path_case(), st.builds(EpsilonTarget, num_linear=st.integers(0, 3),
-                                   d_min=st.integers(2, 3), num_at_dmin=st.integers(0, 2)))
+    @given(_path_case(), _targets)
     def test_search_trace_is_the_lone_fits_counts(self, case, target):
         pts, config, grid = case
         result = epsilon_search(pts, target, normalization=config.normalization, grid=grid,
@@ -416,17 +444,11 @@ class TestFitPath:
         assert len(calls) == len(prefixes)
         assert 1 < len(prefixes) <= target.d_min
 
-    def test_one_eigensolve_per_distinct_degree_step(self, monkeypatch):
-        import avibasis.linalg
-
+    def test_two_partitions_stepping_on_raise(self):
         pts = random_cloud(np.random.default_rng(3), 10, 2)
         grid = list(np.geomspace(1e-3, 3.0, 25))
-        lone = [fit(pts, FitConfig(epsilon=e)) for e in grid]
-        # degree t of a fit is determined by the partitions of degrees 1..t-1
-        prefixes = {tuple(rec.partition for rec in m.degrees[:t])
-                    for m in lone for t in range(len(m.degrees))}
-        calls = []
-        solve = avibasis.linalg.gen_sym_eig
-        monkeypatch.setattr(avibasis.linalg, "gen_sym_eig", lambda *a: calls.append(1) or solve(*a))
-        list(_fit_path(pts, FitConfig(), grid))
-        assert len(calls) == len(prefixes) < sum(len(m.degrees) for m in lone)
+        with pytest.raises(ValueError, match="two partitions step on from degree 1"):
+            list(_fit_path(pts, FitConfig(), grid))
+        # one tolerance, or a descend that keeps one partition, is a chain
+        assert len(list(_fit_path(pts, FitConfig(), grid[:1]))) == 1
+        assert len(list(_fit_path(pts, FitConfig(), grid, lambda path: _descend(EpsilonTarget(0, 3, 1), path)))) == 25
