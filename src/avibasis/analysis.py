@@ -24,9 +24,10 @@ from .fit import (
     NormalizationKind,
     SUBSAMPLED_GRADIENT,
     _fit_path,
+    _subsample,
     fit,
 )
-from .model import BasisModel, PointSet, Preprocessing, evaluate, expand, gradient
+from .model import BasisModel, PointSet, Preprocessing, _as_points, evaluate, expand, gradient
 
 __all__ = [
     "ConcentricEllipses",
@@ -268,7 +269,7 @@ def n_ratio(model: BasisModel, kind: NormalizationKind, points=None) -> float:
             raise ValueError("gradient norms require the point set")
         grads = gradient(model, handles, points)
         if kind.variant == SUBSAMPLED_GRADIENT:
-            grads = [g[np.ix_(kind.point_subset, kind.var_subset)] for g in grads]
+            grads = [_subsample(g, kind) for g in grads]
         norms = [float(np.linalg.norm(g)) for g in grads]
     elif kind.variant == COEFFICIENT:
         norms = [expand(model, h).coefficient_norm() for h in handles]
@@ -328,7 +329,7 @@ class EpsilonSearchResult:
 
 def default_epsilon_grid(points, count: int = 60) -> np.ndarray:
     """Log-spaced tolerance grid spanning 1e-4..1 times the mean point norm."""
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    pts = _as_points(points)
     scale = float(np.linalg.norm(pts, axis=1).mean())
     if scale <= 0:
         scale = 1.0
@@ -514,7 +515,7 @@ def invariance_report(
     subspace gaps on a shared probe set."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    pts = _as_points(points)
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[1],):
         raise ValueError("translation vector dimension mismatch")

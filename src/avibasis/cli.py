@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -108,6 +109,14 @@ def write_csv(path: str, header: list[str] | None, rows) -> None:
         if header is not None:
             csv.writer(fh).writerow(header)
         fh.writelines(line % tuple(row) for row in values.tolist())
+
+
+def _write_json(path: str, payload) -> None:
+    """Write a report as sorted, indented JSON and say where."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"report written to {path}")
 
 
 def _parse_index_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -273,40 +282,19 @@ def _cmd_diagnose(args) -> int:
         probe_count=args.probes,
         seed=args.seed,
     )
-    def scrub(value):
-        # missing comparisons (one side has no block) serialize as null
-        if isinstance(value, float) and value != value:
-            return None
-        return value
-
-    payload = {
-        "alpha": report.alpha,
-        "translation": [float(x) for x in report.translation],
-        "epsilon": report.epsilon,
-        "base_counts": [list(c) for c in report.base_counts],
-        "translated_counts": [list(c) for c in report.translated_counts],
-        "scaled_counts": [list(c) for c in report.scaled_counts],
-        "counts_match": report.counts_match,
-        "eigenvalue_ratios": [list(r) for r in report.eigenvalue_ratios],
-        "translation_eigenvalue_ratios": [
-            list(r) for r in report.translation_eigenvalue_ratios
-        ],
-        "subspace_gaps": [
-            {key: scrub(val) for key, val in entry.items()}
-            for entry in report.subspace_gaps
-        ],
-        "max_eval_discrepancy": report.max_eval_discrepancy,
-    }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"counts match: {report.counts_match}")
     ratios = [r for degree in report.eigenvalue_ratios for r in degree]
     if ratios:
         print(f"scaled eigenvalue ratio range: [{min(ratios):.6g}, {max(ratios):.6g}]"
               f" (expected {report.alpha ** 2:.6g})")
     print(f"max evaluation discrepancy: {report.max_eval_discrepancy:.3e}")
-    print(f"report written to {args.output}")
+    # a comparison with no block on one side has a NaN gap: null in JSON
+    gaps = [{k: None if v != v else v for k, v in gap.items()} for gap in report.subspace_gaps]
+    _write_json(args.output, asdict(report) | {
+        "counts_match": report.counts_match,
+        "translation": report.translation.tolist(),
+        "subspace_gaps": gaps,
+    })
     return 0
 
 
@@ -421,21 +409,8 @@ def _cmd_epsilon_search(args) -> int:
         grid=grid,
         rank_tol=rank_tol,
     )
-    payload = {
-        "found": result.found,
-        "epsilon": result.epsilon,
-        "lower": result.lower,
-        "upper": result.upper,
-        "trace": [
-            {"epsilon": p.epsilon, "g_counts": list(p.g_counts), "satisfied": p.satisfied}
-            for p in result.trace
-        ],
-    }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.output}")
+        _write_json(args.output, asdict(result))
     if not result.found:
         print("no tolerance on the grid satisfies the target; see the scan trace")
         return 1

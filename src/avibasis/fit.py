@@ -25,7 +25,7 @@ from . import linalg
 # coeff_dot is not called here, but stays importable as fit.coeff_dot: the
 # name bench/tracer.py wraps for its densepoly.coeff_dot metric
 from .densepoly import DensePolynomial, _gram, _Monomials, _Terms, coeff_dot  # noqa: F401
-from .model import BasisModel, DegreeRecord, PointSet, Preprocessing, _apply_ortho, _Expansions, _Forward
+from .model import BasisModel, DegreeRecord, Preprocessing, _apply_ortho, _as_points, _Expansions, _Forward
 
 __all__ = [
     "NormalizationKind",
@@ -197,15 +197,20 @@ def normalization_matrix(candidates: CandidateData, kind: NormalizationKind) -> 
         raise ValueError("gradient normalization requires cached gradients")
     grads = candidates.grads
     if kind.variant == SUBSAMPLED_GRADIENT:
-        num_points, num_vars = grads.shape[0], grads.shape[1]
-        if max(kind.point_subset) >= num_points:
-            raise ValueError("point subset index out of range")
-        if max(kind.var_subset) >= num_vars:
-            raise ValueError("variable subset index out of range")
-        grads = grads[np.ix_(kind.point_subset, kind.var_subset)]
+        grads = _subsample(grads, kind)
     flat = grads.reshape(-1, count)
     gram = flat.T @ flat
     return (gram + gram.T) / 2.0
+
+
+def _subsample(grads: np.ndarray, kind: NormalizationKind) -> np.ndarray:
+    """``grads``, of shape ``(points, vars, ...)``, at the subsampled
+    gradient's point and variable subsets."""
+    if max(kind.point_subset) >= grads.shape[0]:
+        raise ValueError("point subset index out of range")
+    if max(kind.var_subset) >= grads.shape[1]:
+        raise ValueError("variable subset index out of range")
+    return grads[np.ix_(kind.point_subset, kind.var_subset)]
 
 
 def _constant_value(kind: NormalizationKind, points: np.ndarray) -> float:
@@ -256,12 +261,7 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
     """
     if not all(eps >= 0 for eps in epsilons):  # also rejects NaN
         raise ValueError("epsilon must be >= 0")
-    pts_in = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    if pts_in.ndim != 2 or pts_in.shape[0] < 1 or pts_in.shape[1] < 1:
-        raise ValueError("empty point set")
-    if not np.isfinite(pts_in).all():
-        raise ValueError("points contain NaN or Inf")
-
+    pts_in = _as_points(points)
     prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
     if config.unit_mean_norm:
         scale = float(np.linalg.norm(prep.apply(pts_in), axis=1).mean())
@@ -272,11 +272,6 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
 
     kind = config.normalization
     num_points, num_vars = pts.shape
-    if kind.variant == SUBSAMPLED_GRADIENT:
-        if max(kind.var_subset) >= num_vars:
-            raise ValueError("subsampled variable index out of range")
-        if max(kind.point_subset) >= num_points:
-            raise ValueError("subsampled point index out of range")
     max_degree = config.max_degree if config.max_degree is not None else num_points
 
     m = _constant_value(kind, pts)

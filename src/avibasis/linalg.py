@@ -60,10 +60,7 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return v * signs
 
 
-_DEGENERACY_RTOL = 1e-10
-
-
-def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray, spread_tol: float) -> np.ndarray:
     """Rotate each numerically degenerate eigenvalue group to echelon form.
 
     Within a group of (near-)equal eigenvalues any orthogonal rotation of
@@ -72,13 +69,12 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     QR (column-echelon) form picks one representative deterministically:
     column j of the block gets zero entries in rows 0..j-1 whenever the
     group span allows it.  Orthogonality (and B-orthonormality, for the
-    whitened generalized problem) is preserved exactly.  Groups are bounded
-    by total eigenvalue spread, so any cross-eigenvalue mixing stays below
-    the spread tolerance.
+    whitened generalized problem) is preserved exactly.  A group holds the
+    eigenvalues within ``spread_tol`` of its first, so any cross-eigenvalue
+    mixing stays below that tolerance.
     """
     if v.shape[1] < 2:
         return v
-    spread_tol = _DEGENERACY_RTOL * max(1.0, float(np.abs(w).max()))
     start = 0
     for i in range(1, len(w) + 1):
         if i < len(w) and abs(w[start] - w[i]) <= spread_tol:
@@ -123,10 +119,11 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12) -> EigRes
     w = w[::-1].copy()
     u = np.ascontiguousarray(u[:, ::-1])
     # Both inputs are Gram matrices in this codebase, so negative eigenvalues
-    # can only be roundoff; snap those to zero.
+    # can only be roundoff; snap those to zero.  Snapping leaves max|w|
+    # alone, so the same cut bounds the degenerate groups.
     tiny = 1e-10 * max(1.0, float(np.abs(w).max()))
     w[(w < 0.0) & (w > -tiny)] = 0.0
-    v = _fix_signs(_canonicalize_degenerate(w, whiten @ u))
+    v = _fix_signs(_canonicalize_degenerate(w, whiten @ u, tiny))
     return EigResult(w, v, int(np.count_nonzero(keep)))
 
 

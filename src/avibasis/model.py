@@ -108,6 +108,12 @@ class PointSet:
         return self.preprocessing.invert(self.points)
 
 
+def _as_points(points) -> np.ndarray:
+    """A PointSet's points, or ``points`` checked by PointSet's rule (a
+    finite, non-empty float matrix, one point per row)."""
+    return points.points if isinstance(points, PointSet) else PointSet(points).points
+
+
 @dataclass(frozen=True)
 class PolyHandle:
     """Reference to one basis polynomial: (degree, eigenvector column, tag)."""

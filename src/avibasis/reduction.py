@@ -6,19 +6,19 @@ linear combination of the lower-degree gradients, so redundancy is tested
 by per-point least squares on gradients: a candidate is dropped only if
 the residual is below threshold at every point.
 
-All candidates of one degree share their generator pool (the kept
-polynomials of lower degree), so the per-point solves are batched: the
-stacked ``(points, vars, generators)`` pool gradients get one stacked SVD,
-which is recomputed only when the pool has grown, and the residuals of
-every candidate of the degree come from one stacked solve against it.
-
-When the fit normalization is not the full gradient mapping, the per-degree
-gradient Gram of the vanishing set may be rank deficient (e.g. duplicate or
-near-zero polynomials); a rank-deflation pass removes those first.
+One pass walks the degrees in ascending order.  When the fit normalization
+is not the full gradient mapping, a degree's gradient Gram may be rank
+deficient (e.g. duplicate or near-zero polynomials), so rank deflation
+removes those first.  The survivors are then tested against their
+generator pool, the kept polynomials of lower degree: the stacked
+``(points, vars, generators)`` pool gradients get one stacked SVD, which
+is recomputed only after the pool has grown, and the residuals of every
+candidate of the degree come from one stacked solve against it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,12 +161,13 @@ def reduce_basis(
 ) -> ReductionReport:
     """Remove redundant vanishing polynomials from a fitted model.
 
-    Candidates are processed in ascending degree.  The lowest-degree
-    nonempty stratum is always kept (nothing of lower degree could generate
-    it); above it, a polynomial is removed only when, at every point, its
-    gradient lies within ``threshold`` of the span of the gradients of the
-    currently kept lower-degree polynomials.  For fits not normalized by
-    the full gradient mapping, degrees are first rank-deflated.
+    One pass over the vanishing polynomials in ascending degree.  Fits not
+    normalized by the full gradient mapping first rank-deflate each degree.
+    While nothing is kept, a degree's survivors are all kept: ``kept`` only
+    gains handles of lower degree, so that is the lowest nonempty stratum,
+    which nothing could generate.  Above it, a polynomial is removed only
+    when, at every point, its gradient lies within ``threshold`` of the
+    span of the gradients of the polynomials kept so far.
     """
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise ValueError("threshold must be finite and >= 0")
@@ -176,47 +177,28 @@ def reduce_basis(
     if not g_handles:
         return ReductionReport((), (), (), threshold)
 
-    grads = gradient(model, g_handles, points)
-    grad_of = dict(zip(g_handles, grads))
-    by_degree: dict[int, list[PolyHandle]] = {}
-    for h in g_handles:
-        by_degree.setdefault(h.degree, []).append(h)
-
-    deflation_records: list[DeflationRecord] = []
-    survivors: dict[int, list[PolyHandle]] = {}
-    if model.normalization.variant != GRADIENT:
-        for degree in sorted(by_degree):
-            handles = tuple(by_degree[degree])
-            stacked = np.stack([grad_of[h] for h in handles], axis=2)
-            flat = stacked.reshape(-1, len(handles))
-            gram = flat.T @ flat
-            extents = np.array([model.extent_of_vanishing(h) for h in handles])
-            kept, dropped, rank = rank_deflate_degree(handles, gram, extents, rank_tol)
-            survivors[degree] = list(kept)
-            if dropped:
-                deflation_records.append(
-                    DeflationRecord(degree, dropped, len(handles), rank)
-                )
-    else:
-        survivors = {d: list(hs) for d, hs in by_degree.items()}
-
+    grad_of = dict(zip(g_handles, gradient(model, g_handles, points)))
     kept: list[PolyHandle] = []
     removed: list[RemovedPolynomial] = []
-    lowest = min((d for d, hs in survivors.items() if hs), default=None)
-    solve, solved_pool_size = None, -1
-    for degree in sorted(survivors):
-        candidates = survivors[degree]
+    deflated: list[DeflationRecord] = []
+    solve = None  # the factored pool (``kept``, all of lower degree); dropped as it grows
+    for degree, group in itertools.groupby(g_handles, key=lambda h: h.degree):
+        candidates = tuple(group)
+        if model.normalization.variant != GRADIENT:
+            flat = np.stack([grad_of[h] for h in candidates], axis=2).reshape(-1, len(candidates))
+            extents = np.array([model.extent_of_vanishing(h) for h in candidates])
+            candidates, dropped, rank = rank_deflate_degree(
+                candidates, flat.T @ flat, extents, rank_tol
+            )
+            if dropped:
+                deflated.append(DeflationRecord(degree, dropped, flat.shape[1], rank))
         if not candidates:
-            continue  # every survivor of this degree was rank-deflated
-        if degree == lowest:
+            continue  # every handle of this degree was rank-deflated
+        if not kept:  # the lowest nonempty stratum: nothing could generate it
             kept.extend(candidates)
             continue
-        # Everything in ``kept`` has lower degree, so it is the whole pool;
-        # it only ever grows, so its length tells whether the cached
-        # factorization is still current.
-        if len(kept) != solved_pool_size:
+        if solve is None:
             solve = _pool_solver(np.stack([grad_of[h] for h in kept], axis=2), rank_tol)
-            solved_pool_size = len(kept)
         block = solve(np.stack([grad_of[h] for h in candidates], axis=2))
         for j, handle in enumerate(candidates):
             residuals = block[:, j].copy()
@@ -225,4 +207,5 @@ def reduce_basis(
                 removed.append(RemovedPolynomial(handle, max_res, residuals))
             else:
                 kept.append(handle)
-    return ReductionReport(tuple(kept), tuple(removed), tuple(deflation_records), threshold)
+                solve = None
+    return ReductionReport(tuple(kept), tuple(removed), tuple(deflated), threshold)

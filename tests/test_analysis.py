@@ -83,6 +83,10 @@ class TestInvarianceReport:
         with pytest.raises(ValueError):
             invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=0.0, epsilon=0.0)
 
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            invariance_report(np.array([1.0, 2.0, 3.0]), b=np.zeros(1), alpha=2.0, epsilon=0.0)
+
 
 class TestNRatio:
     def test_gradient_self_ratio_is_one(self):
@@ -129,6 +133,17 @@ class TestNRatio:
         kind = NormalizationKind.subsampled_gradient((0,), (0,))
         value = n_ratio(model, kind, FOUR_POINTS)
         assert value == math.inf
+
+    @pytest.mark.parametrize(
+        "var_subset,point_subset,message",
+        [((7,), (0,), "variable subset"), ((0,), (0, 4), "point subset")],
+    )
+    def test_out_of_range_subset_rejected(self, var_subset, point_subset, message):
+        # the subset indexes the gradients of a 2-variable, 4-point fit
+        model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
+        kind = NormalizationKind.subsampled_gradient(var_subset, point_subset)
+        with pytest.raises(ValueError, match=f"{message} index out of range"):
+            n_ratio(model, kind, FOUR_POINTS)
 
     def test_gradient_kind_needs_points(self):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
@@ -184,6 +199,14 @@ class TestEpsilonSearch:
         pts = random_cloud(np.random.default_rng(9), 6, 2)
         target = EpsilonTarget(num_linear=0, d_min=2, num_at_dmin=0)
         with pytest.raises(ValueError, match="positive"):
+            epsilon_search(pts, target, grid=grid)
+
+    @pytest.mark.parametrize("grid", [None, [0.1, 1.0]])
+    def test_nan_points_rejected(self, grid):
+        # the default grid is read off the points, so they are checked first
+        pts = np.vstack([random_cloud(np.random.default_rng(9), 6, 2), [0.0, np.nan]])
+        target = EpsilonTarget(num_linear=0, d_min=2, num_at_dmin=0)
+        with pytest.raises(ValueError, match="points contain NaN or Inf"):
             epsilon_search(pts, target, grid=grid)
 
     def test_target_validation(self):

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +372,42 @@ class TestDiagnoseCommand:
         assert all(abs(r - 4.0) <= 1e-6 * 4.0 for r in ratios)
 
 
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+class TestReportGoldens:
+    """The report commands rewrite golden files byte for byte.  The inputs
+    are the 12-point ellipse in ``tests/data/reports``; the diagnose
+    tolerance is the square root of one of its base eigenvalues, so
+    roundoff moves that polynomial across it in the transformed fits and
+    some gaps compare a block with nothing (null in JSON)."""
+
+    @pytest.mark.parametrize(
+        "golden,args",
+        [
+            ("diagnose.json",
+             ["diagnose", "--translate", "0.5,-1", "--scale", "2",
+              "--epsilon", "0.14545784650939508"]),
+            ("search_found.json",
+             ["epsilon-search", "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1"]),
+            ("search_missed.json",
+             ["epsilon-search", "--num-linear", "0", "--dmin", "3", "--num-at-dmin", "5"]),
+        ],
+    )
+    def test_matches_golden(self, golden, args, tmp_path):
+        out = tmp_path / golden
+        command, flags = args[0], args[1:]
+        main([command, str(REPORTS / "ellipse.csv"), *flags, "-o", str(out)])
+        assert out.read_bytes() == (REPORTS / golden).read_bytes()
+
+    def test_goldens_cover_null_gaps_and_both_outcomes(self):
+        diagnose = json.loads((REPORTS / "diagnose.json").read_text())
+        gaps = [v for entry in diagnose["subspace_gaps"] for v in entry.values()]
+        assert None in gaps
+        assert json.loads((REPORTS / "search_found.json").read_text())["found"] is True
+        assert json.loads((REPORTS / "search_missed.json").read_text())["found"] is False
+
+
 class TestGenerateCommand:
     def test_deterministic_output(self, tmp_path):
         spec = {
@@ -481,6 +518,15 @@ class TestEpsilonSearchCommand:
         )
         assert code == 2
         assert "0 < lo < hi" in capsys.readouterr().err
+
+    def test_nan_points_error(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("x,y\n1,0\n0,1\nnan,0\n0,-1\n")
+        code = main(
+            ["epsilon-search", str(p), "--num-linear", "1", "--dmin", "2", "--num-at-dmin", "1"]
+        )
+        assert code == 1
+        assert "points contain NaN or Inf" in capsys.readouterr().err
 
     def test_not_found_exit_code(self, four_csv, tmp_path):
         code = main(

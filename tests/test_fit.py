@@ -217,6 +217,10 @@ class TestFitSmallCases:
         with pytest.raises(ValueError, match="rank_tol must be positive"):
             FitConfig(rank_tol=rank_tol)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            fit(np.array([1.0, 2.0, 3.0]), FitConfig())
+
     def test_subsample_out_of_range(self):
         pts = np.eye(3)
         cfg = FitConfig(normalization=NormalizationKind.subsampled_gradient((5,), (0,)))
