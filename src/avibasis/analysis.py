@@ -24,6 +24,7 @@ from .fit import (
     NormalizationKind,
     SUBSAMPLED_GRADIENT,
     _fit_path,
+    _prepare,
     _subsample,
     fit,
 )
@@ -336,8 +337,10 @@ def default_epsilon_grid(points, count: int = 60) -> np.ndarray:
     return np.geomspace(1e-4, 1.0, count) * scale
 
 
-def _satisfies(model: BasisModel, target: EpsilonTarget) -> tuple[tuple[int, ...], bool]:
-    g_counts = tuple(g for g, _ in model.degree_counts())
+def _satisfies(degrees, target: EpsilonTarget) -> tuple[tuple[int, ...], bool]:
+    """The G counts of the records ``degrees`` and whether they have the
+    target's shape."""
+    g_counts = tuple(rec.partition.count("G") for rec in degrees)
     def g_at(degree: int) -> int:
         return g_counts[degree - 1] if degree <= len(g_counts) else 0
     ok = g_at(1) == target.num_linear
@@ -368,9 +371,11 @@ def epsilon_search(
     once (degree t depends on the tolerance only through the F/G splits
     below it).  The target reads degrees 1..d_min only, so the chain is
     stepped no deeper than ``d_min`` and not below a prefix that already
-    misses the target, which leaves one prefix per degree; each grid value's
-    ``satisfied`` flag is the one the full fit at that tolerance gives,
-    and its ``g_counts`` cover the degrees stepped.  Finds the longest
+    misses the target, which leaves one prefix per degree.  The target is
+    read once per group of grid values whose fits end with the same
+    records, and no model is built; each grid value's ``satisfied`` flag
+    is the one the full fit at that tolerance gives, and its ``g_counts``
+    cover the degrees stepped.  Finds the longest
     contiguous run of satisfying tolerances ``(eps_1, eps_2)`` and reports
     their midpoint.  When nothing on the grid qualifies the result carries
     ``found=False`` and the full scan trace.
@@ -385,10 +390,12 @@ def epsilon_search(
     config = FitConfig(normalization=normalization, rank_tol=rank_tol, max_degree=max_degree)
     epsilons = [float(eps) for eps in grid]
 
+    _, pts, m = _prepare(points, config)
     trace: list = [None] * len(epsilons)
-    for i, model in _fit_path(points, config, epsilons, lambda path: _descend(target, path)):
-        g_counts, ok = _satisfies(model, target)
-        trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
+    for indices, degrees, _ in _fit_path(pts, m, config, epsilons, lambda path: _descend(target, path)):
+        g_counts, ok = _satisfies(degrees, target)
+        for i in indices:
+            trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
     flags = [point.satisfied for point in trace]
 
     best_start, best_len = -1, 0
@@ -512,9 +519,12 @@ def invariance_report(
     """Fit (X, eps), (X - b, eps), (alpha X, |alpha| eps) with gradient
     normalization and report per-degree counts, eigenvalue ratios (scaling
     should give alpha^2, translation should give 1), and evaluation
-    subspace gaps on a shared probe set."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    subspace gaps on a shared probe set of ``probe_count`` points.
+    ``alpha`` must be finite and nonzero and ``probe_count`` at least 1."""
+    if not math.isfinite(alpha) or alpha == 0:
+        raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
+    if probe_count < 1:
+        raise ValueError(f"probe_count must be >= 1, got {probe_count!r}")
     pts = _as_points(points)
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[1],):

@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -266,6 +267,10 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.probes < 1:
+        raise CliError(f"--probes must be >= 1, got {args.probes}", code=2)
+    if not math.isfinite(args.scale) or args.scale == 0:
+        raise CliError(f"--scale must be finite and nonzero, got {args.scale!r}", code=2)
     points = read_points_csv(args.points)
     b = (
         _parse_float_list(args.translate, "--translate")

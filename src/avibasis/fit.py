@@ -12,11 +12,16 @@ supplies the orthogonalization and the eigensolve.  Coefficient
 normalization's expansions come from that kernel's symbolic twin, which
 ``expand`` replays.  Degree t depends on epsilon only through the splits
 below it, so one driver, ``_fit_path``, fits a set of tolerances down one
-chain of shared degree-steps; ``fit`` is its one-tolerance case.
+chain of shared degree-steps and hands over each group of tolerances
+whose fits end with the same records once, as their indices, those
+records and the ``truncated`` flag; ``fit`` is its one-tolerance case,
+and the tolerance search reads its target off each group's records
+without building a model.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +145,11 @@ def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:
 
 def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
     """``classify(eigvals, eps)`` for each ``eps`` of ``epsilons``, the
-    tolerance-free work (checks, square roots, floor) done once."""
+    tolerance-free work (checks, square roots, floor) done once.
+
+    A cut's G set is the roots ``<=`` it, so the G sets of two cuts are
+    nested and two cuts with as many roots at or below them (a NaN cut
+    has none) share one partition, which is built once."""
     ev = np.asarray(eigvals, dtype=float)
     if ev.size == 0:
         return [()] * len(epsilons)
@@ -152,8 +161,17 @@ def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
     roots = np.sqrt(np.clip(ev, 0.0, None))
     floor = 1e-10 * max(float(roots.max()), 1.0)
     values = roots.tolist()  # Python floats compare like float64, only faster
-    return [tuple("G" if r <= cut else "F" for r in values)
-            for cut in (max(float(eps), floor) for eps in epsilons)]
+    ordered = sorted(r for r in values if r == r)  # NaN roots are never <= a cut
+    partitions: dict = {}
+    out = []
+    for eps in epsilons:
+        cut = max(float(eps), floor)
+        below = bisect.bisect_right(ordered, cut) if cut == cut else 0
+        partition = partitions.get(below)
+        if partition is None:
+            partition = partitions[below] = tuple("G" if r <= cut else "F" for r in values)
+        out.append(partition)
+    return out
 
 
 def orthogonalize(
@@ -234,14 +252,43 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     one-tolerance case of the driver the tolerance search runs.
     """
     config = config or FitConfig()
-    ((_, model),) = _fit_path(points, config, [config.epsilon])
-    return model
+    prep, pts, m = _prepare(points, config)
+    ((_, degrees, truncated),) = _fit_path(pts, m, config, [config.epsilon])
+    return BasisModel(
+        num_vars=pts.shape[1],
+        constant_value=m,
+        degrees=degrees,
+        epsilon=config.epsilon,
+        normalization=config.normalization,
+        preprocessing=prep,
+        truncated=truncated,
+    )
 
 
-def _fit_path(points, config: FitConfig, epsilons, descend=None):
-    """Yield ``(i, model)`` once for each tolerance ``epsilons[i]``, the
-    model bit-identical to ``fit(points, replace(config, epsilon=eps))``;
-    ``config.epsilon`` is not read.
+def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, float]:
+    """``config``'s preprocessing of ``points``, the model-space points it
+    gives, and the constant polynomial's value on them."""
+    pts_in = _as_points(points)
+    prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
+    if config.unit_mean_norm:
+        scale = float(np.linalg.norm(prep.apply(pts_in), axis=1).mean())
+        if scale <= 0.0:
+            raise ValueError("cannot scale a point set with zero mean norm")
+        prep = Preprocessing(center=prep.center, scale=scale)
+    pts = prep.apply(pts_in)
+    return prep, pts, _constant_value(config.normalization, pts)
+
+
+def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=None):
+    """Yield ``(indices, degrees, truncated)`` once for each group of
+    tolerances whose fits end with the same records: ``indices`` into
+    ``epsilons``, ascending, the shared tuple of ``DegreeRecord``s, and
+    whether the fit stopped with F columns left.  For each ``i`` of a
+    group, the ``BasisModel`` of those records at ``epsilons[i]``, with
+    ``m`` as its constant and ``truncated``, is bit-identical to
+    ``fit(points, replace(config, epsilon=epsilons[i]))``, where
+    ``_prepare(points, config)`` gave the model-space points ``pts`` and
+    ``m``; ``config.epsilon`` is not read.
 
     ``descend``, when given, is called with the records of every prefix
     that would step a further degree; a prefix it rejects ends there, and
@@ -261,20 +308,10 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
     """
     if not all(eps >= 0 for eps in epsilons):  # also rejects NaN
         raise ValueError("epsilon must be >= 0")
-    pts_in = _as_points(points)
-    prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
-    if config.unit_mean_norm:
-        scale = float(np.linalg.norm(prep.apply(pts_in), axis=1).mean())
-        if scale <= 0.0:
-            raise ValueError("cannot scale a point set with zero mean norm")
-        prep = Preprocessing(center=prep.center, scale=scale)
-    pts = prep.apply(pts_in)
-
     kind = config.normalization
     num_points, num_vars = pts.shape
     max_degree = config.max_degree if config.max_degree is not None else num_points
 
-    m = _constant_value(kind, pts)
     # Only gradient normalizations read candidate gradients, and no
     # gradient reaches the model, so other fits carry none.
     fwd = _Forward(pts, m, kind.uses_gradients)
@@ -322,22 +359,13 @@ def _fit_path(points, config: FitConfig, epsilons, descend=None):
                 partition=partition,
             )
             path = prefix + (rec,)
-            f_cols = rec.columns("F")
-            if len(f_cols) == 0 or t == max_degree or (descend is not None and not descend(path)):
-                for i in group:
-                    yield i, BasisModel(
-                        num_vars=num_vars,
-                        constant_value=m,
-                        degrees=path,
-                        epsilon=epsilons[i],
-                        normalization=kind,
-                        preprocessing=prep,
-                        truncated=len(f_cols) > 0,
-                    )
+            more = "F" in partition
+            if not more or t == max_degree or (descend is not None and not descend(path)):
+                yield group, path, more
             elif members:
                 raise ValueError(f"two partitions step on from degree {t}; pass a descend that keeps one")
             else:
                 members, records = group, path
-                fwd.append(c_eval, c_grad, rec.eigvecs[:, f_cols])
+                fwd.append(c_eval, c_grad, rec.eigvecs[:, rec.columns("F")])
                 if sym is not None:
                     sym.append(rec)

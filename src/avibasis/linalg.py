@@ -41,7 +41,7 @@ class EigResult:
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if a.size == 0:
+    if a.size == 0 or (a == a.T).all():  # exactly symmetric: within any tolerance
         return
     scale = float(np.abs(a).max())
     if scale > 0.0 and float(np.abs(a - a.T).max()) > _ASYMMETRY_RTOL * scale:
@@ -75,6 +75,7 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray, spread_tol: float) ->
     """
     if v.shape[1] < 2:
         return v
+    w = w.tolist()  # Python floats subtract and compare like float64, only faster
     start = 0
     for i in range(1, len(w) + 1):
         if i < len(w) and abs(w[start] - w[i]) <= spread_tol:

@@ -282,6 +282,14 @@ def _pair_grad(
     return g.reshape(m, n, -1)
 
 
+def _grad_dot(grads: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.tensordot(grads, v, axes=([2], [0]))`` of gradients ``(m, n,
+    k)`` and columns ``(k, p)``, without its wrapper: the ``np.dot`` of the
+    same 2-D views, so the same bits."""
+    m, n, k = grads.shape
+    return np.dot(grads.reshape(m * n, k), v).reshape(m, n, v.shape[1])
+
+
 def _apply_ortho(pre: np.ndarray, f_all: np.ndarray, w: np.ndarray) -> np.ndarray:
     # ``pre`` may be the caller's array, so the product is the only buffer.
     prod = f_all @ w
@@ -344,7 +352,7 @@ class _Forward:
         """Append the F block ``c_eval @ v_f`` (and its gradients) as the
         latest degree."""
         f_eval = c_eval @ v_f
-        f_grad = np.tensordot(c_grad, v_f, axes=([2], [0])) if c_grad is not None else None
+        f_grad = _grad_dot(c_grad, v_f) if c_grad is not None else None
         if self.width == 1:
             self.first, self.first_grad = f_eval, f_grad
         self.last, self.last_grad = f_eval, f_grad
@@ -438,7 +446,7 @@ def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.
             positions, columns = wanted[t]
             # the whole block, as the fit computed it, then the asked columns
             if need_grads:
-                block = np.tensordot(c_grad, rec.eigvecs, axes=([2], [0]))
+                block = _grad_dot(c_grad, rec.eigvecs)
             else:
                 block = c_eval @ rec.eigvecs
             out[..., positions] = block[..., columns]

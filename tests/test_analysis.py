@@ -87,6 +87,20 @@ class TestInvarianceReport:
         with pytest.raises(ValueError, match="2-D"):
             invariance_report(np.array([1.0, 2.0, 3.0]), b=np.zeros(1), alpha=2.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+            invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=alpha, epsilon=0.1)
+
+    @pytest.mark.parametrize("probe_count", [0, -1])
+    def test_probe_count_below_one_rejected(self, probe_count):
+        with pytest.raises(ValueError, match=f"probe_count must be >= 1, got {probe_count}"):
+            invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0, probe_count=probe_count)
+
+    def test_one_probe_is_enough(self):
+        rep = invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0, probe_count=1)
+        assert rep.counts_match
+
 
 class TestNRatio:
     def test_gradient_self_ratio_is_one(self):

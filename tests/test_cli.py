@@ -371,6 +371,18 @@ class TestDiagnoseCommand:
         ratios = [r for degree in data["eigenvalue_ratios"] for r in degree]
         assert all(abs(r - 4.0) <= 1e-6 * 4.0 for r in ratios)
 
+    @pytest.mark.parametrize("flags,flag", [(["--probes", "0"], "--probes"), (["--probes", "-1"], "--probes"),
+                                            (["--scale", "nan"], "--scale"), (["--scale", "inf"], "--scale"),
+                                            (["--scale=-inf"], "--scale"), (["--scale", "0"], "--scale")])
+    def test_bad_probes_or_scale_is_a_usage_error(self, flags, flag, four_csv, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main(["diagnose", four_csv, *flags, "--epsilon", "0.1", "-o", str(report_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {flag} must be")
+        assert not report_path.exists()
+
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 

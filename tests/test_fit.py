@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avibasis import (
+    BasisModel,
     DensePolynomial,
     EpsilonTarget,
     FitConfig,
@@ -18,8 +19,70 @@ from avibasis import (
     lstsq,
 )
 from avibasis.analysis import _descend, _satisfies
-from avibasis.fit import CandidateData, _classify_all, _fit_path, classify, normalization_matrix, orthogonalize
+from avibasis.fit import (
+    CandidateData,
+    _classify_all,
+    _fit_path,
+    _prepare,
+    classify,
+    normalization_matrix,
+    orthogonalize,
+)
 from conftest import random_cloud, random_polynomial
+
+
+def _path_models(points, config, epsilons, descend=None):
+    """``_fit_path``'s groups as ``(i, model)`` pairs, one per tolerance,
+    each model built from its group's records as ``fit`` builds its one."""
+    prep, pts, m = _prepare(points, config)
+    for indices, degrees, truncated in _fit_path(pts, m, config, epsilons, descend):
+        for i in indices:
+            yield i, BasisModel(num_vars=pts.shape[1], constant_value=m, degrees=degrees,
+                                epsilon=epsilons[i], normalization=config.normalization,
+                                preprocessing=prep, truncated=truncated)
+
+
+def _classify_all_oracle(eigvals, epsilons):
+    """The classification rule written out once per tolerance: the same
+    checks, square roots and floor, and each tolerance's partition built
+    on its own from its cut."""
+    ev = np.asarray(eigvals, dtype=float)
+    if ev.size == 0:
+        return [()] * len(epsilons)
+    scale = max(1.0, float(np.abs(ev).max()))
+    if np.any(np.diff(ev) > 1e-9 * scale):
+        raise ValueError("eigenvalues must be sorted in descending order")
+    if float(ev.min()) < -1e-10 * scale:
+        raise ValueError("eigenvalue is negative beyond roundoff")
+    roots = np.sqrt(np.clip(ev, 0.0, None))
+    floor = 1e-10 * max(float(roots.max()), 1.0)
+    values = roots.tolist()
+    return [tuple("G" if r <= cut else "F" for r in values)
+            for cut in (max(float(eps), floor) for eps in epsilons)]
+
+
+@st.composite
+def _eigval_arrays(draw):
+    """Descending eigenvalues with ties, signed zeros and roundoff
+    negatives, out of order by up to about the sort check's tolerance,
+    with NaN entries, or empty."""
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-22, 1e-12, 0.01, 0.25, 1.0, 4.0, 1e3, -1e-11, -1e-10]),
+                      st.floats(-2e-10, 1e3, allow_nan=False))
+    values = sorted(draw(st.lists(value, max_size=12)), reverse=True)
+    ties = draw(st.lists(st.integers(0, max(len(values) - 1, 0)), max_size=3)) if values else []
+    for i in ties:  # repeat an entry next to itself
+        values.insert(i, values[i])
+    jitter = draw(st.sampled_from([0.0, 1e-12, -1e-12, 5e-10, -5e-10, 2e-9]))
+    values = [v + jitter * i for i, v in enumerate(values)]
+    for i in draw(st.lists(st.integers(0, len(values)), max_size=2)):
+        values.insert(i, float("nan"))
+    return np.array(values, dtype=float)
+
+
+# cuts at, between and around the roots above, and the non-finite ones
+_tolerances = st.one_of(st.sampled_from([0.0, -0.0, 1e-11, 1e-6, 0.1, 0.5, 1.0, 2.0, 31.6227766016838,
+                                         float("inf"), float("nan")]),
+                        st.floats(0.0, 40.0))
 
 
 class TestClassify:
@@ -72,6 +135,17 @@ class TestClassify:
                     assert g_sets[small] <= g_sets[large]
         distinct = set(partitions)
         assert len({p.count("G") for p in distinct}) == len(distinct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_eigval_arrays(), st.lists(_tolerances, min_size=1, max_size=80))
+    def test_matches_the_per_tolerance_oracle(self, eigvals, epsilons):
+        def outcome(classify_all):
+            try:
+                return classify_all(eigvals, epsilons)
+            except Exception as exc:  # the same error, type and message
+                return type(exc), str(exc)
+
+        assert outcome(_classify_all) == outcome(_classify_all_oracle)
 
     def test_rejects_very_negative(self):
         with pytest.raises(ValueError):
@@ -210,7 +284,7 @@ class TestFitSmallCases:
         with pytest.raises(ValueError, match="epsilon"):
             FitConfig(epsilon=float("nan"))
         with pytest.raises(ValueError, match="epsilon"):
-            list(_fit_path(np.eye(3), FitConfig(), [0.1, float("nan")]))
+            list(_path_models(np.eye(3), FitConfig(), [0.1, float("nan")]))
 
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, float("nan")])
     def test_bad_rank_tol_rejected(self, rank_tol):
@@ -393,7 +467,7 @@ class TestFitPath:
     @given(_path_case(), _targets)
     def test_every_model_is_the_lone_fit_bit_for_bit(self, case, target):
         pts, config, grid = case
-        pairs = list(_fit_path(pts, config, grid, lambda path: _descend(target, path)))
+        pairs = list(_path_models(pts, config, grid, lambda path: _descend(target, path)))
         assert sorted(i for i, _ in pairs) == list(range(len(grid)))
         for i, got in pairs:
             eps = grid[i]
@@ -422,7 +496,7 @@ class TestFitPath:
             lone_counts = tuple(g for g, _ in lone.degree_counts())
             assert 1 <= len(point.g_counts) <= target.d_min
             assert point.g_counts == lone_counts[:len(point.g_counts)]
-            assert point.satisfied == _satisfies(lone, target)[1]
+            assert point.satisfied == _satisfies(lone.degrees, target)[1]
 
     @pytest.mark.parametrize("target", [EpsilonTarget(0, 2, 1), EpsilonTarget(1, 2, 1),
                                         EpsilonTarget(0, 3, 1), EpsilonTarget(1, 3, 0)])
@@ -448,11 +522,51 @@ class TestFitPath:
         assert len(calls) == len(prefixes)
         assert 1 < len(prefixes) <= target.d_min
 
+    @pytest.mark.parametrize("target", [EpsilonTarget(0, 2, 1), EpsilonTarget(1, 2, 1),
+                                        EpsilonTarget(0, 3, 1), EpsilonTarget(1, 3, 0)])
+    def test_search_builds_no_model_and_reads_each_prefix_once(self, target, monkeypatch):
+        import avibasis.analysis
+
+        pts = random_cloud(np.random.default_rng(3), 10, 2)
+        grid = list(np.geomspace(1e-3, 3.0, 25))
+        lone = [fit(pts, FitConfig(epsilon=e)) for e in grid]
+        built, read = [], []
+        post_init, satisfies = BasisModel.__post_init__, avibasis.analysis._satisfies
+        monkeypatch.setattr(BasisModel, "__post_init__", lambda self: built.append(self) or post_init(self))
+        monkeypatch.setattr(avibasis.analysis, "_satisfies", lambda degrees, target: read.append(
+            tuple(rec.partition for rec in degrees)) or satisfies(degrees, target))
+        result = epsilon_search(pts, target, grid=grid)
+        assert built == []
+        # the prefix each grid value was stepped to, read off its lone fit
+        prefixes = {tuple(rec.partition for rec in m.degrees[:len(point.g_counts)])
+                    for m, point in zip(lone, result.trace)}
+        assert sorted(read) == sorted(prefixes)
+        assert 1 < len(prefixes) < len(grid)
+
+    @pytest.mark.parametrize("kind", [NormalizationKind.identity(), NormalizationKind.coefficient(),
+                                      NormalizationKind.gradient(),
+                                      NormalizationKind.subsampled_gradient((1,), (0, 2, 4))])
+    def test_fit_runs_each_layer_once_per_degree(self, kind, monkeypatch):
+        import importlib
+
+        import avibasis.linalg
+
+        fit_module = importlib.import_module("avibasis.fit")  # the package's ``fit`` is the function
+        calls = []
+        for module, name in ((fit_module, "orthogonalize"), (fit_module, "normalization_matrix"),
+                             (avibasis.linalg, "gen_sym_eig")):
+            monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        model = fit(random_cloud(np.random.default_rng(4), 8, 2), FitConfig(epsilon=0.01, normalization=kind))
+        k = len(model.degrees)
+        assert k > 1
+        assert sorted(calls) == sorted(["orthogonalize", "normalization_matrix", "gen_sym_eig"] * k)
+
     def test_two_partitions_stepping_on_raise(self):
         pts = random_cloud(np.random.default_rng(3), 10, 2)
         grid = list(np.geomspace(1e-3, 3.0, 25))
         with pytest.raises(ValueError, match="two partitions step on from degree 1"):
-            list(_fit_path(pts, FitConfig(), grid))
+            list(_path_models(pts, FitConfig(), grid))
         # one tolerance, or a descend that keeps one partition, is a chain
-        assert len(list(_fit_path(pts, FitConfig(), grid[:1]))) == 1
-        assert len(list(_fit_path(pts, FitConfig(), grid, lambda path: _descend(EpsilonTarget(0, 3, 1), path)))) == 25
+        assert len(list(_path_models(pts, FitConfig(), grid[:1]))) == 1
+        assert len(list(_path_models(pts, FitConfig(), grid, lambda path: _descend(EpsilonTarget(0, 3, 1), path)))) == 25
