@@ -4,11 +4,13 @@ Covers the experiment-side machinery: consistency reports under translation
 and scaling of the input, the max/min norm ratio of a basis under a chosen
 normalization mapping, a linear search for a workable vanishing tolerance,
 per-class feature vectors, and seeded samplers for benchmark varieties
-(a polynomial system's by Gauss-Newton projection, point by point).
+(a polynomial system's by Gauss-Newton projection of a stream of starts,
+in lockstep).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +53,11 @@ __all__ = [
 # -- dataset generation -------------------------------------------------------
 
 
+def _check_finite(name: str, values) -> None:
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ConcentricEllipses:
     """Union of axis-ratio ellipses centered at the origin, then rotated.
@@ -65,6 +72,8 @@ class ConcentricEllipses:
         radii = tuple((float(a), float(b)) for a, b in self.radii)
         if not radii:
             raise ValueError("at least one ellipse is required")
+        _check_finite("radii", radii)
+        _check_finite("rotation", self.rotation)
         object.__setattr__(self, "radii", radii)
 
 
@@ -81,6 +90,8 @@ class PolynomialSystem:
         n = polys[0].num_vars
         if any(p.num_vars != n for p in polys):
             raise ValueError("polynomials must share the variable count")
+        for p in polys:
+            _check_finite("polynomial coefficients", list(p.terms.values()))
         object.__setattr__(self, "polynomials", polys)
 
     @property
@@ -120,9 +131,11 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.noise_std_fraction < 0:
-            raise ValueError("noise fraction must be >= 0")
+        if not 0 <= self.noise_std_fraction < math.inf:
+            raise ValueError("noise_std_fraction must be finite and >= 0")
         object.__setattr__(self, "extra_linear_vars", tuple(self.extra_linear_vars))
+        for weights in self.extra_linear_vars:
+            _check_finite("extra_linear_vars", weights)
 
 
 def _sample_ellipses(spec: ConcentricEllipses, samples: int, rng) -> np.ndarray:
@@ -144,40 +157,94 @@ def _sample_ellipses(spec: ConcentricEllipses, samples: int, rng) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _project_to_variety(values: list, jacobian: list, start: np.ndarray, rng) -> np.ndarray:
-    """Gauss-Newton projection of a seed point onto the zero set.
+def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> list:
+    """80 Gauss-Newton steps from each seed point towards the zero set, in
+    lockstep.
 
     ``values`` is the system compiled by ``densepoly._compile`` and
-    ``jacobian`` its partial derivatives, row by row.  Norms are
+    ``jacobian`` its partial derivatives, row by row.  Returns one outcome
+    per start: the first iterate whose residuals are all within 1e-13,
+    ``None`` when none of the 80 is, or the ``LinAlgError`` its solve raised.
+    Each step evaluates the starts one by one, then solves their least
+    squares with one stacked SVD, with the bits of ``linalg._lstsq_weights``:
+    the products take its operand layouts, and a start whose solve drops a
+    singular value or meets a non-finite value goes through it.  Norms are
     ``sqrt(v . v)``, the arithmetic ``np.linalg.norm`` uses on a vector.
     """
-    x = start.copy()
-    for attempt in range(25):
-        for _ in range(80):
-            point = x.tolist()
-            res = _evaluate(values, point)
-            if all(abs(r) <= 1e-13 for r in res):  # False on NaN, as the max is
-                return x
-            jac = np.array(_evaluate(jacobian, point)).reshape(len(res), x.size)
-            step = linalg._lstsq_weights(jac, -np.array(res)[:, None])[:, 0]
-            limit = 1.0 + math.sqrt(x.dot(x))
-            norm = math.sqrt(step.dot(step))
-            if norm > limit:
-                step = step * (limit / norm)
-            x = x + step
-        x = rng.standard_normal(x.size)
-    raise RuntimeError("projection onto the variety failed to converge")
+    outcomes: list = [None] * len(starts)
+    live, x = np.arange(len(starts)), starts
+    for _ in range(80):
+        rows, res, jac = [], [], []
+        for row, (i, point) in enumerate(zip(live.tolist(), x.tolist())):
+            r = _evaluate(values, point)
+            if all(abs(v) <= 1e-13 for v in r):  # False on NaN, as the max is
+                outcomes[i] = x[row]
+                continue
+            rows.append(row)
+            res.append(r)
+            jac.append(_evaluate(jacobian, point))
+        if not rows:
+            break
+        live, x = live[rows], x[rows]
+        y = -np.array(res)[:, :, None]
+        jac = np.array(jac).reshape(len(rows), y.shape[1], x.shape[1])
+        stacked = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2)))
+        try:
+            u, s, vt = np.linalg.svd(jac[stacked], full_matrices=False)
+        except np.linalg.LinAlgError:  # one start's failure: each meets its own below
+            stacked = stacked[:0]
+            u, s, vt = np.linalg.svd(jac[stacked], full_matrices=False)
+        full = (s[:, 0] > 0.0) & (s > 1e-12 * s[:, :1]).all(axis=1)
+        stacked, u, s, vt = stacked[full], u[full], s[full], vt[full]
+        step = np.zeros_like(x)
+        # u's transpose C-contiguous and vt's F-contiguous, as the copies
+        # ``u[:, keep].T`` and ``vt[keep].T`` are in ``_lstsq_weights``
+        coeff = (np.ascontiguousarray(u.transpose(0, 2, 1)) @ y[stacked]) / s[:, :, None]
+        step[stacked] = (vt.transpose(0, 2, 1) @ coeff)[:, :, 0]
+        single, ok = np.ones(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
+        single[stacked] = False
+        for row in np.flatnonzero(single).tolist():
+            try:
+                step[row] = linalg._lstsq_weights(jac[row], y[row])[:, 0]
+            except np.linalg.LinAlgError as exc:  # raised when the sampler reaches this start
+                outcomes[live[row]] = exc
+                ok[row] = False
+        limit = 1.0 + np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+        norm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+        over = norm > limit
+        step[over] *= (limit[over] / norm[over])[:, None]
+        live, x = live[ok], (x + step)[ok]
+    return outcomes
 
 
 def _sample_polynomial_system(system: PolynomialSystem, samples: int, rng) -> np.ndarray:
-    """Project standard-normal seed points onto the zero set one at a time,
-    with the system and its Jacobian compiled once."""
+    """Project a stream of standard-normal seed points onto the zero set,
+    with the system and its Jacobian compiled once.
+
+    Each point is the first start of its run whose 80 steps converge; a
+    start that does not is replaced by the next one in the stream, and 25
+    such starts in a row fail the sampler.  A start's steps depend only on
+    the start, so each round projects exactly as many new starts as points
+    are missing, together: the rng ends where a point-by-point loop leaves
+    it, and the points are that loop's, bit for bit.
+    """
     values = _compile(system.polynomials)
     jacobian = _compile([g for p in system.polynomials for g in p.gradient()])
-    pts = np.zeros((samples, system.num_vars))
-    for i in range(samples):
-        pts[i] = _project_to_variety(values, jacobian, rng.standard_normal(system.num_vars), rng)
-    return pts
+    points: list = []
+    failures = 0
+    while len(points) < samples:
+        starts = rng.standard_normal((samples - len(points), system.num_vars))
+        for outcome in _project_to_variety(values, jacobian, starts):
+            if isinstance(outcome, Exception):
+                raise outcome
+            if outcome is not None:
+                points.append(outcome)
+                failures = 0
+                continue
+            failures += 1
+            if failures == 25:
+                raise RuntimeError("projection onto the variety failed to converge")
+    return np.array(points)
 
 
 def generate_dataset(spec: DatasetSpec) -> PointSet:
@@ -328,13 +395,22 @@ class EpsilonSearchResult:
     trace: tuple[EpsilonScanPoint, ...]
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_grid(count: int) -> np.ndarray:
+    """``np.geomspace(1e-4, 1.0, count)``, computed once per count and
+    read-only, as every caller shares it."""
+    grid = np.geomspace(1e-4, 1.0, count)
+    grid.flags.writeable = False
+    return grid
+
+
 def default_epsilon_grid(points, count: int = 60) -> np.ndarray:
     """Log-spaced tolerance grid spanning 1e-4..1 times the mean point norm."""
     pts = _as_points(points)
     scale = float(np.linalg.norm(pts, axis=1).mean())
     if scale <= 0:
         scale = 1.0
-    return np.geomspace(1e-4, 1.0, count) * scale
+    return _unit_grid(count) * scale
 
 
 def _satisfies(degrees, target: EpsilonTarget) -> tuple[tuple[int, ...], bool]:

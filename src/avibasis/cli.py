@@ -329,6 +329,14 @@ def _spec_integer(value) -> int:
     return int(value)
 
 
+def _spec_float(value) -> float:
+    """``value`` as a float; NaN and the infinities are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _spec_object(spec: str, where: str, value) -> dict:
     if not isinstance(value, dict):
         raise CliError(f"{spec}: {where}expected an object, got {type(value).__name__}", code=2)
@@ -341,7 +349,7 @@ def _polynomials_from_json(num_vars: int, polynomials) -> tuple:
         parsed = {}
         for key, coeff in terms.items():
             exps = tuple(int(tok) for tok in key.split(","))
-            parsed[exps] = float(coeff)
+            parsed[exps] = _spec_float(coeff)
         polys.append(DensePolynomial(num_vars, parsed))
     return tuple(polys)
 
@@ -349,7 +357,7 @@ def _polynomials_from_json(num_vars: int, polynomials) -> tuple:
 def _mixture_weights(entries) -> tuple:
     """Scalars stay scalars and vectors become float tuples."""
     return tuple(
-        float(w) if np.ndim(w) == 0 else tuple(float(x) for x in w) for w in entries
+        _spec_float(w) if np.ndim(w) == 0 else tuple(_spec_float(x) for x in w) for w in entries
     )
 
 
@@ -359,8 +367,8 @@ def _variety_from_json(spec: str, data):
     kind = data.get("kind")
     if kind == "concentric_ellipses":
         return ConcentricEllipses(
-            radii=field("radii", lambda v: tuple((float(a), float(b)) for a, b in v)),
-            rotation=field("rotation", float, 0.0),
+            radii=field("radii", lambda v: tuple((_spec_float(a), _spec_float(b)) for a, b in v)),
+            rotation=field("rotation", _spec_float, 0.0),
         )
     if kind == "polynomial_system":
         num_vars = field("num_vars", _spec_integer)
@@ -385,7 +393,7 @@ def _cmd_generate(args) -> int:
         variety=field("variety", lambda v: _variety_from_json(args.spec, v)),
         samples=field("samples", _spec_integer),
         extra_linear_vars=field("extra_linear_vars", _mixture_weights, ()),
-        noise_std_fraction=field("noise_std_fraction", float, 0.0),
+        noise_std_fraction=field("noise_std_fraction", _spec_float, 0.0),
         seed=field("seed", _spec_integer, 0),
     )
     dataset = generate_dataset(spec)

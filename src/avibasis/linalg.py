@@ -162,7 +162,8 @@ def _lstsq_weights(m: np.ndarray, y2: np.ndarray, rank_tol: float = 1e-12) -> np
     # Keep the boolean-index copies even when every value is kept: the copy
     # ``u[:, keep]`` is column-major where ``u`` is row-major, so the product
     # takes another BLAS path, and the uncopied factors change a fit's bits
-    # (seen on a 5000-point noisy-ellipse fit).
+    # (seen on a 5000-point noisy-ellipse fit).  The polynomial-system
+    # sampler's stacked solve copies these layouts to keep these bits.
     coeff = (u[:, keep].T @ y2) / s[keep][:, None]
     return vt[keep].T @ coeff
 

@@ -23,7 +23,9 @@ from avibasis import (
     invariance_report,
     n_ratio,
 )
-from avibasis.analysis import _sample_polynomial_system
+from avibasis import linalg
+from avibasis.analysis import _sample_polynomial_system, _unit_grid, default_epsilon_grid
+from avibasis.densepoly import _compile, _evaluate
 from conftest import FOUR_POINTS, random_cloud
 
 
@@ -170,6 +172,17 @@ class TestNRatio:
 
 
 class TestEpsilonSearch:
+    @pytest.mark.parametrize("count", [1, 2, 60, 75])
+    def test_default_grid_is_the_geomspace_grid(self, count):
+        pts = random_cloud(np.random.default_rng(count), 9, 3)
+        scale = float(np.linalg.norm(pts, axis=1).mean())
+        want = (np.geomspace(1e-4, 1.0, count) * scale).tolist()
+        for _ in range(2):  # the second call reads the cached unit grid
+            grid = default_epsilon_grid(pts, count)
+            assert [v.hex() for v in grid.tolist()] == [v.hex() for v in want]
+            grid *= 2.0  # the caller's grid is its own
+        assert not _unit_grid(count).flags.writeable
+
     def test_noiseless_variety_finds_range(self):
         spec = DatasetSpec(
             variety=ConcentricEllipses(radii=((1.5, 0.75),), rotation=0.4),
@@ -302,6 +315,21 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(DatasetSpec(variety=CustomPoints(pts), samples=3, seed=0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spec_values_rejected(self, bad):
+        circle = ConcentricEllipses(radii=((1.0, 1.0),))
+        cases = [
+            ("noise_std_fraction", lambda: DatasetSpec(circle, 5, noise_std_fraction=bad)),
+            ("radii", lambda: ConcentricEllipses(radii=((1.0, bad),))),
+            ("rotation", lambda: ConcentricEllipses(radii=((1.0, 1.0),), rotation=bad)),
+            ("extra_linear_vars", lambda: DatasetSpec(circle, 5, extra_linear_vars=(bad,))),
+            ("extra_linear_vars", lambda: DatasetSpec(circle, 5, extra_linear_vars=((1.0, bad),))),
+            ("polynomial coefficients", lambda: _system({(2,): 1.0, (0,): bad})),
+        ]
+        for field, build in cases:
+            with pytest.raises(ValueError, match=field):
+                build()
+
     def test_unknown_variety_rejected(self):
         class Bogus:
             pass
@@ -350,11 +378,12 @@ class TestPolynomialSystemSamples:
 
         class Counting:
             def standard_normal(self, size):
-                draws.append(size)
+                draws.append(int(np.prod(size)))
                 return rng.standard_normal(size)
 
         pts = _sample_polynomial_system(SAMPLED_SYSTEMS["cubic"], 20, Counting())
-        assert len(draws) > 20 + 10  # every start draws once; restarts draw again
+        starts = sum(draws) // SAMPLED_SYSTEMS["cubic"].num_vars
+        assert starts > 20 + 10  # every point takes a start; restarts take more
         assert np.abs(SAMPLED_SYSTEMS["cubic"].polynomials[0].evaluate(pts)).max() <= 1e-13
 
 
@@ -451,3 +480,129 @@ class TestBatchedFeatures:
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
         with pytest.raises(ValueError, match="2-D"):
             extract_features([model], np.ones((2, 4, 2)))
+
+
+def _oracle_project(values, jacobian, start, rng):
+    """The point-by-point Gauss-Newton projection the lockstep sampler replaced."""
+    x = start.copy()
+    for attempt in range(25):
+        for _ in range(80):
+            point = x.tolist()
+            res = _evaluate(values, point)
+            if all(abs(r) <= 1e-13 for r in res):
+                return x
+            jac = np.array(_evaluate(jacobian, point)).reshape(len(res), x.size)
+            step = linalg._lstsq_weights(jac, -np.array(res)[:, None])[:, 0]
+            limit = 1.0 + math.sqrt(x.dot(x))
+            norm = math.sqrt(step.dot(step))
+            if norm > limit:
+                step = step * (limit / norm)
+            x = x + step
+        x = rng.standard_normal(x.size)
+    raise RuntimeError("projection onto the variety failed to converge")
+
+
+def _oracle_sample(system, samples, rng):
+    values = _compile(system.polynomials)
+    jacobian = _compile([g for p in system.polynomials for g in p.gradient()])
+    pts = np.zeros((samples, system.num_vars))
+    for i in range(samples):
+        pts[i] = _oracle_project(values, jacobian, rng.standard_normal(system.num_vars), rng)
+    return pts
+
+
+PARITY_SYSTEMS = {
+    "space_curve": SAMPLED_SYSTEMS["space_curve"],
+    "cubic": SAMPLED_SYSTEMS["cubic"],
+    # the same polynomial twice: every Jacobian has rank 1 of 2 rows
+    "duplicated": _system({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+                          {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}),
+    # y^2 = x^3: the Jacobian vanishes at the cusp
+    "cusp": _system({(0, 2): 1.0, (3, 0): -1.0}),
+    "sphere4": _system({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0,
+                        (0, 0, 0, 2): 1.0, (0, 0, 0, 0): -1.0}),
+}
+
+
+def _hexes(a):
+    return [v.hex() for v in np.ravel(a).tolist()]
+
+
+class TestSamplerParity:
+    """The lockstep sampler gives the point-by-point loop's points and
+    leaves the rng where that loop leaves it, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (1, 3), (1, 17), (20, 0), (20, 3), (20, 17),
+                                              (333, 0), (333, 17)])
+    def test_dataset_matches_point_by_point_sampler(self, name, samples, seed):
+        system = PARITY_SYSTEMS[name]
+        ds = generate_dataset(DatasetSpec(system, samples, seed=seed))
+        rng = np.random.default_rng(seed)
+        raw = _oracle_sample(system, samples, rng)
+        center = raw.mean(axis=0)
+        assert _hexes(ds.points) == _hexes(raw - center)
+        assert _hexes(ds.preprocessing.center) == _hexes(center)
+        after = np.random.default_rng(seed)
+        _sample_polynomial_system(system, samples, after)
+        assert _hexes(after.standard_normal(4)) == _hexes(rng.standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_noisy_dataset_matches_point_by_point_sampler(self, seed):
+        system = PARITY_SYSTEMS["space_curve"]
+        ds = generate_dataset(DatasetSpec(system, 20, extra_linear_vars=(0.5,),
+                                          noise_std_fraction=0.01, seed=seed))
+        rng = np.random.default_rng(seed)
+        base = _oracle_sample(system, 20, rng)
+        pts = np.column_stack([base, 0.5 * base[:, 0] + 0.5 * base[:, 1]])
+        pts = pts - pts.mean(axis=0)
+        pts = pts + rng.normal(0.0, 0.01 * float(np.abs(pts).mean()), size=pts.shape)
+        assert _hexes(ds.points) == _hexes(pts)
+
+    def test_failed_stacked_solve_falls_back_to_each_start(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def failing_when_stacked(a, *args, **kwargs):
+            if np.ndim(a) == 3 and len(a):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        want = _oracle_sample(PARITY_SYSTEMS["space_curve"], 20, np.random.default_rng(5))
+        monkeypatch.setattr(np.linalg, "svd", failing_when_stacked)
+        got = _sample_polynomial_system(PARITY_SYSTEMS["space_curve"], 20, np.random.default_rng(5))
+        assert _hexes(got) == _hexes(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name,position", [("space_curve", 0), ("space_curve", 19), ("cubic", 27)])
+    def test_failed_solve_is_raised_when_its_start_is_reached(self, name, position):
+        system = PARITY_SYSTEMS[name]
+
+        class Stream:  # standard normals with a NaN start at ``position``
+            def __init__(self):
+                self.values = np.random.default_rng(2).standard_normal((100, system.num_vars))
+                self.values[position] = math.nan
+                self.taken = 0
+
+            def standard_normal(self, size):
+                count = int(np.prod(size))
+                self.taken += count
+                return self.values.ravel()[self.taken - count:self.taken].reshape(size)
+
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            _oracle_sample(system, 20, Stream())
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _sample_polynomial_system(system, 20, Stream())
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("terms", [
+        {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0},  # x^2 + y^2 + 1: no real zero
+        {(2,): 1e308, (0,): -1e308},  # overflows to non-finite steps
+    ], ids=["no real zero", "overflow"])
+    def test_failing_system_raises_the_same_error(self, terms):
+        system = _system(terms)
+        with pytest.raises(RuntimeError) as want:
+            _oracle_sample(system, 3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError) as got:
+            generate_dataset(DatasetSpec(system, 3, seed=0))
+        assert str(got.value) == str(want.value)

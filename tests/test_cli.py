@@ -479,11 +479,23 @@ class TestGenerateCommand:
             ({"seed": 1.5}, "seed: invalid value"),
             ({"variety": {"kind": "polynomial_system", "num_vars": 2.7, "polynomials": [{"2,0": 1.0}]}},
              "variety.num_vars: invalid value"),
+            ({"noise_std_fraction": float("nan")}, "noise_std_fraction: invalid value: expected a finite"),
+            ({"noise_std_fraction": float("inf")}, "noise_std_fraction: invalid value: expected a finite"),
+            ({"variety": {"kind": "concentric_ellipses", "radii": [[float("nan"), 0.5]]}},
+             "variety.radii: invalid value: expected a finite"),
+            ({"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]], "rotation": float("inf")}},
+             "variety.rotation: invalid value: expected a finite"),
+            ({"extra_linear_vars": [float("-inf")]}, "extra_linear_vars: invalid value: expected a finite"),
+            ({"extra_linear_vars": [[1.0, float("nan")]]}, "extra_linear_vars: invalid value: expected a finite"),
+            ({"variety": {"kind": "polynomial_system", "num_vars": 1,
+                          "polynomials": [{"3": float("nan"), "1": -2.0, "0": 2.0}]}},
+             "variety.polynomials: invalid value: expected a finite"),
         ],
         ids=["variety list", "top-level list", "mixtures number", "mixture nested",
              "samples list", "seed null", "noise string", "radii number", "no radii",
              "polynomial list", "ragged points", "samples fraction", "samples bool",
-             "seed bool", "seed fraction", "num_vars fraction"],
+             "seed bool", "seed fraction", "num_vars fraction", "noise nan", "noise inf",
+             "radius nan", "rotation inf", "mixture -inf", "mixture vector nan", "coefficient nan"],
     )
     def test_malformed_spec_names_the_field(self, change, field, tmp_path, capsys):
         spec = {
