@@ -194,7 +194,7 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
         except np.linalg.LinAlgError:  # one start's failure: each meets its own below
             stacked = stacked[:0]
             u, s, vt = np.linalg.svd(jac[stacked], full_matrices=False)
-        full = (s[:, 0] > 0.0) & (s > 1e-12 * s[:, :1]).all(axis=1)
+        full = (s[:, 0] > 0.0) & (s > linalg.RANK_TOL * s[:, :1]).all(axis=1)
         stacked, u, s, vt = stacked[full], u[full], s[full], vt[full]
         step = np.zeros_like(x)
         # u's transpose C-contiguous and vt's F-contiguous, as the copies
@@ -438,7 +438,6 @@ def epsilon_search(
     target: EpsilonTarget,
     normalization: NormalizationKind | None = None,
     grid=None,
-    rank_tol: float = 1e-12,
     max_degree: int | None = None,
 ) -> EpsilonSearchResult:
     """Linear scan for tolerances whose basis matches the target shape.
@@ -463,7 +462,7 @@ def epsilon_search(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("the tolerance grid must be strictly increasing")
 
-    config = FitConfig(normalization=normalization, rank_tol=rank_tol, max_degree=max_degree)
+    config = FitConfig(normalization=normalization, max_degree=max_degree)
     epsilons = [float(eps) for eps in grid]
 
     _, pts, m = _prepare(points, config)
@@ -525,14 +524,16 @@ def _pad_counts(counts: tuple, length: int) -> tuple:
     return counts + ((0, 0),) * (length - len(counts))
 
 
-def _block_gap(base_block: np.ndarray, other_block: np.ndarray) -> tuple[float, float]:
-    """(max principal angle, relative out-of-span energy) between blocks."""
+def _block_gap(
+    base_block: np.ndarray, q: np.ndarray, other_block: np.ndarray
+) -> tuple[float, float]:
+    """(max principal angle, relative out-of-span energy) between blocks,
+    given ``q``, the orthonormal basis of ``base_block``."""
     if base_block.shape[1] == 0 and other_block.shape[1] == 0:
         return 0.0, 0.0
     if base_block.shape[1] == 0 or other_block.shape[1] == 0:
         return math.nan, math.nan
-    angles = linalg.principal_angles(base_block, other_block)
-    q = linalg.orthonormal_basis(base_block)
+    angles = linalg.principal_angles(q, linalg.orthonormal_basis(other_block))
     out = other_block - q @ (q.T @ other_block)
     denom = float(np.linalg.norm(other_block))
     energy = float(np.linalg.norm(out)) / denom if denom > 0 else 0.0
@@ -590,7 +591,6 @@ def invariance_report(
     epsilon: float,
     probe_count: int = 40,
     seed: int = 0,
-    rank_tol: float = 1e-12,
 ) -> InvarianceReport:
     """Fit (X, eps), (X - b, eps), (alpha X, |alpha| eps) with gradient
     normalization and report per-degree counts, eigenvalue ratios (scaling
@@ -607,12 +607,9 @@ def invariance_report(
         raise ValueError("translation vector dimension mismatch")
 
     kind = NormalizationKind.gradient()
-    base = fit(pts, FitConfig(epsilon=epsilon, normalization=kind, rank_tol=rank_tol))
-    translated = fit(pts - b, FitConfig(epsilon=epsilon, normalization=kind, rank_tol=rank_tol))
-    scaled = fit(
-        alpha * pts,
-        FitConfig(epsilon=abs(alpha) * epsilon, normalization=kind, rank_tol=rank_tol),
-    )
+    base = fit(pts, FitConfig(epsilon=epsilon, normalization=kind))
+    translated = fit(pts - b, FitConfig(epsilon=epsilon, normalization=kind))
+    scaled = fit(alpha * pts, FitConfig(epsilon=abs(alpha) * epsilon, normalization=kind))
 
     rng = np.random.default_rng(seed)
     spread = np.maximum(pts.std(axis=0), 1e-2 * (float(np.abs(pts).mean()) + 1.0))
@@ -639,8 +636,9 @@ def invariance_report(
         )
         for kind_tag in ("F", "G"):
             base_block, tr_block, sc_block = (blocks.get((t, kind_tag), empty) for blocks in replays)
-            gap_tr, energy_tr = _block_gap(base_block, tr_block)
-            gap_sc, energy_sc = _block_gap(base_block, sc_block)
+            q = linalg.orthonormal_basis(base_block) if base_block.shape[1] else None
+            gap_tr, energy_tr = _block_gap(base_block, q, tr_block)
+            gap_sc, energy_sc = _block_gap(base_block, q, sc_block)
             entry[f"{kind_tag}_translation"] = gap_tr
             entry[f"{kind_tag}_scaling"] = gap_sc
             for energy in (energy_tr, energy_sc):

@@ -14,7 +14,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -26,6 +25,7 @@ from .analysis import (
     DatasetSpec,
     EpsilonTarget,
     PolynomialSystem,
+    default_epsilon_grid,
     epsilon_search,
     extract_features,
     generate_dataset,
@@ -52,18 +52,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-def _rank_tol(args) -> float:
-    """``--rank-tol``, or when it is left unset ``AVIBASIS_RANK_TOL``, or
-    1e-12; read only by the commands that take a rank tolerance."""
-    if args.rank_tol is not None:
-        return args.rank_tol
-    raw = os.environ.get("AVIBASIS_RANK_TOL", "1e-12")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise CliError(f"AVIBASIS_RANK_TOL is not a number: {raw!r}", code=2) from exc
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -167,13 +155,11 @@ def _print_fit_summary(model: BasisModel) -> None:
 
 
 def _cmd_fit(args) -> int:
-    rank_tol = _rank_tol(args)
     points = read_points_csv(args.input)
     config = FitConfig(
         epsilon=args.epsilon,
         normalization=_normalization_from_args(args),
         max_degree=args.max_degree,
-        rank_tol=rank_tol,
         center=args.center,
         unit_mean_norm=args.unit_mean_norm,
     )
@@ -185,7 +171,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    rank_tol = _rank_tol(args)
     model, _ = load_model(args.model)
     points = read_points_csv(args.points)
     threshold = args.threshold
@@ -199,7 +184,7 @@ def _cmd_reduce(args) -> int:
         threshold = 1e-9
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise CliError("--threshold must be finite and >= 0", code=2)
-    report = reduce_basis(model, points, threshold=threshold, rank_tol=rank_tol)
+    report = reduce_basis(model, points, threshold=threshold)
     out = args.output or args.model
     save_model(out, model, report)
     victims = report.deflation_victims()
@@ -240,6 +225,10 @@ def _cmd_eval(args) -> int:
             raise CliError("--grid export requires a 2-variable model", code=2)
         if args.grid < 2:
             raise CliError("--grid needs at least 2 samples per axis", code=2)
+        if args.grid_range is not None:
+            lo, hi = args.grid_range
+            if not -math.inf < lo < hi < math.inf:  # also rejects NaN
+                raise CliError(f"--grid-range needs finite LO < HI, got {lo!r} {hi!r}", code=2)
         grid = _grid_points(points, args.grid, args.grid_range)
         values = evaluate(model, handles, grid)
         header = ["x0", "x1"] + [h.label() for h in handles]
@@ -403,25 +392,21 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_epsilon_search(args) -> int:
-    rank_tol = _rank_tol(args)
+    if args.grid_count < 1:
+        raise CliError(f"--grid-count must be >= 1, got {args.grid_count}", code=2)
     points = read_points_csv(args.points)
     target = EpsilonTarget(
         num_linear=args.num_linear, d_min=args.dmin, num_at_dmin=args.num_at_dmin
     )
-    grid = None
     if args.grid_lo is not None or args.grid_hi is not None:
         if args.grid_lo is None or args.grid_hi is None:
             raise CliError("--grid-lo and --grid-hi must be given together", code=2)
         if not 0 < args.grid_lo < args.grid_hi:  # also rejects NaN
             raise CliError("grid bounds must satisfy 0 < lo < hi", code=2)
         grid = np.geomspace(args.grid_lo, args.grid_hi, args.grid_count)
-    result = epsilon_search(
-        points,
-        target,
-        normalization=_normalization_from_args(args),
-        grid=grid,
-        rank_tol=rank_tol,
-    )
+    else:
+        grid = default_epsilon_grid(points, args.grid_count)
+    result = epsilon_search(points, target, normalization=_normalization_from_args(args), grid=grid)
     if args.output:
         _write_json(args.output, asdict(result))
     if not result.found:
@@ -447,8 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--subsample-vars", help="comma list of variable indices (subgrad)")
         p.add_argument("--subsample-points", help="comma list of point indices (subgrad)")
-        p.add_argument("--rank-tol", type=float, default=None,
-                       help="relative rank tolerance (default from AVIBASIS_RANK_TOL or 1e-12)")
 
     p = sub.add_parser("fit", help="fit a basis model from a CSV point set")
     p.add_argument("input")
@@ -467,8 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("points")
     p.add_argument("--threshold", type=float, default=None,
                    help="per-point residual threshold (default 1e-9 for epsilon=0 models)")
-    p.add_argument("--rank-tol", type=float, default=None,
-                   help="relative rank tolerance (default from AVIBASIS_RANK_TOL or 1e-12)")
     p.add_argument("-o", "--output", default=None, help="output path (default: in place)")
     p.set_defaults(func=_cmd_reduce)
 
@@ -514,7 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_norm_flags(p)
     p.add_argument("--grid-lo", type=float, default=None)
     p.add_argument("--grid-hi", type=float, default=None)
-    p.add_argument("--grid-count", type=int, default=60)
+    p.add_argument("--grid-count", type=int, default=60,
+                   help="number of grid tolerances, with or without bounds (default 60)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_epsilon_search)
     return parser

@@ -104,13 +104,14 @@ class FitConfig:
     ``epsilon`` is the vanishing tolerance on evaluation norms;
     ``max_degree`` (default: number of points) is a hard safety cap;
     ``center``/``unit_mean_norm`` request mean-centering and scaling to
-    unit mean point norm before fitting, recorded on the model.
+    unit mean point norm before fitting, recorded on the model.  The rank
+    cuts of the least-squares solves and the eigensolve are not set here:
+    they read ``linalg.RANK_TOL``.
     """
 
     epsilon: float = 0.0
     normalization: NormalizationKind = field(default_factory=NormalizationKind.gradient)
     max_degree: int | None = None
-    rank_tol: float = 1e-12
     center: bool = False
     unit_mean_norm: bool = False
 
@@ -119,8 +120,6 @@ class FitConfig:
             raise ValueError("epsilon must be >= 0")
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if not self.rank_tol > 0:  # also rejects NaN
-            raise ValueError("rank_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +173,7 @@ def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
     return out
 
 
-def orthogonalize(
-    c_pre_eval: np.ndarray, f_eval: np.ndarray, rank_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
+def orthogonalize(c_pre_eval: np.ndarray, f_eval: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project candidate evaluations off the span of the nonvanishing block.
 
     Returns ``(c_eval, w)`` with ``c_eval = c_pre_eval - f_eval @ w`` and
@@ -189,7 +186,7 @@ def orthogonalize(
         raise ValueError("candidate and design blocks must be 2-D")
     if c_pre_eval.shape[0] != f_eval.shape[0]:
         raise ValueError("row counts differ")
-    w = linalg._lstsq_weights(f_eval, c_pre_eval, rank_tol)
+    w = linalg._lstsq_weights(f_eval, c_pre_eval)
     return _apply_ortho(c_pre_eval, f_eval, w), w
 
 
@@ -326,9 +323,7 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
             n1, ntm1 = fwd.first.shape[1], fwd.last.shape[1]
             parents = tuple((i, j) for i in range(n1) for j in range(ntm1))
 
-        c_eval, c_grad, w = fwd.candidates(
-            parents, lambda pre, f_eval: orthogonalize(pre, f_eval, config.rank_tol)
-        )
+        c_eval, c_grad, w = fwd.candidates(parents, orthogonalize)
         c_exps = None
         if sym is not None:  # the orthogonalized candidates: combinations at the unit columns
             sym.candidates(parents, w)
@@ -337,7 +332,7 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
         gram = normalization_matrix(cands, kind)
         outer = c_eval.T @ c_eval
-        eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram, config.rank_tol)
+        eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram)
         # Store the squared evaluation norms of the output columns rather
         # than the solver's eigenvalues: they agree to solver precision, but
         # for exactly vanishing directions the solver value carries

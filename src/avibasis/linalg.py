@@ -1,5 +1,11 @@
 """Generalized symmetric eigensolver and tolerance-controlled least squares.
 
+``RANK_TOL`` is the one relative rank tolerance: a singular value (or a
+Gram eigenvalue) at most ``RANK_TOL`` times the largest counts as zero.
+The least-squares solves, the orthonormal bases, the eigensolve's
+deflation, the reduction's pooled solves and rank counts, and the
+polynomial-system sampler all read it when called.
+
 Every routine is a pure function of its ndarray inputs and returns freshly
 allocated arrays, so concurrent callers never share mutable state.
 Eigenvalues are always reported in descending order and eigenvector signs
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RANK_TOL",
     "EigResult",
     "gen_sym_eig",
     "lstsq",
@@ -20,6 +27,7 @@ __all__ = [
     "principal_angles",
 ]
 
+RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
 
 
@@ -88,11 +96,11 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray, spread_tol: float) ->
     return v
 
 
-def gen_sym_eig(a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12) -> EigResult:
+def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> EigResult:
     """Solve ``a V = b V diag(lam)`` for symmetric PSD ``a`` and ``b``.
 
     ``b`` may be singular: it is eigendecomposed, directions with eigenvalue
-    <= ``rank_tol`` times the largest are discarded, the problem is whitened
+    <= ``RANK_TOL`` times the largest are discarded, the problem is whitened
     on the retained subspace and solved as a standard symmetric problem.
     The returned vectors satisfy ``V.T @ b @ V = I`` and ``V.T @ a @ V``
     diagonal on the retained subspace.  A numerically zero ``b`` yields an
@@ -112,7 +120,7 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12) -> EigRes
     sigma_max = float(sigma[-1])
     if sigma_max <= 0.0:
         return EigResult(np.zeros(0), np.zeros((dim, 0)), 0)
-    keep = sigma > rank_tol * sigma_max
+    keep = sigma > RANK_TOL * sigma_max
     whiten = q[:, keep] / np.sqrt(sigma[keep])
 
     m = whiten.T @ a @ whiten
@@ -128,12 +136,10 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12) -> EigRes
     return EigResult(w, v, int(np.count_nonzero(keep)))
 
 
-def lstsq(
-    m: np.ndarray, y: np.ndarray, rank_tol: float = 1e-12
-) -> tuple[np.ndarray, float]:
+def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares via a truncated SVD pseudo-inverse.
 
-    Singular values <= ``rank_tol`` times the largest are treated as zero.
+    Singular values <= ``RANK_TOL`` times the largest are treated as zero.
     Returns the solution and the Frobenius norm of the residual ``m w - y``.
     ``y`` may be a vector or a matrix of stacked right-hand sides.
     """
@@ -144,19 +150,19 @@ def lstsq(
     if m.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {m.shape[0]} vs {y.shape[0]}")
     y2 = y if y.ndim == 2 else y[:, None]
-    w = _lstsq_weights(m, y2, rank_tol)
+    w = _lstsq_weights(m, y2)
     residual = float(np.linalg.norm(m @ w - y2))
     if y.ndim == 1:
         w = w[:, 0]
     return w, residual
 
 
-def _lstsq_weights(m: np.ndarray, y2: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
+def _lstsq_weights(m: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """``lstsq``'s solution for a float matrix ``m`` and a 2-D right-hand
     side ``y2``, without the residual: for callers that discard it."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size and s[0] > 0.0:
-        keep = s > rank_tol * s[0]
+        keep = s > RANK_TOL * s[0]
     else:
         keep = np.zeros(s.shape, dtype=bool)
     # Keep the boolean-index copies even when every value is kept: the copy
@@ -168,8 +174,9 @@ def _lstsq_weights(m: np.ndarray, y2: np.ndarray, rank_tol: float = 1e-12) -> np
     return vt[keep].T @ coeff
 
 
-def orthonormal_basis(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the column span of ``m`` (via SVD)."""
+def orthonormal_basis(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of ``m`` (via SVD), without the
+    directions of singular values at most ``RANK_TOL`` times the largest."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D array")
@@ -178,21 +185,18 @@ def orthonormal_basis(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((m.shape[0], 0))
-    return np.ascontiguousarray(u[:, s > rank_tol * s[0]])
+    return np.ascontiguousarray(u[:, s > RANK_TOL * s[0]])
 
 
-def principal_angles(
-    a: np.ndarray, b: np.ndarray, rank_tol: float = 1e-12
-) -> np.ndarray:
-    """Principal angles (radians, ascending) between two column spans.
+def principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles (radians, ascending) between the spans of two
+    orthonormal bases, such as ``orthonormal_basis`` returns.
 
-    The number of angles is the smaller of the two numerical ranks; callers
-    that need span equality should additionally compare the ranks.  Small
-    angles are computed from the sine of the projection residual, which
-    avoids the sqrt(eps) accuracy floor of the plain arccos formula.
+    The number of angles is the smaller of the two ranks; callers that need
+    span equality should additionally compare the ranks.  Small angles are
+    computed from the sine of the projection residual, which avoids the
+    sqrt(eps) accuracy floor of the plain arccos formula.
     """
-    qa = orthonormal_basis(a, rank_tol)
-    qb = orthonormal_basis(b, rank_tol)
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
     cross = qa.T @ qb

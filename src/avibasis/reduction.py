@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .fit import GRADIENT
 from .model import BasisModel, PolyHandle, gradient
 
@@ -68,18 +69,18 @@ class ReductionReport:
         return tuple(h for rec in self.rank_deflated for h in rec.removed)
 
 
-def _pool_solver(generator_grads: np.ndarray, rank_tol: float):
+def _pool_solver(generator_grads: np.ndarray):
     """Factor a ``(points, vars, generators)`` pool once for many solves.
 
     One stacked SVD covers every point; singular values at most
-    ``rank_tol`` times a point's largest (all of them where that is zero)
+    ``linalg.RANK_TOL`` times a point's largest (all of them where that is zero)
     are dropped, as ``linalg.lstsq`` drops them.  The returned function
     maps ``(points, vars, c)`` candidate gradients to the ``(points, c)``
     residual norms ``|M w - y|`` of the per-point minimum-norm solutions,
     computed in ``linalg.lstsq``'s order of operations.
     """
     u, s, vt = np.linalg.svd(generator_grads, full_matrices=False)
-    divisor = np.where(s > rank_tol * s[:, :1], s, np.inf)[:, :, None]
+    divisor = np.where(s > linalg.RANK_TOL * s[:, :1], s, np.inf)[:, :, None]
     ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
 
     def residuals(candidate_grads: np.ndarray) -> np.ndarray:
@@ -90,9 +91,7 @@ def _pool_solver(generator_grads: np.ndarray, rank_tol: float):
 
 
 def gradient_dependence_residuals(
-    generator_grads: np.ndarray,
-    candidate_grad: np.ndarray,
-    rank_tol: float = 1e-12,
+    generator_grads: np.ndarray, candidate_grad: np.ndarray
 ) -> np.ndarray:
     """Per-point residuals of fitting gradients by lower-degree gradients.
 
@@ -100,12 +99,13 @@ def gradient_dependence_residuals(
     ``candidate_grad`` has shape ``(points, vars)`` for one candidate or
     ``(points, vars, c)`` for ``c`` candidates.  At each point the best
     linear combination of generator gradients is solved independently, by
-    minimum-norm least squares truncated as in ``linalg.lstsq``; the result
+    minimum-norm least squares truncated at ``linalg.RANK_TOL`` as in
+    ``linalg.lstsq``; the result
     holds the residual norms, of shape ``(points,)`` or ``(points, c)``.
     The generator block is factored once, by one stacked SVD, for all
     points and candidates.
     """
-    residuals = _pool_solver(np.asarray(generator_grads, dtype=float), rank_tol)
+    residuals = _pool_solver(np.asarray(generator_grads, dtype=float))
     candidate_grad = np.asarray(candidate_grad, dtype=float)
     if candidate_grad.ndim == 2:
         return residuals(candidate_grad[:, :, None])[:, 0]
@@ -116,11 +116,11 @@ def rank_deflate_degree(
     handles: tuple[PolyHandle, ...],
     normalization_gram: np.ndarray,
     extents: np.ndarray,
-    rank_tol: float = 1e-12,
 ) -> tuple[tuple[PolyHandle, ...], tuple[PolyHandle, ...], int]:
     """Drop rank-deficiency victims from one degree's vanishing set.
 
-    Computes the numerical rank r of the gradient Gram matrix and removes
+    Computes the numerical rank r of the gradient Gram matrix (eigenvalues
+    above ``linalg.RANK_TOL`` times the largest) and removes
     ``len(handles) - r`` polynomials, trying smallest extent of vanishing
     first; a candidate survives when removing it would leave the remaining
     set below rank r.  Returns ``(kept, removed, r)``.
@@ -132,7 +132,7 @@ def rank_deflate_degree(
     extents = np.asarray(extents, dtype=float)
     lam = np.linalg.eigvalsh((gram + gram.T) / 2.0) if count else np.zeros(0)
     top = float(lam[-1]) if count else 0.0
-    rank = int(np.count_nonzero(lam > rank_tol * top)) if top > 0.0 else 0
+    rank = int(np.count_nonzero(lam > linalg.RANK_TOL * top)) if top > 0.0 else 0
     to_remove = count - rank
 
     current = list(range(count))
@@ -144,7 +144,7 @@ def rank_deflate_degree(
         if top > 0.0:
             sub = gram[np.ix_(trial, trial)]
             sub_lam = np.linalg.eigvalsh((sub + sub.T) / 2.0) if trial else np.zeros(0)
-            if int(np.count_nonzero(sub_lam > rank_tol * top)) < rank:
+            if int(np.count_nonzero(sub_lam > linalg.RANK_TOL * top)) < rank:
                 continue  # removing this one would lose span; keep it
         removed.append(int(idx))
         current = trial
@@ -157,7 +157,6 @@ def reduce_basis(
     model: BasisModel,
     points,
     threshold: float = 1e-9,
-    rank_tol: float = 1e-12,
 ) -> ReductionReport:
     """Remove redundant vanishing polynomials from a fitted model.
 
@@ -171,8 +170,6 @@ def reduce_basis(
     """
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise ValueError("threshold must be finite and >= 0")
-    if not rank_tol > 0:  # also rejects NaN
-        raise ValueError("rank_tol must be positive")
     g_handles = model.g_handles()
     if not g_handles:
         return ReductionReport((), (), (), threshold)
@@ -187,9 +184,7 @@ def reduce_basis(
         if model.normalization.variant != GRADIENT:
             flat = np.stack([grad_of[h] for h in candidates], axis=2).reshape(-1, len(candidates))
             extents = np.array([model.extent_of_vanishing(h) for h in candidates])
-            candidates, dropped, rank = rank_deflate_degree(
-                candidates, flat.T @ flat, extents, rank_tol
-            )
+            candidates, dropped, rank = rank_deflate_degree(candidates, flat.T @ flat, extents)
             if dropped:
                 deflated.append(DeflationRecord(degree, dropped, flat.shape[1], rank))
         if not candidates:
@@ -198,7 +193,7 @@ def reduce_basis(
             kept.extend(candidates)
             continue
         if solve is None:
-            solve = _pool_solver(np.stack([grad_of[h] for h in kept], axis=2), rank_tol)
+            solve = _pool_solver(np.stack([grad_of[h] for h in kept], axis=2))
         block = solve(np.stack([grad_of[h] for h in candidates], axis=2))
         for j, handle in enumerate(candidates):
             residuals = block[:, j].copy()

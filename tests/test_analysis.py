@@ -43,6 +43,21 @@ class TestInvarianceReport:
                 if key != "degree" and not math.isnan(val):
                     assert val <= 1e-9
 
+    def test_each_block_is_factored_once(self, monkeypatch):
+        """One orthonormal basis per (degree, kind) block of each of the three
+        fits: the base block's serves both comparisons and the out-of-span
+        energy."""
+        spec = DatasetSpec(ConcentricEllipses(radii=((1.0, 0.5),)), samples=20,
+                           noise_std_fraction=0.05, seed=7)
+        pts = generate_dataset(spec).points
+        calls = []
+        factor = linalg.orthonormal_basis
+        monkeypatch.setattr(linalg, "orthonormal_basis", lambda m: calls.append(m.shape) or factor(m))
+        rep = invariance_report(pts, b=np.array([0.5, -1.0]), alpha=2.0, epsilon=0.05)
+        assert rep.counts_match
+        blocks = sum(1 for counts in rep.base_counts for n in counts if n)
+        assert blocks and len(calls) == 3 * blocks
+
     def test_four_point_scaling(self):
         rep = invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0)
         assert rep.base_counts == rep.scaled_counts

@@ -20,6 +20,7 @@ from avibasis import (
     reduce_basis,
     save_model,
 )
+from avibasis.analysis import default_epsilon_grid
 from avibasis.cli import _grid_points, main, read_points_csv, write_csv
 from avibasis.model_io import model_to_dict
 from conftest import FOUR_POINTS
@@ -182,42 +183,24 @@ class TestFitCommand:
 
 
 class TestRankTolerance:
-    def test_unparsable_environment_value_is_a_usage_error(self, four_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
-        out = tmp_path / "m.json"
-        assert main(["fit", four_csv, "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: AVIBASIS_RANK_TOL is not a number: 'abc'\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["fit", "reduce", "epsilon-search"])
-    def test_environment_value_is_read_by_the_commands_that_take_it(
-            self, four_csv, tmp_path, capsys, monkeypatch, command):
-        model_path = tmp_path / "model.json"
-        assert main(["fit", four_csv, "-o", str(model_path)]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
-        argv = {
-            "fit": ["fit", four_csv, "-o", str(tmp_path / "again.json")],
-            "reduce": ["reduce", str(model_path), four_csv],
-            "epsilon-search": ["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
-                               "--num-at-dmin", "1"],
-        }[command]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: AVIBASIS_RANK_TOL is not a number: 'abc'\n"
-        # an explicit --rank-tol wins over the environment
-        assert main(argv + ["--rank-tol", "1e-12"]) == 0
-        assert capsys.readouterr().err == ""
+    """The rank cut is ``linalg.RANK_TOL``: no flag or environment variable sets it."""
 
     def test_commands_without_a_rank_tolerance_ignore_the_environment(
             self, four_csv, tmp_path, capsys, monkeypatch):
         model_path = tmp_path / "model.json"
         assert main(["fit", four_csv, "-o", str(model_path)]) == 0
+        before = model_path.read_bytes()
         monkeypatch.setenv("AVIBASIS_RANK_TOL", "abc")
         spec = tmp_path / "spec.json"
         spec.write_text('{"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]}, '
                         '"samples": 6, "seed": 3}')
-        assert main(["generate", str(spec), "-o", str(tmp_path / "points.csv")]) == 0
+        assert main(["generate", str(spec), "-o", str(tmp_path / "generated.csv")]) == 0
         assert main(["eval", str(model_path), four_csv, "-o", str(tmp_path / "values.csv")]) == 0
+        assert main(["fit", four_csv, "-o", str(tmp_path / "again.json")]) == 0
+        assert (tmp_path / "again.json").read_bytes() == before
+        assert main(["reduce", str(model_path), four_csv]) == 0
+        assert main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+                     "--num-at-dmin", "1"]) == 0
         assert "AVIBASIS_RANK_TOL" not in capsys.readouterr().err
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
@@ -225,8 +208,10 @@ class TestRankTolerance:
 
     def test_nan_fit_tolerance_is_an_error(self, four_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
-        assert main(["fit", four_csv, "-o", str(out), "--rank-tol", "nan"]) == 1
-        assert capsys.readouterr().err == "error: rank_tol must be positive\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", four_csv, "-o", str(out), "--rank-tol", "nan"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("rank_tol", ["nan", "0", "-1e-12"])
@@ -235,8 +220,10 @@ class TestRankTolerance:
         main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
         before = model_path.read_bytes()
         capsys.readouterr()
-        assert main(["reduce", str(model_path), four_csv, f"--rank-tol={rank_tol}"]) == 1
-        assert capsys.readouterr().err == "error: rank_tol must be positive\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reduce", str(model_path), four_csv, f"--rank-tol={rank_tol}"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
         assert model_path.read_bytes() == before
 
 
@@ -317,6 +304,19 @@ class TestEvalCommand:
         lines = grid_path.read_text().splitlines()
         assert lines[0].startswith("x0,x1,")
         assert len(lines) == 1 + 11 * 11
+
+    @pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "inf"), ("2", "1"), ("1", "1")])
+    def test_bad_grid_range_is_a_usage_error(self, four_csv, tmp_path, capsys, bounds):
+        model_path = tmp_path / "model.json"
+        grid_path = tmp_path / "grid.csv"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        capsys.readouterr()
+        code = main(["eval", str(model_path), four_csv, "-o", str(grid_path),
+                     "--grid", "11", "--grid-range", *bounds])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid-range" in err
+        assert not grid_path.exists()
 
 
 class TestFeaturesCommand:
@@ -542,6 +542,23 @@ class TestEpsilonSearchCommand:
         )
         assert code == 2
         assert "0 < lo < hi" in capsys.readouterr().err
+
+    def test_grid_count_sizes_the_default_grid(self, four_csv, tmp_path):
+        report_path = tmp_path / "eps.json"
+        main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+              "--num-at-dmin", "1", "--grid-count", "5", "-o", str(report_path)])
+        trace = json.loads(report_path.read_text())["trace"]
+        want = default_epsilon_grid(read_points_csv(four_csv), 5)
+        assert [point["epsilon"] for point in trace] == want.tolist()
+
+    @pytest.mark.parametrize("bounds", [[], ["--grid-lo", "0.01", "--grid-hi", "1"]])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_grid_count_below_one_is_a_usage_error(self, four_csv, capsys, bounds, count):
+        code = main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+                     "--num-at-dmin", "1", "--grid-count", count, *bounds])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid-count" in err
 
     def test_nan_points_error(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"

@@ -288,7 +288,8 @@ class TestFitSmallCases:
 
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, float("nan")])
     def test_bad_rank_tol_rejected(self, rank_tol):
-        with pytest.raises(ValueError, match="rank_tol must be positive"):
+        # the rank cut is linalg.RANK_TOL; no config sets it
+        with pytest.raises(TypeError, match="rank_tol"):
             FitConfig(rank_tol=rank_tol)
 
     def test_one_dimensional_input_rejected(self):
@@ -447,7 +448,7 @@ def _path_case(draw):
         max_degree = draw(st.integers(1, 4))
     else:
         max_degree = draw(st.one_of(st.none(), st.integers(1, 6)))
-    config = FitConfig(normalization=kind, max_degree=max_degree, rank_tol=1e-12)
+    config = FitConfig(normalization=kind, max_degree=max_degree)
     probe = fit(pts, replace(config, epsilon=draw(st.sampled_from([0.0, 0.05, 0.3]))))
     roots = sorted({float(r) for rec in probe.degrees
                     for r in np.sqrt(np.clip(rec.eigvals, 0.0, None)) if r > 0.0})
@@ -489,7 +490,7 @@ class TestFitPath:
     def test_search_trace_is_the_lone_fits_counts(self, case, target):
         pts, config, grid = case
         result = epsilon_search(pts, target, normalization=config.normalization, grid=grid,
-                                rank_tol=config.rank_tol, max_degree=config.max_degree)
+                                max_degree=config.max_degree)
         assert [p.epsilon for p in result.trace] == grid
         for point in result.trace:
             lone = fit(pts, replace(config, epsilon=point.epsilon))

@@ -95,7 +95,8 @@ class TestFourPointReduction:
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, np.nan])
     def test_bad_rank_tol_rejected(self, rank_tol):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
-        with pytest.raises(ValueError, match="rank_tol must be positive"):
+        # the rank cut is linalg.RANK_TOL; no argument sets it
+        with pytest.raises(TypeError, match="rank_tol"):
             reduce_basis(model, FOUR_POINTS, rank_tol=rank_tol)
 
 
@@ -242,13 +243,13 @@ class TestRankDeflation:
 # -- batched residuals against the per-point least-squares oracle ---------------
 
 
-def _lstsq_residuals(generator_grads, candidate_grad, rank_tol=1e-12):
+def _lstsq_residuals(generator_grads, candidate_grad):
     """Reference: one ``linalg.lstsq`` per point and per candidate."""
     y = candidate_grad if candidate_grad.ndim == 3 else candidate_grad[:, :, None]
     out = np.zeros((y.shape[0], y.shape[2]))
     for p in range(y.shape[0]):
         for c in range(y.shape[2]):
-            out[p, c] = lstsq(generator_grads[p], y[p, :, c], rank_tol)[1]
+            out[p, c] = lstsq(generator_grads[p], y[p, :, c])[1]
     return out if candidate_grad.ndim == 3 else out[:, 0]
 
 
@@ -293,7 +294,7 @@ class TestBatchedResiduals:
         assert np.array_equal(got, [5.0, 1.0])
 
 
-def _per_handle_reduction(model, points, threshold, rank_tol=1e-12):
+def _per_handle_reduction(model, points, threshold):
     """Reference sweep: a fresh pool and per-point ``lstsq`` per handle.
 
     Returns ``(kept, [(handle, residuals)], rank_deflated records)``.
@@ -310,7 +311,7 @@ def _per_handle_reduction(model, points, threshold, rank_tol=1e-12):
             continue
         flat = np.stack([grad_of[h] for h in hs], axis=2).reshape(-1, len(hs))
         extents = np.array([model.extent_of_vanishing(h) for h in hs])
-        kept, dropped, rank = rank_deflate_degree(tuple(hs), flat.T @ flat, extents, rank_tol)
+        kept, dropped, rank = rank_deflate_degree(tuple(hs), flat.T @ flat, extents)
         survivors[degree] = list(kept)
         if dropped:
             deflated.append((degree, dropped, len(hs), rank))
@@ -322,7 +323,7 @@ def _per_handle_reduction(model, points, threshold, rank_tol=1e-12):
                 kept.append(handle)
                 continue
             pool = np.stack([grad_of[h] for h in kept if h.degree < degree], axis=2)
-            residuals = _lstsq_residuals(pool, grad_of[handle], rank_tol)
+            residuals = _lstsq_residuals(pool, grad_of[handle])
             if residuals.max() <= threshold:
                 removed.append((handle, residuals))
             else:
