@@ -209,6 +209,8 @@ def _grid_points(points: np.ndarray, n: int, bounds) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
+    if args.grid_range is not None and args.grid is None:
+        raise CliError("--grid-range needs --grid", code=2)
     model, report = load_model(args.model)
     points = read_points_csv(args.points)
     if args.handles == "all":

@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 # coeff_dot is not called here, but stays importable as fit.coeff_dot: the
 # name bench/tracer.py wraps for its densepoly.coeff_dot metric
-from .densepoly import DensePolynomial, _gram, _Monomials, _Terms, coeff_dot  # noqa: F401
+from .densepoly import _gram, _Terms, coeff_dot  # noqa: F401
 from .model import BasisModel, DegreeRecord, Preprocessing, _apply_ortho, _as_points, _Expansions, _Forward
 
 __all__ = [
@@ -122,16 +122,6 @@ class FitConfig:
             raise ValueError("max_degree must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateData:
-    """Cached views of one degree's orthogonalized candidates."""
-
-    evals: np.ndarray  # (points, candidates)
-    grads: np.ndarray | None = None  # (points, vars, candidates)
-    # the symbolic kernel's term arrays, or any DensePolynomials
-    expansions: _Terms | tuple[DensePolynomial, ...] | None = None
-
-
 def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:
     """Tag each eigenpair F (sqrt(eigenvalue) > epsilon) or G (<=).
 
@@ -190,27 +180,27 @@ def orthogonalize(c_pre_eval: np.ndarray, f_eval: np.ndarray) -> tuple[np.ndarra
     return _apply_ortho(c_pre_eval, f_eval, w), w
 
 
-def normalization_matrix(candidates: CandidateData, kind: NormalizationKind) -> np.ndarray:
-    """Normalization Gram matrix for one degree's candidate set.
+def normalization_matrix(kind: NormalizationKind, evals: np.ndarray, grads: np.ndarray | None = None,
+                         expansions: _Terms | None = None) -> np.ndarray:
+    """Normalization Gram matrix for one degree's orthogonalized candidates.
 
-    Identity: the identity.  Coefficient: Gram of coefficient vectors
-    (requires cached expansions).  Gradient: Gram of the stacked gradient
-    evaluations (requires cached gradients).  Subsampled gradient: the same
-    on the configured variable/point subsets.  Always symmetric PSD.
+    ``evals`` is their ``(points, candidates)`` evaluation block, ``grads``
+    their ``(points, vars, candidates)`` gradients and ``expansions`` the
+    symbolic kernel's term arrays of them.  Identity: the identity.
+    Coefficient: Gram of coefficient vectors (requires ``expansions``).
+    Gradient: Gram of the stacked gradient evaluations (requires
+    ``grads``).  Subsampled gradient: the same on the configured
+    variable/point subsets.  Always symmetric PSD.
     """
-    count = candidates.evals.shape[1]
+    count = evals.shape[1]
     if kind.variant == IDENTITY:
         return np.eye(count)
     if kind.variant == COEFFICIENT:
-        expansions = candidates.expansions
         if expansions is None:
             raise ValueError("coefficient normalization requires cached expansions")
-        if not isinstance(expansions, _Terms):
-            expansions = _Terms.of(_Monomials(), expansions)
         return _gram(expansions)
-    if candidates.grads is None:
+    if grads is None:
         raise ValueError("gradient normalization requires cached gradients")
-    grads = candidates.grads
     if kind.variant == SUBSAMPLED_GRADIENT:
         grads = _subsample(grads, kind)
     flat = grads.reshape(-1, count)
@@ -329,16 +319,15 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
             sym.candidates(parents, w)
             c_exps = sym.combine(t, list(np.eye(len(parents))))
 
-        cands = CandidateData(evals=c_eval, grads=c_grad, expansions=c_exps)
-        gram = normalization_matrix(cands, kind)
+        gram = normalization_matrix(kind, c_eval, c_grad, c_exps)
         outer = c_eval.T @ c_eval
-        eig = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram)
+        _, eigvecs = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram)
         # Store the squared evaluation norms of the output columns rather
         # than the solver's eigenvalues: they agree to solver precision, but
         # for exactly vanishing directions the solver value carries
         # eps-level noise whose square root (~1e-8) would pollute the
         # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
-        out_evals = c_eval @ eig.eigenvectors
+        out_evals = c_eval @ eigvecs
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
         groups: dict = {}
@@ -349,7 +338,7 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
             rec = DegreeRecord(
                 parents=parents,
                 ortho_weights=w,
-                eigvecs=eig.eigenvectors,
+                eigvecs=eigvecs,
                 eigvals=eigvals,
                 partition=partition,
             )

@@ -14,13 +14,10 @@ are canonicalized (largest-magnitude entry positive) for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "RANK_TOL",
-    "EigResult",
     "gen_sym_eig",
     "lstsq",
     "orthonormal_basis",
@@ -29,21 +26,6 @@ __all__ = [
 
 RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class EigResult:
-    """Eigenpairs sorted by descending eigenvalue.
-
-    ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.  ``retained_rank``
-    is the numerical rank of the right-hand matrix; directions in its null
-    space carry no eigenpair and the eigenvector matrix has exactly
-    ``retained_rank`` columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    retained_rank: int
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
@@ -96,15 +78,17 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray, spread_tol: float) ->
     return v
 
 
-def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> EigResult:
+def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``a V = b V diag(lam)`` for symmetric PSD ``a`` and ``b``.
 
-    ``b`` may be singular: it is eigendecomposed, directions with eigenvalue
-    <= ``RANK_TOL`` times the largest are discarded, the problem is whitened
-    on the retained subspace and solved as a standard symmetric problem.
+    Returns ``(lam, V)`` like ``np.linalg.eigh``, but in descending order:
+    ``V[:, i]`` pairs with ``lam[i]``.  ``b`` may be singular: it is
+    eigendecomposed, directions with eigenvalue <= ``RANK_TOL`` times the
+    largest are discarded, the problem is whitened on the retained subspace
+    and solved as a standard symmetric problem.  So ``V`` has one column per
+    retained direction, and its column count is ``b``'s numerical rank.
     The returned vectors satisfy ``V.T @ b @ V = I`` and ``V.T @ a @ V``
-    diagonal on the retained subspace.  A numerically zero ``b`` yields an
-    empty result.
+    diagonal.  A numerically zero ``b`` yields no columns.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,12 +98,12 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> EigResult:
         raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
     dim = a.shape[0]
     if dim == 0:
-        return EigResult(np.zeros(0), np.zeros((0, 0)), 0)
+        return np.zeros(0), np.zeros((0, 0))
 
     sigma, q = np.linalg.eigh((b + b.T) / 2.0)
     sigma_max = float(sigma[-1])
     if sigma_max <= 0.0:
-        return EigResult(np.zeros(0), np.zeros((dim, 0)), 0)
+        return np.zeros(0), np.zeros((dim, 0))
     keep = sigma > RANK_TOL * sigma_max
     whiten = q[:, keep] / np.sqrt(sigma[keep])
 
@@ -132,8 +116,7 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> EigResult:
     # alone, so the same cut bounds the degenerate groups.
     tiny = 1e-10 * max(1.0, float(np.abs(w).max()))
     w[(w < 0.0) & (w > -tiny)] = 0.0
-    v = _fix_signs(_canonicalize_degenerate(w, whiten @ u, tiny))
-    return EigResult(w, v, int(np.count_nonzero(keep)))
+    return w, _fix_signs(_canonicalize_degenerate(w, whiten @ u, tiny))
 
 
 def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

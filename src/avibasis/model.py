@@ -137,11 +137,12 @@ class DegreeRecord:
     """Everything produced at one degree of the construction.
 
     ``parents`` lists candidate parentage: variable indices at degree 1,
-    ``(index into degree-1 F, index into degree-(t-1) F)`` pairs above.
-    ``ortho_weights`` maps the accumulated lower-degree nonvanishing
-    evaluations to the subtraction term; ``eigvecs`` columns combine the
-    orthogonalized candidates into basis polynomials.  ``partition`` tags
-    each column F (nonvanishing) or G (vanishing).
+    and above it every ``(index into degree-1 F, index into degree-(t-1)
+    F)`` pair, in degree-1-major order.  ``ortho_weights`` maps the
+    accumulated lower-degree nonvanishing evaluations to the subtraction
+    term; ``eigvecs`` columns combine the orthogonalized candidates into
+    basis polynomials.  ``partition`` tags each column F (nonvanishing) or
+    G (vanishing).
     """
 
     parents: tuple
@@ -222,7 +223,7 @@ class BasisModel:
         return float(np.sqrt(max(rec.eigvals[handle.column], 0.0)))
 
     def validate(self) -> None:
-        """Check internal consistency (shapes and partition vs epsilon)."""
+        """Check internal consistency (parents, shapes, partition vs epsilon)."""
         from .fit import classify  # local import to avoid a cycle
 
         f_counts = [1]
@@ -233,12 +234,10 @@ class BasisModel:
                 for k in rec.parents:
                     if not 0 <= int(k) < self.num_vars:
                         raise ValueError("degree-1 parent index out of range")
-            else:
-                for i, j in rec.parents:
-                    if not (0 <= int(i) < f_counts[1] and 0 <= int(j) < f_counts[t - 1]):
-                        raise ValueError(f"degree-{t} parent pair out of range")
-                if len(rec.parents) != f_counts[1] * f_counts[t - 1]:
-                    raise ValueError(f"degree-{t} parent count inconsistent")
+            else:  # the replays build this grid whatever the stored pairs say
+                grid = [(i, j) for i in range(f_counts[1]) for j in range(f_counts[t - 1])]
+                if [(int(i), int(j)) for i, j in rec.parents] != grid:
+                    raise ValueError(f"degree-{t} parents are not the degree-1-major grid of F pairs")
             total_f_cols = sum(f_counts[:t])
             if rec.ortho_weights.shape != (total_f_cols, rec.num_candidates):
                 raise ValueError(f"degree-{t} weight matrix has wrong shape")

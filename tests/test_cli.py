@@ -318,6 +318,17 @@ class TestEvalCommand:
         assert err.count("\n") == 1 and "--grid-range" in err
         assert not grid_path.exists()
 
+    def test_grid_range_without_grid_is_a_usage_error(self, four_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        values_path = tmp_path / "values.csv"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        capsys.readouterr()
+        code = main(["eval", str(model_path), four_csv, "-o", str(values_path), "--grid-range", "2", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid-range" in err
+        assert not values_path.exists()
+
 
 class TestFeaturesCommand:
     def test_two_class_features(self, four_csv, tmp_path):
@@ -660,6 +671,8 @@ class TestMalformedModel:
              "degree-2 eigenvector rows != candidate count"),
             (_model_edited(lambda d: d["degrees"][0].update(parents=[0.9, 1.2])),
              "degrees[0]: invalid value: parents: expected an integer, got 0.9"),
+            (_model_edited(lambda d: d["degrees"][1]["parents"].reverse()),
+             "degree-2 parents are not the degree-1-major grid"),
             (_model_with(num_vars=True), "invalid value: num_vars: expected an integer, got True"),
             (_report_edited(lambda r: r.update(threshold="nan")),
              "reduction: invalid value: threshold holds a non-finite value"),
@@ -677,7 +690,7 @@ class TestMalformedModel:
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
-             "empty eigvecs", "fractional parents", "bool num_vars", "nan threshold", "negative threshold",
+             "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "nan threshold", "negative threshold",
              "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):

@@ -19,8 +19,8 @@ from avibasis import (
     lstsq,
 )
 from avibasis.analysis import _descend, _satisfies
+from avibasis.densepoly import _Monomials, _Terms
 from avibasis.fit import (
-    CandidateData,
     _classify_all,
     _fit_path,
     _prepare,
@@ -190,9 +190,8 @@ class TestOrthogonalize:
 
 class TestNormalizationMatrix:
     def test_identity(self):
-        cands = CandidateData(evals=np.zeros((4, 3)))
         assert np.array_equal(
-            normalization_matrix(cands, NormalizationKind.identity()), np.eye(3)
+            normalization_matrix(NormalizationKind.identity(), np.zeros((4, 3))), np.eye(3)
         )
 
     def test_gradient_of_raw_variables(self):
@@ -202,31 +201,29 @@ class TestNormalizationMatrix:
         grads = np.zeros((num_points, n, n))
         for j in range(n):
             grads[:, j, j] = 1.0
-        cands = CandidateData(evals=np.zeros((num_points, n)), grads=grads)
-        gram = normalization_matrix(cands, NormalizationKind.gradient())
+        gram = normalization_matrix(NormalizationKind.gradient(), np.zeros((num_points, n)), grads)
         assert np.allclose(gram, num_points * np.eye(n))
 
     def test_coefficient_singleton(self):
         p = DensePolynomial(1, {(0,): 1.0, (1,): -1.0, (3,): 2.0})
-        cands = CandidateData(evals=np.zeros((4, 1)), expansions=(p,))
-        gram = normalization_matrix(cands, NormalizationKind.coefficient())
+        gram = normalization_matrix(NormalizationKind.coefficient(), np.zeros((4, 1)),
+                                    expansions=_Terms.of(_Monomials(), (p,)))
         assert np.allclose(gram, [[6.0]])
 
     def test_subsampled_restriction(self):
         rng = np.random.default_rng(3)
         grads = rng.normal(size=(6, 3, 4))
         kind = NormalizationKind.subsampled_gradient((0, 2), (1, 4, 5))
-        cands = CandidateData(evals=np.zeros((6, 4)), grads=grads)
-        gram = normalization_matrix(cands, kind)
+        gram = normalization_matrix(kind, np.zeros((6, 4)), grads)
         sub = grads[np.ix_((1, 4, 5), (0, 2))].reshape(-1, 4)
         assert np.allclose(gram, sub.T @ sub)
 
     def test_missing_caches(self):
-        cands = CandidateData(evals=np.zeros((4, 2)))
+        evals = np.zeros((4, 2))
         with pytest.raises(ValueError):
-            normalization_matrix(cands, NormalizationKind.gradient())
+            normalization_matrix(NormalizationKind.gradient(), evals)
         with pytest.raises(ValueError):
-            normalization_matrix(cands, NormalizationKind.coefficient())
+            normalization_matrix(NormalizationKind.coefficient(), evals)
 
 
 class TestNormalizationKind:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import avibasis.model
 from avibasis.densepoly import coeff_dot
-from avibasis.fit import CandidateData, normalization_matrix
+from avibasis.fit import normalization_matrix
 
 from avibasis import (
     BasisModel,
@@ -270,8 +270,8 @@ class TestExpand:
                 want = copying_fold([(p, a) for p, a in zip(polys, weights) if a != 0.0])
                 assert bits(poly.terms) == bits(want)
             units = kernel.combine(t, list(np.eye(rec.num_candidates)))
-            cands = CandidateData(np.zeros((num_points, len(units))), expansions=units)
-            gram = normalization_matrix(cands, NormalizationKind.coefficient())
+            gram = normalization_matrix(NormalizationKind.coefficient(), np.zeros((num_points, len(units))),
+                                        expansions=units)
             dicts = units.polynomials(num_vars)
             want = [[coeff_dot(dicts[min(i, j)], dicts[max(i, j)]) for j in range(len(dicts))]
                     for i in range(len(dicts))]

@@ -1,5 +1,6 @@
-"""The public surface: the package root's names and their parameters, and
-the module attributes the benchmark's tracer wraps by name."""
+"""The public surface: the package root's names and their parameters, the
+degree step's stages and their parameters, and the module attributes the
+benchmark's tracer wraps by name."""
 
 import ast
 import dataclasses
@@ -86,6 +87,16 @@ ROOT_SIGNATURES = {
 }
 
 
+# The stages of one degree step pass plain arrays; a bundle type in their
+# parameters has to edit this pin.
+DEGREE_STEP_SIGNATURES = {
+    ("avibasis.fit", "orthogonalize"): "c_pre_eval f_eval",
+    ("avibasis.fit", "normalization_matrix"): "kind evals grads expansions",
+    ("avibasis.fit", "classify"): "eigvals epsilon",
+    ("avibasis.linalg", "gen_sym_eig"): "a b",
+}
+
+
 def tracer_targets():
     """``TARGETS`` of the tracer, read as a literal without importing it."""
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
@@ -109,6 +120,12 @@ def test_root_signatures_are_pinned():
     assert set(ROOT_SIGNATURES) == callables
     for name, params in ROOT_SIGNATURES.items():
         assert " ".join(inspect.signature(getattr(avibasis, name)).parameters) == params, name
+
+
+def test_degree_step_signatures_are_pinned():
+    for (module, name), params in DEGREE_STEP_SIGNATURES.items():
+        fn = getattr(importlib.import_module(module), name)
+        assert " ".join(inspect.signature(fn).parameters) == params, f"{module}.{name}"
 
 
 def test_fit_config_fields_are_pinned():
