@@ -549,7 +549,8 @@ def _blocks(model: BasisModel, eval_points) -> dict:
     columns: dict = {}
     for c, h in enumerate(handles):
         columns.setdefault((h.degree, h.kind), []).append(c)
-    # contiguous, as an evaluate of just those handles returns them
+    # row-major (``evaluate`` returns column-major): the layout whose bits
+    # the subspace comparisons' BLAS and LAPACK calls keep
     return {key: np.ascontiguousarray(values[:, cols]) for key, cols in columns.items()}
 
 

@@ -432,13 +432,21 @@ def _model_space(model: BasisModel, points) -> np.ndarray:
 
 
 def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.ndarray:
-    """Values (or gradients) of ``handles``, one per entry of the last axis."""
+    """Values ``(handles, points)`` (or gradients ``(handles, points,
+    vars)``) of ``handles``, handle-major.
+
+    Each degree's block is the C-order product the fit forms; its asked
+    columns are then copied into the output through a view with the handle
+    axis last, so that every write is contiguous.  The product is not
+    formed straight into the output: that would change BLAS's operand
+    layout, and so bits."""
     handles = _check_handles(model, handles)
     pts = _model_space(model, points)
-    out = np.empty((pts.shape if need_grads else pts.shape[:1]) + (len(handles),))
+    out = np.empty((len(handles),) + (pts.shape if need_grads else pts.shape[:1]))
+    view = out.transpose(*range(1, out.ndim), 0)
     wanted = _by_degree(handles)
     if 0 in wanted:
-        out[..., wanted.pop(0)[0]] = 0.0 if need_grads else model.constant_value
+        view[..., wanted.pop(0)[0]] = 0.0 if need_grads else model.constant_value
     top = max(wanted, default=0)
     for t, rec, c_eval, c_grad in _Forward(pts, model.constant_value, need_grads).replay(model, top):
         if t in wanted:
@@ -448,7 +456,8 @@ def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.
                 block = _grad_dot(c_grad, rec.eigvecs)
             else:
                 block = c_eval @ rec.eigvecs
-            out[..., positions] = block[..., columns]
+            view[..., positions] = block[..., columns]
+            del block  # so that it is freed before the next degree's temporaries
     return out
 
 
@@ -457,21 +466,24 @@ def evaluate(model: BasisModel, handles, points) -> np.ndarray:
 
     Points are given in the coordinates the model was fit from; the model's
     recorded preprocessing is applied before the replay.  Returns shape
-    ``(num_points, len(handles))``.
+    ``(num_points, len(handles))``, column-major: each handle's values are
+    contiguous.  A reduction over the result (``einsum``, ``sum(axis=0)``)
+    may round differently in the last bit from the same reduction over a
+    row-major copy, which ``np.ascontiguousarray`` makes.
     """
-    return _replay_handles(model, handles, points, need_grads=False)
+    return _replay_handles(model, handles, points, need_grads=False).T
 
 
 def gradient(model: BasisModel, handles, points) -> list[np.ndarray]:
-    """Per-handle gradient matrices, each of shape ``(num_points, num_vars)``.
+    """Per-handle gradient matrices, each of shape ``(num_points, num_vars)``
+    and C-contiguous (slices of one handle-major buffer).
 
     Gradients are taken with respect to model-space coordinates (the
     coordinates the basis polynomials live in); they are computed by the
     product-rule recursion over cached parent values, not by symbolic
     differentiation or finite differences.
     """
-    out = _replay_handles(model, handles, points, need_grads=True)
-    return [out[:, :, i] for i in range(out.shape[2])]
+    return list(_replay_handles(model, handles, points, need_grads=True))
 
 
 class _Expansions:

@@ -2,7 +2,11 @@
 
 Floats are stored as 17-significant-digit decimal strings so doubles
 round-trip exactly: serialize -> deserialize -> serialize is byte-identical
-and a reloaded model evaluates bit-for-bit like the in-memory one.
+and a reloaded model evaluates bit-for-bit like the in-memory one.  The
+bytes a fit writes are stable for a fixed numpy and BLAS build at a fixed
+BLAS thread count: a fit large enough for BLAS to split its products
+across threads may round differently at another thread count or on
+another build, and no field of the file records either.
 
 The file is the text ``json.dumps(document, indent=2, sort_keys=True)``
 would write, rendered straight from the record arrays: each float array is
@@ -89,10 +93,18 @@ def _handle_to_dict(h: PolyHandle) -> dict:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a fractional number is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a bool, a string or a fractional number is
+    rejected, not converted."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _pair(value) -> tuple[int, int]:
+    """A parent entry above degree 1: an ``[i, j]`` list of integers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"parents: expected an [i, j] pair, got {value!r}")
+    return _integer("parents", value[0]), _integer("parents", value[1])
 
 
 def _handle_from_dict(d: dict) -> PolyHandle:
@@ -208,7 +220,7 @@ def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
     if t == 1:
         parents: tuple = tuple(_integer("parents", k) for k in entry["parents"])
     else:
-        parents = tuple((_integer("parents", i), _integer("parents", j)) for i, j in entry["parents"])
+        parents = tuple(_pair(pair) for pair in entry["parents"])
     eigvals = _dec_vector(entry["eigvals"])
     eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
     weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))

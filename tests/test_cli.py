@@ -674,6 +674,11 @@ class TestMalformedModel:
             (_model_edited(lambda d: d["degrees"][1]["parents"].reverse()),
              "degree-2 parents are not the degree-1-major grid"),
             (_model_with(num_vars=True), "invalid value: num_vars: expected an integer, got True"),
+            (_model_with(num_vars="2"), "invalid value: num_vars: expected an integer, got '2'"),
+            (_model_edited(lambda d: d["degrees"][1]["parents"].__setitem__(0, [0, 0, 0])),
+             "degrees[1]: invalid value: parents: expected an [i, j] pair, got [0, 0, 0]"),
+            (_model_edited(lambda d: d["degrees"][1]["parents"].__setitem__(0, 0)),
+             "degrees[1]: invalid value: parents: expected an [i, j] pair, got 0"),
             (_report_edited(lambda r: r.update(threshold="nan")),
              "reduction: invalid value: threshold holds a non-finite value"),
             (_report_edited(lambda r: r.update(threshold="-1")),
@@ -690,7 +695,8 @@ class TestMalformedModel:
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
-             "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "nan threshold", "negative threshold",
+             "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "string num_vars",
+             "triple parent", "int parent pair", "nan threshold", "negative threshold",
              "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):

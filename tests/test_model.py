@@ -403,7 +403,9 @@ class TestReplayProperties:
         model, pts = fitted
         for t, rec in enumerate(model.degrees, start=1):
             handles = [PolyHandle(t, c, tag) for c, tag in enumerate(rec.partition)]
-            block = evaluate(model, handles, pts)
+            # the fit takes these norms on a row-major block; einsum over
+            # evaluate's column-major result may round differently
+            block = np.ascontiguousarray(evaluate(model, handles, pts))
             assert np.array_equal(np.einsum("ij,ij->j", block, block), rec.eigvals)
 
 

@@ -7,8 +7,9 @@ byte.
 
 Under corruption, a saved model with one field deleted or replaced must
 load into a model that validates and replays to finite values, or be
-refused with a ValueError.  An integer field holding a bool or a
-fractional number, an emptied matrix, a non-finite eigenvalue or
+refused with a ValueError.  An integer field holding a bool, a string or
+a fractional number, a parent entry above degree 1 that is not an
+``[i, j]`` pair, an emptied matrix, a non-finite eigenvalue or
 residual, a non-finite or negative reduction threshold and a negative or
 NaN epsilon are always refused."""
 
@@ -50,7 +51,7 @@ SAVED = {
                   FitConfig(normalization=NormalizationKind.identity(), center=True, unit_mean_norm=True)),
 }
 DELETE = "<delete the field>"
-VALUES = [DELETE, None, 0, -1, 0.9, 1.5, "x", [], {}, [[1]], True, 10**6, "nan", "-inf"]
+VALUES = [DELETE, None, 0, -1, 0.9, 1.5, "x", "3", [], {}, [[1]], True, 10**6, "nan", "-inf"]
 
 
 def _field_paths(node, path=()):
@@ -66,7 +67,8 @@ def _field_paths(node, path=()):
 # Entries of the integer parent lists, of the eigenvalue vectors and of the
 # per-point residuals, which _field_paths does not reach.
 LIST_ENTRIES = [("grad", ("degrees", 0, "parents", 1)), ("grad", ("degrees", 1, "parents", 0, 1)),
-                ("vca", ("degrees", 2, "parents", 1, 0)), ("grad", ("degrees", 1, "eigvals", 0)),
+                ("vca", ("degrees", 2, "parents", 1, 0)), ("grad", ("degrees", 1, "parents", 2)),
+                ("grad", ("degrees", 1, "eigvals", 0)),
                 ("vca", ("degrees", 0, "eigvals", 1)),
                 ("grad", ("reduction", "removed", 0, "per_point_residuals", 2)),
                 ("vca", ("reduction", "removed", 1, "per_point_residuals", 0))]
@@ -81,15 +83,18 @@ FINITE_KEYS = ("threshold", "max_residual")
 
 
 def _must_refuse(path, value) -> bool:
-    """Whether the mutation leaves an integer field a bool or a fraction,
+    """Whether the mutation leaves an integer field a bool, a string or a
+    fraction, replaces or deletes a whole parent pair above degree 1,
     empties a degree's matrix, makes an eigenvalue, a residual or the
     reduction threshold non-finite, makes the threshold negative, or makes
     epsilon negative or NaN."""
     key = next(k for k in reversed(path) if isinstance(k, str))
     if path == ("epsilon",):
         return value in ("nan", "-inf", -1)
+    if key == "parents" and path[1] > 0 and len(path) == 4:  # a whole pair
+        return True  # no value in VALUES is an [i, j] pair
     if key in INTEGER_KEYS:
-        return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+        return isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer())
     if key in FINITE_ENTRY_KEYS and path[-1] != key:
         return value in ("nan", "-inf")
     if key in FINITE_KEYS and path[-1] == key:
@@ -154,8 +159,14 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("degrees", 0, "parents")), [0.9, 1.2], "parents: expected an integer, got 0.9"),
     (("grad", ("degrees", 1, "parents", 0, 1)), True, "parents: expected an integer, got True"),
     (("grad", ("num_vars",)), 2.5, "num_vars: expected an integer, got 2.5"),
+    (("grad", ("num_vars",)), "2", "num_vars: expected an integer, got '2'"),
+    (("grad", ("degrees", 0, "parents", 1)), "1", "parents: expected an integer, got '1'"),
+    (("grad", ("degrees", 1, "parents", 0)), [0, 0, 0], "parents: expected an [i, j] pair, got [0, 0, 0]"),
+    (("grad", ("degrees", 1, "parents", 0)), 0, "parents: expected an [i, j] pair, got 0"),
+    (("grad", ("degrees", 1, "parents", 0)), "00", "parents: expected an [i, j] pair, got '00'"),
     (("grad", ("degrees", 0, "degree")), True, "degree True, expected 1"),
     (("grad", ("reduction", "kept", 0, "column")), 2.5, "column: expected an integer, got 2.5"),
+    (("grad", ("reduction", "kept", 0, "column")), "0", "column: expected an integer, got '0'"),
     (("vca", ("reduction", "rank_deflated", 0, "degree")), True, "degree: expected an integer, got True"),
     (("vca", ("reduction", "rank_deflated", 0, "original_count")), 3.5,
      "original_count: expected an integer, got 3.5"),
@@ -167,8 +178,9 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("epsilon",)), "-1", "epsilon must be >= 0, got -1.0"),
     (("vca", ("epsilon",)), "-inf", "epsilon must be >= 0, got -inf"),
     (("grad", ("epsilon",)), "nan", "epsilon must be >= 0, got nan"),
-], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "bool degree",
-        "fractional column", "bool deflated degree", "fractional original_count", "nan threshold",
+], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "string num_vars",
+        "string parent", "triple parent", "int parent pair", "string parent pair", "bool degree",
+        "fractional column", "string column", "bool deflated degree", "fractional original_count", "nan threshold",
         "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
         "-inf epsilon", "nan epsilon"])
 def test_refused_with_a_one_line_field_error(field, value, message):
