@@ -51,9 +51,7 @@ def build_dataset(seed):
 
 
 def run(dataset, label, kind, target, grid):
-    result = epsilon_search(
-        dataset, target, normalization=kind, grid=grid, max_degree=MAX_DEGREE
-    )
+    result = epsilon_search(dataset, target, normalization=kind, grid=grid)
     if not result.found:
         print(f"{label:>12} | no tolerance on the grid satisfies the target")
         return

@@ -438,7 +438,6 @@ def epsilon_search(
     target: EpsilonTarget,
     normalization: NormalizationKind | None = None,
     grid=None,
-    max_degree: int | None = None,
 ) -> EpsilonSearchResult:
     """Linear scan for tolerances whose basis matches the target shape.
 
@@ -446,14 +445,15 @@ def epsilon_search(
     once (degree t depends on the tolerance only through the F/G splits
     below it).  The target reads degrees 1..d_min only, so the chain is
     stepped no deeper than ``d_min`` and not below a prefix that already
-    misses the target, which leaves one prefix per degree.  The target is
-    read once per group of grid values whose fits end with the same
-    records, and no model is built; each grid value's ``satisfied`` flag
-    is the one the full fit at that tolerance gives, and its ``g_counts``
-    cover the degrees stepped.  Finds the longest
-    contiguous run of satisfying tolerances ``(eps_1, eps_2)`` and reports
-    their midpoint.  When nothing on the grid qualifies the result carries
-    ``found=False`` and the full scan trace.
+    misses the target, which leaves one prefix per degree.  So the search
+    takes no degree cap: one could change a result only by stopping below
+    ``d_min``.  The target is read once per group of grid values whose
+    fits end with the same records, and no model is built; each grid
+    value's ``satisfied`` flag is the one the full (uncapped) fit at that
+    tolerance gives, and its ``g_counts`` cover the degrees stepped.
+    Finds the longest contiguous run of satisfying tolerances ``(eps_1,
+    eps_2)`` and reports their midpoint.  When nothing on the grid
+    qualifies the result carries ``found=False`` and the full scan trace.
     """
     normalization = normalization or NormalizationKind.gradient()
     grid = default_epsilon_grid(points) if grid is None else np.asarray(grid, dtype=float)
@@ -462,7 +462,7 @@ def epsilon_search(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("the tolerance grid must be strictly increasing")
 
-    config = FitConfig(normalization=normalization, max_degree=max_degree)
+    config = FitConfig(normalization=normalization)
     epsilons = [float(eps) for eps in grid]
 
     _, pts, m = _prepare(points, config)

@@ -307,17 +307,11 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     members = list(range(len(epsilons)))  # the tolerances still stepping
     while members:
         t = len(records) + 1
-        if t == 1:
-            parents: tuple = tuple(range(num_vars))
-        else:
-            n1, ntm1 = fwd.first.shape[1], fwd.last.shape[1]
-            parents = tuple((i, j) for i in range(n1) for j in range(ntm1))
-
-        c_eval, c_grad, w = fwd.candidates(parents, orthogonalize)
+        c_eval, c_grad, w = fwd.candidates(orthogonalize)
         c_exps = None
         if sym is not None:  # the orthogonalized candidates: combinations at the unit columns
-            sym.candidates(parents, w)
-            c_exps = sym.combine(t, list(np.eye(len(parents))))
+            sym.candidates(w)
+            c_exps = sym.combine(list(np.eye(c_eval.shape[1])))
 
         gram = normalization_matrix(kind, c_eval, c_grad, c_exps)
         outer = c_eval.T @ c_eval
@@ -336,7 +330,6 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         prefix, members = records, []
         for partition, group in groups.items():
             rec = DegreeRecord(
-                parents=parents,
                 ortho_weights=w,
                 eigvecs=eigvecs,
                 eigvals=eigvals,

@@ -1,10 +1,10 @@
 """Structural representation of a fitted polynomial basis and its replay.
 
-A fitted basis is stored symbol-free: per degree, the candidate parentage,
-the orthogonalization weights, and the eigenvector combinations.  That is
-enough to re-evaluate any basis polynomial, its gradient (via the product
-rule over cached parent values, no differentiation), or its explicit
-expansion, at arbitrary points.
+A fitted basis is stored symbol-free: per degree, the orthogonalization
+weights and the eigenvector combinations, whose F counts give the
+candidate parentage (``BasisModel.parents``).  That is enough to
+re-evaluate any basis polynomial, its gradient (via the product rule over
+cached parent values, no differentiation), or its explicit expansion.
 
 There is one numeric path, the degree-step kernel ``_Forward``: fitting
 drives it with its eigensolve and the replays with the stored records, so
@@ -136,16 +136,13 @@ class PolyHandle:
 class DegreeRecord:
     """Everything produced at one degree of the construction.
 
-    ``parents`` lists candidate parentage: variable indices at degree 1,
-    and above it every ``(index into degree-1 F, index into degree-(t-1)
-    F)`` pair, in degree-1-major order.  ``ortho_weights`` maps the
-    accumulated lower-degree nonvanishing evaluations to the subtraction
-    term; ``eigvecs`` columns combine the orthogonalized candidates into
-    basis polynomials.  ``partition`` tags each column F (nonvanishing) or
-    G (vanishing).
+    ``ortho_weights`` maps the accumulated lower-degree nonvanishing
+    evaluations to the subtraction term; ``eigvecs`` columns combine the
+    orthogonalized candidates, one row each, into basis polynomials.
+    ``partition`` tags each column F (nonvanishing) or G (vanishing).  The
+    candidates themselves are the model's ``parents`` of the degree.
     """
 
-    parents: tuple
     ortho_weights: np.ndarray
     eigvecs: np.ndarray
     eigvals: np.ndarray
@@ -153,7 +150,7 @@ class DegreeRecord:
 
     @property
     def num_candidates(self) -> int:
-        return len(self.parents)
+        return self.eigvecs.shape[0]
 
     @property
     def num_outputs(self) -> int:
@@ -190,6 +187,16 @@ class BasisModel:
             raise IndexError(f"no degree-{degree} record in this model")
         return self.degrees[degree - 1]
 
+    def parents(self, degree: int) -> tuple:
+        """Candidate parentage of degree ``degree``, from the F counts: the
+        variable indices at degree 1, above it every ``(index into degree-1
+        F, index into degree-(t-1) F)`` pair, in degree-1-major order."""
+        self.record(degree)
+        if degree == 1:
+            return tuple(range(self.num_vars))
+        first, last = (self.degrees[k].partition.count("F") for k in (0, degree - 2))
+        return tuple((i, j) for i in range(first) for j in range(last))
+
     def handles(self, kind: str | None = None) -> tuple[PolyHandle, ...]:
         """All handles in ascending degree, stored column order.
 
@@ -223,25 +230,15 @@ class BasisModel:
         return float(np.sqrt(max(rec.eigvals[handle.column], 0.0)))
 
     def validate(self) -> None:
-        """Check internal consistency (parents, shapes, partition vs epsilon)."""
+        """Check internal consistency (shapes, partition vs epsilon, the ``truncated`` flag)."""
         from .fit import classify  # local import to avoid a cycle
 
         f_counts = [1]
         for t, rec in enumerate(self.degrees, start=1):
-            if t == 1:
-                if len(rec.parents) != self.num_vars:
-                    raise ValueError("degree-1 parent list must cover all variables")
-                for k in rec.parents:
-                    if not 0 <= int(k) < self.num_vars:
-                        raise ValueError("degree-1 parent index out of range")
-            else:  # the replays build this grid whatever the stored pairs say
-                grid = [(i, j) for i in range(f_counts[1]) for j in range(f_counts[t - 1])]
-                if [(int(i), int(j)) for i, j in rec.parents] != grid:
-                    raise ValueError(f"degree-{t} parents are not the degree-1-major grid of F pairs")
-            total_f_cols = sum(f_counts[:t])
-            if rec.ortho_weights.shape != (total_f_cols, rec.num_candidates):
+            count = len(self.parents(t))
+            if rec.ortho_weights.shape != (sum(f_counts), count):
                 raise ValueError(f"degree-{t} weight matrix has wrong shape")
-            if rec.eigvecs.shape[0] != rec.num_candidates:
+            if rec.eigvecs.shape[0] != count:
                 raise ValueError(f"degree-{t} eigenvector rows != candidate count")
             if rec.eigvecs.shape[1] != rec.eigvals.shape[0] or rec.eigvecs.shape[1] != len(rec.partition):
                 raise ValueError(f"degree-{t} output counts inconsistent")
@@ -250,6 +247,8 @@ class BasisModel:
             if tuple(classify(rec.eigvals, self.epsilon)) != tuple(rec.partition):
                 raise ValueError(f"degree-{t} partition inconsistent with stored epsilon")
             f_counts.append(len(rec.columns("F")))
+        if self.truncated != (bool(self.degrees) and "F" in self.degrees[-1].partition):
+            raise ValueError(f"truncated is {self.truncated}, which disagrees with the last degree's partition")
 
 
 # -- the degree-step kernel, shared by fitting and replay ---------------------
@@ -319,22 +318,22 @@ class _Forward:
         self.first = self.first_grad = None  # degree-1 F block
         self.last = self.last_grad = None  # latest degree's F block
 
-    def candidates(self, parents, orthogonalize):
+    def candidates(self, orthogonalize):
         """Form one degree's candidates and orthogonalize them against the
         F prefix; return ``(c_eval, c_grad, w)``.
 
-        ``parents`` is read at degree 1 only; above it the candidates are
-        all (degree-1 F, latest F) pair products.  ``orthogonalize(pre,
+        The candidates are the variables at degree 1 and above it all
+        (degree-1 F, latest F) pair products.  ``orthogonalize(pre,
         f_eval)`` returns ``(pre - f_eval @ w, w)``; ``c_grad`` is None
         without gradients.
         """
         m, n = self.points.shape
         grads = self.grads is not None
         if self.width == 1:  # only the constant so far: degree 1
-            pre = self.points[:, list(parents)]
+            pre = self.points[:, list(range(n))]  # a copy: this operand's layout decides the solve's bits
             if grads:
-                pre_grad = np.zeros((m, n, len(parents)))
-                pre_grad[:, list(parents), range(len(parents))] = 1.0
+                pre_grad = np.zeros((m, n, n))
+                pre_grad[:, range(n), range(n)] = 1.0
         else:
             pre = _pair_eval(self.first, self.last)
             if grads:
@@ -370,8 +369,7 @@ class _Forward:
         for t in range(1, up_to_degree + 1):
             rec = model.record(t)
             c_eval, c_grad, _ = self.candidates(
-                rec.parents,
-                lambda pre, f_eval, w=rec.ortho_weights: (_apply_ortho(pre, f_eval, w), w),
+                lambda pre, f_eval, w=rec.ortho_weights: (_apply_ortho(pre, f_eval, w), w)
             )
             self.append(c_eval, c_grad, rec.eigvecs[:, rec.columns("F")])
             yield t, rec, c_eval, c_grad
@@ -492,13 +490,13 @@ class _Expansions:
 
     Its polynomials are ``densepoly._Terms`` batches over one monomial
     table, which grows only as monomials appear.  It keeps the F blocks
-    built so far, one per degree from the constant on, and for each
-    stepped degree the fold of its pre-candidates and the F blocks below
-    it, with the orthogonalization weights; a replay also keeps each
-    degree's expansions of every column.  A degree is ``candidates`` then
-    ``append``, forward only, as in ``_Forward``.  ``combine``
-    expands a batch of combinations of a degree's orthogonalized
-    candidates at once.
+    built so far, one per degree from the constant on, and for the latest
+    stepped degree, ``degree``, the fold of its pre-candidates and the F
+    blocks below it, with the orthogonalization weights; a replay also
+    keeps each degree's expansions of every column.  A degree is
+    ``candidates`` then ``append``, forward only, as in ``_Forward``.
+    ``combine`` expands a batch of combinations of the latest degree's
+    orthogonalized candidates at once.
     """
 
     def __init__(self, num_vars: int, constant_value: float):
@@ -506,37 +504,37 @@ class _Expansions:
         self.constant_value = constant_value
         self.table = _Monomials()
         self.blocks: list[_Terms] = []  # the constant's block is formed with degree 1
-        self.steps: list[tuple[_Fold, np.ndarray]] = []
+        self.degree, self.step = 0, None  # the latest degree stepped, and its fold and weights
         self.outputs: dict[int, _Terms] = {}
 
-    def candidates(self, parents, w: np.ndarray) -> None:
+    def candidates(self, w: np.ndarray) -> None:
         """Form the next degree's pre-candidate expansions, to be combined
-        with the orthogonalization weights ``w``: the variables ``parents``
-        at degree 1, above it the pair products in ``_Forward``'s order.
-        The one term guard, checked before anything is built: a degree
-        whose dense size bound exceeds ``EXPANSION_TERM_CAP`` raises
+        with the orthogonalization weights ``w``: the variables at degree 1,
+        above it the pair products in ``_Forward``'s order.  The one term
+        guard, checked before anything is built: a degree whose dense size
+        bound exceeds ``EXPANSION_TERM_CAP`` raises
         ``ExpansionLimitError``."""
-        t, n = len(self.steps) + 1, self.num_vars
+        t, n = self.degree + 1, self.num_vars
         if monomial_count(n, t) > EXPANSION_TERM_CAP:
             raise ExpansionLimitError(
                 f"expansion at degree {t} in {n} variables may exceed {EXPANSION_TERM_CAP} terms"
             )
         if t == 1:
             self.blocks = [_Terms.of(self.table, [DensePolynomial.constant(n, self.constant_value)])]
-            pre = _Terms.of(self.table, [DensePolynomial.variable(n, int(k)) for k in parents])
+            pre = _Terms.of(self.table, [DensePolynomial.variable(n, k) for k in range(n)])
         else:
             pre = _pair_products(self.blocks[1], self.blocks[-1])
-        self.steps.append((_Fold(_Terms.concat([pre, *self.blocks])), w))
+        self.step, self.degree = (_Fold(_Terms.concat([pre, *self.blocks])), w), t
 
-    def combine(self, degree: int, vectors) -> _Terms:
-        """Expansions of the degree-``degree`` combinations ``vectors`` of
-        the orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f
-        F_f`` over that degree's pre-candidates and the F expansions below
-        it.  Each vector's weights are formed on their own, as
-        ``[u, -(w @ u)]``: one product ``w @ U`` would round differently.
+    def combine(self, vectors) -> _Terms:
+        """Expansions of the combinations ``vectors`` of the latest degree's
+        orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f F_f``
+        over its pre-candidates and the F expansions below it.  Each
+        vector's weights are formed on their own, as ``[u, -(w @ u)]``: one
+        product ``w @ U`` would round differently.
         Negating ``w u`` is exact, so ``F_f`` scaled by ``-(w u)_f`` and
         added is bit for bit ``F_f`` scaled by ``(w u)_f`` and subtracted."""
-        fold, w = self.steps[degree - 1]
+        fold, w = self.step
         return fold([np.concatenate([u, -(w @ u)]) for u in vectors])
 
     def append(self, rec: DegreeRecord) -> None:
@@ -544,17 +542,16 @@ class _Expansions:
         F columns of its record ``rec``, each read in place from ``eigvecs``
         (at degree 1, ``w @ u`` is a dot product whose rounding depends on
         the stride of ``u``, so a copied column could differ in the last bit)."""
-        degree = len(self.steps)
-        self.blocks.append(self.combine(degree, [rec.eigvecs[:, c] for c in rec.columns("F")]))
+        self.blocks.append(self.combine([rec.eigvecs[:, c] for c in rec.columns("F")]))
 
     def replay(self, model: BasisModel, degree: int) -> None:
         """Step ``model``'s records of the degrees up to ``degree`` that
         earlier calls have not stepped, keeping the expansions of all
         their columns in ``outputs``; the F block is taken from those."""
-        for t in range(len(self.steps) + 1, degree + 1):
+        for t in range(self.degree + 1, degree + 1):
             rec = model.record(t)
-            self.candidates(rec.parents, rec.ortho_weights)
-            out = self.outputs[t] = self.combine(t, [rec.eigvecs[:, c] for c in range(rec.num_outputs)])
+            self.candidates(rec.ortho_weights)
+            out = self.outputs[t] = self.combine([rec.eigvecs[:, c] for c in range(rec.num_outputs)])
             self.blocks.append(out.take(rec.columns("F")))
 
 
@@ -608,8 +605,8 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
         # Degree-1 candidates are raw coordinates; their gradients are the
         # standard basis, and lower-degree polynomials (the constant) have
         # zero gradient, so the combination vector is the gradient.
-        for j, k in enumerate(rec.parents):
-            grad[int(k)] += u[j]
+        for j, k in enumerate(model.parents(1)):
+            grad[k] += u[j]
             ops += 1
         return grad, ops
 
@@ -618,7 +615,7 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
         pass
     left_vals, left_grads = fwd.first[0], fwd.first_grad[0]
     right_vals, right_grads = fwd.last[0], fwd.last_grad[0]
-    pairs = [(int(i), int(j)) for i, j in rec.parents]
+    pairs = model.parents(handle.degree)
     a = np.zeros(len(pairs))
     b = np.zeros(len(pairs))
     for c, (i, j) in enumerate(pairs):

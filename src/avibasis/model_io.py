@@ -14,6 +14,9 @@ one ``%``-format of its ``tolist()`` against a template that holds the
 indentation, commas and quotes as literal text.  (CPython's C JSON encoder
 is not used when ``indent`` is set, and the pure-Python one formats every
 number one at a time.)  Golden files under ``tests/data`` pin the bytes.
+
+Each degree's ``parents`` are written from the F counts
+(``BasisModel.parents``), and the reader refuses any others.
 """
 
 from __future__ import annotations
@@ -116,9 +119,7 @@ def _document(model: BasisModel, report: ReductionReport | None) -> dict:
     degrees = [
         {
             "degree": t,
-            "parents": [int(k) for k in rec.parents]
-            if t == 1
-            else [[int(i), int(j)] for i, j in rec.parents],
+            "parents": [list(k) if t > 1 else k for k in model.parents(t)],
             "ortho_weights": _floats(rec.ortho_weights),
             "eigvecs": _floats(rec.eigvecs),
             "eigvals": _floats(rec.eigvals),
@@ -213,8 +214,8 @@ def _finite(name: str, values):
     return values
 
 
-def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
-    """The record of degree ``t``, which ``entry`` must say it holds."""
+def _degree_from_dict(entry: dict, t: int) -> tuple[DegreeRecord, tuple]:
+    """The record of degree ``t``, which ``entry`` must say it holds, and its stored parents."""
     if isinstance(entry["degree"], bool) or entry["degree"] != t:
         raise ValueError(f"degree {entry['degree']!r}, expected {t}")
     if t == 1:
@@ -225,12 +226,11 @@ def _degree_from_dict(entry: dict, t: int) -> DegreeRecord:
     eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
     weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
     return DegreeRecord(
-        parents=parents,
         ortho_weights=_finite("ortho_weights", weights),
         eigvecs=_finite("eigvecs", eigvecs),
         eigvals=_finite("eigvals", eigvals),
         partition=tuple(str(tag) for tag in entry["partition"]),
-    )
+    ), parents
 
 
 def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisModel:
@@ -276,16 +276,21 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     entries = _expect("degrees", _decode("", data.__getitem__, "degrees"), list)
-    records = tuple(
+    decoded = [
         _decode(f"degrees[{i}]", _degree_from_dict, _expect(f"degrees[{i}]", e, dict), i + 1)
         for i, e in enumerate(entries)
-    )
+    ]
+    records = tuple(record for record, _ in decoded)
     if "normalization" in data:
         _expect("normalization", data["normalization"], dict)
     if data.get("preprocessing") is not None:
         _expect("preprocessing", data["preprocessing"], dict)
     model = _decode("", _model_from_dict, data, records)
     model.validate()
+    for t, (_, parents) in enumerate(decoded, start=1):
+        if parents != model.parents(t):
+            want = "the variables 0..n-1 in order" if t == 1 else "the degree-1-major grid of F pairs"
+            raise ValueError(f"degree-{t} parents are not {want}")
     report = None
     if "reduction" in data:
         report = report_from_dict(_expect("reduction", data["reduction"], dict))

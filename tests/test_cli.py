@@ -156,6 +156,35 @@ class TestFitCommand:
         assert code != 0
         assert "empty point set" in capsys.readouterr().err
 
+    def test_header_only_csv_is_an_empty_point_set(self, tmp_path, capsys):
+        p = tmp_path / "header.csv"
+        p.write_text("x,y\n")
+        code = main(["fit", str(p), "-o", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {p}: empty point set\n"
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--subsample-vars", "a", "--subsample-points", "0"], "--subsample-vars"),
+        ([], "--subsample-vars"),
+        (["--subsample-vars", "0"], "--subsample-points"),
+    ], ids=["non-integer vars", "no subsets", "no points"])
+    def test_bad_subgrad_flags_are_usage_errors(self, four_csv, tmp_path, capsys, flags, flag):
+        out = tmp_path / "m.json"
+        code = main(["fit", four_csv, "-o", str(out), "--normalization", "subgrad", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
+    def test_degree_cap_warning(self, four_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", four_csv, "-o", str(out), "--max-degree", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "warning: degree cap reached before natural termination\n" in captured.out
+        assert load_model(out)[0].truncated
+
     def test_nan_epsilon_is_an_error(self, four_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
         code = main(["fit", four_csv, "-o", str(out), "--epsilon", "nan"])
@@ -318,6 +347,33 @@ class TestEvalCommand:
         assert err.count("\n") == 1 and "--grid-range" in err
         assert not grid_path.exists()
 
+    @pytest.mark.parametrize("points,flags,flag", [
+        ("1,0\n0,1\n-1,0\n0,-1\n", ["--kept-only"], "--kept-only"),
+        ("1,0\n0,1\n-1,0\n0,-1\n", ["--grid", "1"], "--grid"),
+        ("1,0,0\n0,1,0\n0,0,1\n1,1,1\n", ["--grid", "4"], "--grid"),
+    ], ids=["kept-only without a report", "one grid sample", "grid of a 3-variable model"])
+    def test_eval_flag_usage_errors(self, tmp_path, capsys, points, flags, flag):
+        points_path, model_path, values_path = tmp_path / "p.csv", tmp_path / "m.json", tmp_path / "v.csv"
+        points_path.write_text(points)
+        main(["fit", str(points_path), "-o", str(model_path), "--epsilon", "0"])
+        capsys.readouterr()
+        code = main(["eval", str(model_path), str(points_path), "-o", str(values_path), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and flag in err
+        assert not values_path.exists()
+
+    def test_non_finite_points_are_an_error(self, four_csv, tmp_path, capsys):
+        model_path, nan_path, values_path = tmp_path / "m.json", tmp_path / "nan.csv", tmp_path / "v.csv"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        nan_path.write_text("x,y\n1,0\nnan,0\n")
+        capsys.readouterr()
+        code = main(["eval", str(model_path), str(nan_path), "-o", str(values_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: points contain NaN or Inf\n"
+        assert not values_path.exists()
+
     def test_grid_range_without_grid_is_a_usage_error(self, four_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         values_path = tmp_path / "values.csv"
@@ -392,6 +448,16 @@ class TestDiagnoseCommand:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {flag} must be")
+        assert not report_path.exists()
+
+
+    @pytest.mark.parametrize("translate", ["1", "1,2,3"])
+    def test_translate_of_the_wrong_length_is_a_usage_error(self, translate, four_csv, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main(["diagnose", four_csv, "--translate", translate, "-o", str(report_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --translate length must match the point dimension\n"
         assert not report_path.exists()
 
 
@@ -554,6 +620,25 @@ class TestEpsilonSearchCommand:
         assert code == 2
         assert "0 < lo < hi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds,flag", [(["--grid-lo", "0.01"], "--grid-lo"), (["--grid-hi", "1"], "--grid-hi")])
+    def test_one_grid_bound_is_a_usage_error(self, four_csv, tmp_path, capsys, bounds, flag):
+        report_path = tmp_path / "eps.json"
+        code = main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+                     "--num-at-dmin", "1", *bounds, "-o", str(report_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --grid-lo and --grid-hi must be given together\n"
+        assert flag in err and not report_path.exists()
+
+    def test_grid_bounds_set_the_grid(self, four_csv, tmp_path):
+        report_path = tmp_path / "eps.json"
+        code = main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1",
+                     "--grid-lo", "0.01", "--grid-hi", "1", "--grid-count", "5", "-o", str(report_path)])
+        assert code == 0
+        data = json.loads(report_path.read_text())
+        assert [point["epsilon"] for point in data["trace"]] == np.geomspace(0.01, 1.0, 5).tolist()
+        assert [point["satisfied"] for point in data["trace"]] == [True] * 4 + [False]
+
     def test_grid_count_sizes_the_default_grid(self, four_csv, tmp_path):
         report_path = tmp_path / "eps.json"
         main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
@@ -631,11 +716,47 @@ def _model_edited(edit):
     return make
 
 
+def _capped_model(tmp_path):
+    """A degree-1 fit of the four points, which stops with F columns left."""
+    main(["fit", write_four_points(tmp_path / "fit.csv"), "-o", str(tmp_path / "m.json"), "--max-degree", "1"])
+    return json.loads((tmp_path / "m.json").read_text())
+
+
 def _set_entry(name, value, degree=0, row=0):
     """Set one stored float of ``degrees[degree][name]`` to ``value``."""
     def edit(data):
         data["degrees"][degree][name][row][0] = value
     return edit
+
+
+class TestOutOfMemory:
+    """An allocation too large for the machine ends in one stderr line, not
+    a traceback; the allocation itself is stood in for, never made."""
+
+    MESSAGE = "Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64"
+
+    def _raise(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def test_eval_grid(self, four_csv, tmp_path, capsys, monkeypatch):
+        model_path, grid_path = tmp_path / "m.json", tmp_path / "grid.csv"
+        main(["fit", four_csv, "-o", str(model_path), "--epsilon", "0"])
+        capsys.readouterr()
+        monkeypatch.setattr("avibasis.cli._grid_points", self._raise)
+        code = main(["eval", str(model_path), four_csv, "-o", str(grid_path), "--grid", "100000"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert not grid_path.exists()
+
+    def test_generate(self, tmp_path, capsys, monkeypatch):
+        spec, out = tmp_path / "spec.json", tmp_path / "points.csv"
+        spec.write_text(json.dumps({"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]},
+                                    "samples": 20000000000}))
+        monkeypatch.setattr("avibasis.cli.generate_dataset", self._raise)
+        code = main(["generate", str(spec), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert not out.exists()
 
 
 class TestMalformedModel:
@@ -690,6 +811,13 @@ class TestMalformedModel:
             (_model_with(epsilon="-1"), "invalid value: epsilon must be >= 0, got -1.0"),
             (_model_with(epsilon="-inf"), "invalid value: epsilon must be >= 0, got -inf"),
             (_model_with(epsilon="nan"), "invalid value: epsilon must be >= 0, got nan"),
+            (_model_edited(lambda d: d["degrees"][0].update(parents=[0, 0])),
+             "degree-1 parents are not the variables 0..n-1 in order"),
+            (_model_edited(lambda d: d["degrees"][0]["parents"].reverse()),
+             "degree-1 parents are not the variables 0..n-1 in order"),
+            (_model_with(truncated=True), "truncated is True, which disagrees with the last degree's partition"),
+            (lambda tmp_path: {**_capped_model(tmp_path), "truncated": False},
+             "truncated is False, which disagrees with the last degree's partition"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
@@ -697,7 +825,8 @@ class TestMalformedModel:
              "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
              "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "string num_vars",
              "triple parent", "int parent pair", "nan threshold", "negative threshold",
-             "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon"],
+             "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon",
+             "repeated degree-1 parent", "reversed degree-1 parents", "truncated natural fit", "untruncated capped fit"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"

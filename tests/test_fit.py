@@ -187,6 +187,10 @@ class TestOrthogonalize:
         with pytest.raises(ValueError, match="must be 2-D"):
             orthogonalize(c_pre, f)
 
+    def test_rejects_mismatched_row_counts(self):
+        with pytest.raises(ValueError, match="row counts differ"):
+            orthogonalize(np.ones((5, 2)), np.ones((4, 1)))
+
 
 class TestNormalizationMatrix:
     def test_identity(self):
@@ -475,8 +479,8 @@ class TestFitPath:
             assert 1 <= len(got.degrees) <= len(want.degrees)
             assert got.truncated == (len(got.degrees) < len(want.degrees) or want.truncated)
             assert got.constant_value == want.constant_value
-            for g, w in zip(got.degrees, want.degrees):
-                assert g.parents == w.parents
+            for t, (g, w) in enumerate(zip(got.degrees, want.degrees), start=1):
+                assert got.parents(t) == want.parents(t)
                 assert g.partition == w.partition
                 assert np.array_equal(g.eigvals, w.eigvals)
                 assert np.array_equal(g.eigvecs, w.eigvecs)
@@ -486,11 +490,10 @@ class TestFitPath:
     @given(_path_case(), _targets)
     def test_search_trace_is_the_lone_fits_counts(self, case, target):
         pts, config, grid = case
-        result = epsilon_search(pts, target, normalization=config.normalization, grid=grid,
-                                max_degree=config.max_degree)
+        result = epsilon_search(pts, target, normalization=config.normalization, grid=grid)
         assert [p.epsilon for p in result.trace] == grid
-        for point in result.trace:
-            lone = fit(pts, replace(config, epsilon=point.epsilon))
+        for point in result.trace:  # the search takes no degree cap
+            lone = fit(pts, replace(config, epsilon=point.epsilon, max_degree=None))
             lone_counts = tuple(g for g, _ in lone.degree_counts())
             assert 1 <= len(point.g_counts) <= target.d_min
             assert point.g_counts == lone_counts[:len(point.g_counts)]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,12 @@ class TestEvaluate:
         model = fit(four_points, FitConfig(epsilon=0.0))
         with pytest.raises(ValueError):
             evaluate(model, model.g_handles(), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_points_rejected(self, four_points, bad):
+        model = fit(four_points, FitConfig(epsilon=0.0))
+        with pytest.raises(ValueError, match="points contain NaN or Inf"):
+            evaluate(model, model.g_handles(), np.array([[0.5, 0.5], [bad, 0.0]]))
 
 
 class TestGradient:
@@ -233,16 +240,16 @@ class TestExpand:
         model = fit(pts, FitConfig(epsilon=float(rng.choice([0.0, 1e-3])),
                                    normalization=NormalizationKind.coefficient()))
         kernel = avibasis.model._Expansions(model.num_vars, model.constant_value)
-        kernel.replay(model, model.max_degree)
-        for h in model.handles():
+        for h in model.handles():  # in ascending degree
             if h.degree == 0:
                 continue
-            fold, w = kernel.steps[h.degree - 1]  # pre-candidates, then the F blocks below
+            kernel.replay(model, h.degree)
+            fold, w = kernel.step  # pre-candidates, then the F blocks below
             u = model.record(h.degree).eigvecs[:, h.column]
             coeffs = [float(c) for c in np.concatenate([u, -(w @ u)])]
             polys = fold.terms.polynomials(model.num_vars)
             want = copying_fold([(p, c) for p, c in zip(polys, coeffs) if c != 0.0])
-            assert bits(kernel.combine(h.degree, [u]).polynomial(0, model.num_vars).terms) == bits(want)
+            assert bits(kernel.combine([u]).polynomial(0, model.num_vars).terms) == bits(want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3]))
@@ -258,7 +265,7 @@ class TestExpand:
         for t in range(1, model.max_degree + 1):
             kernel.replay(model, t)
             rec = model.record(t)
-            fold, w = kernel.steps[t - 1]
+            fold, w = kernel.step
             polys = fold.terms.polynomials(num_vars)
             if t > 1:
                 first, last = (kernel.blocks[k].polynomials(num_vars) for k in (1, t - 1))
@@ -269,7 +276,7 @@ class TestExpand:
                 weights = np.concatenate([u, -(w @ u)]).tolist()
                 want = copying_fold([(p, a) for p, a in zip(polys, weights) if a != 0.0])
                 assert bits(poly.terms) == bits(want)
-            units = kernel.combine(t, list(np.eye(rec.num_candidates)))
+            units = kernel.combine(list(np.eye(rec.num_candidates)))
             gram = normalization_matrix(NormalizationKind.coefficient(), np.zeros((num_points, len(units))),
                                         expansions=units)
             dicts = units.polynomials(num_vars)
@@ -292,8 +299,8 @@ class TestExpand:
         """A degree-1 expansion in a million variables has a dense size
         bound over ``EXPANSION_TERM_CAP``; the guard refuses it before the
         kernel forms anything (one exponent vector alone is 8 MB)."""
-        record = DegreeRecord(parents=(0,), ortho_weights=np.zeros((1, 1)), eigvecs=np.ones((1, 1)),
-                              eigvals=np.ones(1), partition=("F",))
+        record = DegreeRecord(ortho_weights=np.zeros((1, 1)), eigvecs=np.ones((1, 1)), eigvals=np.ones(1),
+                              partition=("F",))
         model = BasisModel(num_vars=10**6, constant_value=1.0, degrees=(record,), epsilon=0.0,
                            normalization=NormalizationKind.coefficient())
         tracemalloc.start()
@@ -347,6 +354,27 @@ class TestValidate:
         object.__setattr__(rec, "partition", flipped)
         with pytest.raises(ValueError):
             model.validate()
+
+    def test_parents_are_the_f_count_grid(self):
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 3))
+        model = fit(pts, FitConfig(epsilon=0.0, normalization=NormalizationKind.identity()))
+        f = [rec.partition.count("F") for rec in model.degrees]
+        assert model.parents(1) == (0, 1, 2)
+        for t in range(2, model.max_degree + 1):
+            want = tuple((i, j) for i in range(f[0]) for j in range(f[t - 2]))
+            assert model.parents(t) == want
+            assert len(want) == model.record(t).num_candidates
+        with pytest.raises(IndexError):
+            model.parents(model.max_degree + 1)
+
+    @pytest.mark.parametrize("max_degree", [None, 1])
+    def test_flipped_truncated_flag_refused(self, four_points, max_degree):
+        model = fit(four_points, FitConfig(epsilon=0.0, max_degree=max_degree))
+        model.validate()
+        assert model.truncated == (max_degree == 1)
+        flipped = dataclasses.replace(model, truncated=not model.truncated)
+        with pytest.raises(ValueError, match=f"truncated is {flipped.truncated}, which disagrees"):
+            flipped.validate()
 
 
 @st.composite

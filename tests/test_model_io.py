@@ -8,10 +8,10 @@ byte.
 Under corruption, a saved model with one field deleted or replaced must
 load into a model that validates and replays to finite values, or be
 refused with a ValueError.  An integer field holding a bool, a string or
-a fractional number, a parent entry above degree 1 that is not an
-``[i, j]`` pair, an emptied matrix, a non-finite eigenvalue or
-residual, a non-finite or negative reduction threshold and a negative or
-NaN epsilon are always refused."""
+a fractional number, parents other than the ones the F counts give, a
+``truncated`` flag that disagrees with the last degree, an emptied
+matrix, a non-finite eigenvalue or residual, a non-finite or negative
+reduction threshold and a negative or NaN epsilon are always refused."""
 
 import dataclasses
 import json
@@ -82,17 +82,20 @@ FINITE_ENTRY_KEYS = ("eigvals", "per_point_residuals")
 FINITE_KEYS = ("threshold", "max_residual")
 
 
-def _must_refuse(path, value) -> bool:
-    """Whether the mutation leaves an integer field a bool, a string or a
-    fraction, replaces or deletes a whole parent pair above degree 1,
+def _must_refuse(name, path, value) -> bool:
+    """Whether the mutation of saved model ``name`` leaves an integer field
+    a bool, a string or a fraction, changes any parents, makes the
+    ``truncated`` flag read differently (both fits end naturally),
     empties a degree's matrix, makes an eigenvalue, a residual or the
     reduction threshold non-finite, makes the threshold negative, or makes
     epsilon negative or NaN."""
     key = next(k for k in reversed(path) if isinstance(k, str))
     if path == ("epsilon",):
         return value in ("nan", "-inf", -1)
-    if key == "parents" and path[1] > 0 and len(path) == 4:  # a whole pair
-        return True  # no value in VALUES is an [i, j] pair
+    if path == ("truncated",):
+        return bool(None if value is DELETE else value)
+    if key == "parents" and _mutated(name, path, value) != json.loads(SAVED[name][0]):
+        return True
     if key in INTEGER_KEYS:
         return isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer())
     if key in FINITE_ENTRY_KEYS and path[-1] != key:
@@ -116,6 +119,7 @@ def _mutated(name, path, value):
 
 
 def test_fixtures_cover_the_report_sections():
+    assert not any(json.loads(text)["truncated"] for text, _ in SAVED.values())
     reports = [json.loads(text)["reduction"] for text, _ in SAVED.values()]
     assert any(r["removed"] for r in reports) and any(r["rank_deflated"] for r in reports)
     assert {name for name, path in FIELDS if path[-1] in FINITE_KEYS} == {"grad", "vca"}
@@ -129,6 +133,9 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("grad", ("preprocessing", "scale")), value=0)
 @example(field=("grad", ("degrees", 1, "eigvecs")), value=[])
 @example(field=("grad", ("degrees", 0, "parents", 1)), value=0.9)
+@example(field=("grad", ("degrees", 0, "parents", 1)), value=0)
+@example(field=("vca", ("truncated",)), value=True)
+@example(field=("grad", ("truncated",)), value=DELETE)
 @example(field=("grad", ("degrees", 1, "parents", 0, 1)), value=True)
 @example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=1.5)
 @example(field=("vca", ("reduction", "kept", 0, "column")), value=True)
@@ -149,7 +156,7 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
         model, _ = model_from_dict(data)
     except ValueError:
         return
-    assert not _must_refuse(path, value), "the mutated model loaded"
+    assert not _must_refuse(name, path, value), "the mutated model loaded"
     model.validate()
     assert np.isfinite(evaluate(model, model.handles(), SAVED[name][1])).all()
 
@@ -227,8 +234,8 @@ def _oracle_text(model, report=None) -> str:
         "degrees": [
             {
                 "degree": t,
-                "parents": [int(k) for k in rec.parents] if t == 1
-                else [[int(i), int(j)] for i, j in rec.parents],
+                "parents": [int(k) for k in model.parents(t)] if t == 1
+                else [[int(i), int(j)] for i, j in model.parents(t)],
                 "ortho_weights": _enc_array(rec.ortho_weights),
                 "eigvecs": _enc_array(rec.eigvecs),
                 "eigvals": _enc_array(rec.eigvals),

@@ -165,7 +165,6 @@ class TestSweepRules:
         perm = np.arange(rec.num_outputs)
         perm[g_cols[0]], perm[g_cols[1]] = g_cols[1], g_cols[0]
         permuted = DegreeRecord(
-            parents=rec.parents,
             ortho_weights=rec.ortho_weights,
             eigvecs=rec.eigvecs[:, perm],
             eigvals=rec.eigvals[perm],

@@ -54,7 +54,7 @@ ROOT_SIGNATURES = {
     "ConcentricEllipses": "radii rotation",
     "CustomPoints": "points",
     "DatasetSpec": "variety samples extra_linear_vars noise_std_fraction seed",
-    "DegreeRecord": "parents ortho_weights eigvecs eigvals partition",
+    "DegreeRecord": "ortho_weights eigvecs eigvals partition",
     "DensePolynomial": "num_vars terms",
     "EpsilonSearchResult": "found epsilon lower upper trace",
     "EpsilonTarget": "num_linear d_min num_at_dmin",
@@ -69,7 +69,7 @@ ROOT_SIGNATURES = {
     "PolynomialSystem": "polynomials",
     "Preprocessing": "center scale",
     "ReductionReport": "kept removed rank_deflated threshold",
-    "epsilon_search": "points target normalization grid max_degree",
+    "epsilon_search": "points target normalization grid",
     "evaluate": "model handles points",
     "expand": "model handle",
     "extract_features": "class_models x",
