@@ -30,7 +30,7 @@ from .fit import (
     _subsample,
     fit,
 )
-from .model import BasisModel, PointSet, Preprocessing, _as_points, evaluate, expand, gradient
+from .model import BasisModel, PointSet, Preprocessing, _as_points, _as_slice, evaluate, expand, gradient
 
 __all__ = [
     "ConcentricEllipses",
@@ -407,7 +407,7 @@ def _unit_grid(count: int) -> np.ndarray:
 def default_epsilon_grid(points, count: int = 60) -> np.ndarray:
     """Log-spaced tolerance grid spanning 1e-4..1 times the mean point norm."""
     pts = _as_points(points)
-    scale = float(np.linalg.norm(pts, axis=1).mean())
+    scale = linalg._mean_norm(pts)
     if scale <= 0:
         scale = 1.0
     return _unit_grid(count) * scale
@@ -550,8 +550,12 @@ def _blocks(model: BasisModel, eval_points) -> dict:
     for c, h in enumerate(handles):
         columns.setdefault((h.degree, h.kind), []).append(c)
     # row-major (``evaluate`` returns column-major): the layout whose bits
-    # the subspace comparisons' BLAS and LAPACK calls keep
-    return {key: np.ascontiguousarray(values[:, cols]) for key, cols in columns.items()}
+    # the subspace comparisons' BLAS and LAPACK calls keep.  A block's
+    # handles are consecutive when its degree's F and G columns are, so it
+    # is a column slice and this copy the only one; a copy even of a
+    # one-column slice, which is C-contiguous already, so that no block is
+    # a view that keeps the whole matrix alive.
+    return {key: np.array(values[:, _as_slice(cols)], order="C") for key, cols in columns.items()}
 
 
 def _eig_ratios(

@@ -10,13 +10,13 @@ against the tolerance epsilon.  The numeric work of each degree runs in
 the degree-step kernel of ``model``, which replays use too; the fit
 supplies the orthogonalization and the eigensolve.  Coefficient
 normalization's expansions come from that kernel's symbolic twin, which
-``expand`` replays.  Degree t depends on epsilon only through the splits
-below it, so one driver, ``_fit_path``, fits a set of tolerances down one
-chain of shared degree-steps and hands over each group of tolerances
-whose fits end with the same records once, as their indices, those
-records and the ``truncated`` flag; ``fit`` is its one-tolerance case,
-and the tolerance search reads its target off each group's records
-without building a model.
+the fitted model keeps for ``expand``.  Degree t depends on epsilon only
+through the splits below it, so one driver, ``_fit_path``, fits a set of
+tolerances down one chain of shared degree-steps and hands over each
+group of tolerances whose fits end with the same records once, as their
+indices, those records and the ``truncated`` flag; ``fit`` is its
+one-tolerance case, and the tolerance search reads its target off each
+group's records without building a model.
 """
 
 from __future__ import annotations
@@ -240,8 +240,9 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
     """
     config = config or FitConfig()
     prep, pts, m = _prepare(points, config)
-    ((_, degrees, truncated),) = _fit_path(pts, m, config, [config.epsilon])
-    return BasisModel(
+    sym = _Expansions(pts.shape[1], m) if config.normalization.variant == COEFFICIENT else None
+    ((_, degrees, truncated),) = _fit_path(pts, m, config, [config.epsilon], expansions=sym)
+    model = BasisModel(
         num_vars=pts.shape[1],
         constant_value=m,
         degrees=degrees,
@@ -250,6 +251,9 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
         preprocessing=prep,
         truncated=truncated,
     )
+    if sym is not None:  # ``expand`` then forms only the expansions the fit did not
+        sym.keep_for(model)
+    return model
 
 
 def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, float]:
@@ -258,7 +262,7 @@ def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, floa
     pts_in = _as_points(points)
     prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
     if config.unit_mean_norm:
-        scale = float(np.linalg.norm(prep.apply(pts_in), axis=1).mean())
+        scale = linalg._mean_norm(prep.apply(pts_in))
         if scale <= 0.0:
             raise ValueError("cannot scale a point set with zero mean norm")
         prep = Preprocessing(center=prep.center, scale=scale)
@@ -266,7 +270,7 @@ def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, floa
     return prep, pts, _constant_value(config.normalization, pts)
 
 
-def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=None):
+def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=None, expansions=None):
     """Yield ``(indices, degrees, truncated)`` once for each group of
     tolerances whose fits end with the same records: ``indices`` into
     ``epsilons``, ascending, the shared tuple of ``DegreeRecord``s, and
@@ -281,6 +285,8 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     that would step a further degree; a prefix it rejects ends there, and
     its tolerances get that prefix of their fit, marked ``truncated``.  The
     tolerance search uses it to step only the degrees its target reads.
+    ``expansions`` is the fresh symbolic kernel a coefficient fit steps,
+    for the caller to keep; without it, the driver makes its own.
 
     Degree t depends on the tolerance only through the F/G partitions of
     the degrees below it, so the fits share their prefixes, and the driver
@@ -302,7 +308,9 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     # Only gradient normalizations read candidate gradients, and no
     # gradient reaches the model, so other fits carry none.
     fwd = _Forward(pts, m, kind.uses_gradients)
-    sym = _Expansions(num_vars, m) if kind.variant == COEFFICIENT else None
+    sym = None
+    if kind.variant == COEFFICIENT:
+        sym = expansions if expansions is not None else _Expansions(num_vars, m)
     records: tuple = ()
     members = list(range(len(epsilons)))  # the tolerances still stepping
     while members:

@@ -16,7 +16,12 @@ concatenation of the lower-degree blocks.
 The one symbolic path is its twin ``_Expansions``, over exact dense
 polynomials held as term arrays (``densepoly._Terms``), whose order is
 the term order: coefficient fits and ``expand`` both run it, one batch
-of combinations, pair products or Gram entries per degree at a time.
+of combinations, pair products or Gram entries per degree at a time.  A
+coefficient fit's kernel becomes its model's expansion kernel, so
+``expand`` forms only the expansions the fit did not.  To allow that, the
+kernel keeps more than the fit's F expansions: also each degree's
+pre-candidates and weights, for the model's lifetime whether or not
+``expand`` is called, until ``expand`` forms that degree's expansions.
 """
 
 from __future__ import annotations
@@ -490,13 +495,19 @@ class _Expansions:
 
     Its polynomials are ``densepoly._Terms`` batches over one monomial
     table, which grows only as monomials appear.  It keeps the F blocks
-    built so far, one per degree from the constant on, and for the latest
-    stepped degree, ``degree``, the fold of its pre-candidates and the F
-    blocks below it, with the orthogonalization weights; a replay also
-    keeps each degree's expansions of every column.  A degree is
-    ``candidates`` then ``append``, forward only, as in ``_Forward``.
-    ``combine`` expands a batch of combinations of the latest degree's
-    orthogonalized candidates at once.
+    built so far, one per degree from the constant on; in ``kept``, each
+    stepped degree's pre-candidates and orthogonalization weights, until
+    ``replay`` forms its ``outputs``, the expansions of all its columns;
+    and in ``step``, the fold and weights of the degree laid out last.  A
+    degree is ``candidates`` then ``append``, forward only, as in
+    ``_Forward``.  ``combine`` expands a batch of combinations of
+    ``step``'s orthogonalized candidates at once.
+
+    A coefficient fit's kernel becomes its model's expansion kernel
+    (``keep_for``).  So it keeps more than the fit's F blocks, each
+    degree's pre-candidates and weights too, for the model's lifetime
+    whether or not ``expand`` is called, until that degree's outputs
+    replace them.
     """
 
     def __init__(self, num_vars: int, constant_value: float):
@@ -504,7 +515,8 @@ class _Expansions:
         self.constant_value = constant_value
         self.table = _Monomials()
         self.blocks: list[_Terms] = []  # the constant's block is formed with degree 1
-        self.degree, self.step = 0, None  # the latest degree stepped, and its fold and weights
+        self.kept: dict[int, tuple[_Terms, np.ndarray]] = {}  # degree -> its pre-candidates and weights
+        self.degree, self.step = 0, None  # the latest degree stepped
         self.outputs: dict[int, _Terms] = {}
 
     def candidates(self, w: np.ndarray) -> None:
@@ -524,12 +536,19 @@ class _Expansions:
             pre = _Terms.of(self.table, [DensePolynomial.variable(n, k) for k in range(n)])
         else:
             pre = _pair_products(self.blocks[1], self.blocks[-1])
-        self.step, self.degree = (_Fold(_Terms.concat([pre, *self.blocks])), w), t
+        self.kept[t], self.degree = (pre, w), t
+        self._fold(t)
+
+    def _fold(self, t: int) -> None:
+        """Lay out degree ``t``'s fold, over its pre-candidates and the F
+        blocks below it, as ``step``."""
+        pre, w = self.kept[t]
+        self.step = _Fold(_Terms.concat([pre, *self.blocks[:t]])), w
 
     def combine(self, vectors) -> _Terms:
-        """Expansions of the combinations ``vectors`` of the latest degree's
-        orthogonalized candidates: ``sum_j u_j pre_j - sum_f (w u)_f F_f``
-        over its pre-candidates and the F expansions below it.  Each
+        """Expansions of the combinations ``vectors`` of the orthogonalized
+        candidates of ``step``'s degree: ``sum_j u_j pre_j - sum_f (w u)_f
+        F_f`` over its pre-candidates and the F expansions below it.  Each
         vector's weights are formed on their own, as ``[u, -(w @ u)]``: one
         product ``w @ U`` would round differently.
         Negating ``w u`` is exact, so ``F_f`` scaled by ``-(w u)_f`` and
@@ -544,15 +563,37 @@ class _Expansions:
         the stride of ``u``, so a copied column could differ in the last bit)."""
         self.blocks.append(self.combine([rec.eigvecs[:, c] for c in rec.columns("F")]))
 
+    def keep_for(self, model: BasisModel) -> None:
+        """Register this kernel, which stepped every degree of ``model``, as
+        the one ``expand`` replays ``model`` through.  The fold grid is
+        dropped: a replay lays it out again from the kept pre-candidates."""
+        self.step = None
+        with _EXPANSION_LOCK:
+            _EXPANSION_CACHE[model] = self
+
     def replay(self, model: BasisModel, degree: int) -> None:
-        """Step ``model``'s records of the degrees up to ``degree`` that
-        earlier calls have not stepped, keeping the expansions of all
-        their columns in ``outputs``; the F block is taken from those."""
-        for t in range(self.degree + 1, degree + 1):
+        """Form the outputs of ``model``'s degrees up to ``degree`` that
+        earlier calls have not formed.  A degree nothing stepped is stepped
+        now; one whose F block is appended forms only its G columns, which
+        go in column order with that block."""
+        for t in range(len(self.outputs) + 1, degree + 1):
             rec = model.record(t)
-            self.candidates(rec.ortho_weights)
-            out = self.outputs[t] = self.combine([rec.eigvecs[:, c] for c in range(rec.num_outputs)])
-            self.blocks.append(out.take(rec.columns("F")))
+            appended = t < len(self.blocks)
+            rest = rec.columns("G") if appended else range(rec.num_outputs)
+            if t > self.degree:
+                self.candidates(rec.ortho_weights)
+            elif len(rest):
+                self._fold(t)
+            if not appended:
+                out = self.combine([rec.eigvecs[:, c] for c in rest])
+                self.blocks.append(out.take(rec.columns("F")))
+            else:
+                out = self.blocks[t]
+                if len(rest):
+                    made = self.combine([rec.eigvecs[:, c] for c in rest])
+                    out = _Terms.concat([out, made]).take(np.argsort(np.concatenate([rec.columns("F"), rest])))
+            self.outputs[t] = out
+            del self.kept[t]
 
 
 _EXPANSION_CACHE: "weakref.WeakKeyDictionary[BasisModel, _Expansions]" = weakref.WeakKeyDictionary()
@@ -563,10 +604,12 @@ def expand(model: BasisModel, handle: PolyHandle) -> DensePolynomial:
     """Exact symbolic expansion of one basis polynomial (model space).
 
     Replays the construction through the symbolic kernel, kept per model
-    (models are immutable), which steps each degree once, on the first
-    request that reaches it, and expands all of its columns in one batch;
-    each call returns a fresh polynomial.  Cost is exponential in degree, so the kernel's term guard
-    refuses degrees whose dense size bound exceeds ``EXPANSION_TERM_CAP``.
+    (models are immutable), which expands all of a degree's columns in one
+    batch, on the first request that reaches it: a coefficient fit's own
+    kernel forms only those the fit did not, any other steps the degree.
+    Each call returns a fresh polynomial.  Cost is exponential in degree,
+    so the kernel's term guard refuses degrees whose dense size bound
+    exceeds ``EXPANSION_TERM_CAP``.
     """
     (handle,) = _check_handles(model, [handle])
     if handle.degree == 0:

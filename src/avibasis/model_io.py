@@ -251,6 +251,9 @@ def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisMode
         scale = float(prep_data["scale"])
         if not 0.0 < scale < np.inf:
             raise ValueError(f"preprocessing.scale must be finite and > 0, got {scale!r}")
+    truncated = data.get("truncated", False)
+    if not isinstance(truncated, bool):  # not read by its truth value
+        raise ValueError(f"truncated: expected true or false, got {truncated!r}")
     epsilon = float(data["epsilon"])
     if not epsilon >= 0:  # also rejects NaN; +inf (everything vanishes) loads
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -261,7 +264,7 @@ def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisMode
         epsilon=epsilon,
         normalization=kind,
         preprocessing=Preprocessing(center=center, scale=scale),
-        truncated=bool(data.get("truncated", False)),
+        truncated=truncated,
     )
 
 

@@ -818,6 +818,9 @@ class TestMalformedModel:
             (_model_with(truncated=True), "truncated is True, which disagrees with the last degree's partition"),
             (lambda tmp_path: {**_capped_model(tmp_path), "truncated": False},
              "truncated is False, which disagrees with the last degree's partition"),
+            (_model_with(truncated="false"), "invalid value: truncated: expected true or false, got 'false'"),
+            (lambda tmp_path: {**_capped_model(tmp_path), "truncated": "no"},
+             "invalid value: truncated: expected true or false, got 'no'"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
@@ -826,7 +829,8 @@ class TestMalformedModel:
              "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "string num_vars",
              "triple parent", "int parent pair", "nan threshold", "negative threshold",
              "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon",
-             "repeated degree-1 parent", "reversed degree-1 parents", "truncated natural fit", "untruncated capped fit"],
+             "repeated degree-1 parent", "reversed degree-1 parents", "truncated natural fit", "untruncated capped fit",
+             "string truncated natural fit", "string truncated capped fit"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"

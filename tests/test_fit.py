@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avibasis import (
@@ -18,7 +18,7 @@ from avibasis import (
     gradient,
     lstsq,
 )
-from avibasis.analysis import _descend, _satisfies
+from avibasis.analysis import _descend, _satisfies, default_epsilon_grid
 from avibasis.densepoly import _Monomials, _Terms
 from avibasis.fit import (
     _classify_all,
@@ -336,6 +336,29 @@ class TestFitSmallCases:
         assert model.preprocessing.scale is not None
         values = evaluate(model, model.g_handles(), pts)
         assert np.abs(values).max() <= 1e-8
+
+
+class TestMeanNormOverTheFloatRange:
+    """The mean point norm, which ``unit_mean_norm`` divides by and the
+    default tolerance grid scales with, follows the points from 1e-300 to
+    1e300 instead of overflowing or underflowing in its squares."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-300, 300), st.integers(3, 15), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(160, 12, 3, 5)
+    @example(-200, 12, 3, 5)
+    def test_counts_and_grid_follow_the_scale(self, k, num_points, num_vars, seed):
+        pts = np.random.default_rng(seed).standard_normal((num_points, num_vars))
+        alpha = 10.0**k
+        config = FitConfig(center=True, unit_mean_norm=True)
+        assert fit(alpha * pts, config).degree_counts() == fit(pts, config).degree_counts()
+        # alpha * pts rounds each coordinate once, which moves a row norm by
+        # at most a few ulps
+        grid = default_epsilon_grid(pts)
+        np.testing.assert_allclose(default_epsilon_grid(alpha * pts) / alpha, grid, rtol=1e-14, atol=0)
+        # a power of two scales exactly, and so does the grid
+        two = 2.0 ** (3 * k)
+        assert default_epsilon_grid(two * pts).tobytes() == (two * grid).tobytes()
 
 
 class TestFitInvariants:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from avibasis import (
     reduce_basis,
     save_model,
 )
-from conftest import bits, copying_fold, random_model
+from conftest import bits, copying_fold, random_cloud, random_model
 
 
 class TestPointSet:
@@ -229,6 +231,54 @@ class TestExpand:
         for h, poly in zip(handles, fitted):
             assert bits(expand(model, h)) == bits(poly)
             assert bits(expand(loaded, h)) == bits(poly)
+
+    @pytest.mark.parametrize("epsilon,max_degree", [(0.0, None), (1e-3, None), (0.05, None), (0.0, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_kernel_expands_as_the_cold_replay(self, seed, epsilon, max_degree, tmp_path):
+        """``expand`` through a coefficient fit's own kernel, which forms
+        only the columns the fit did not, equals bit for bit and in term
+        order the cold replay of the model's JSON round trip, for every G
+        and F handle, on quarter-integer clouds (exact cancellations)."""
+        rng = np.random.default_rng(200 + seed)
+        pts = np.round(4 * rng.uniform(-1.5, 1.5, size=(int(rng.integers(4, 10)), int(rng.integers(1, 4))))) / 4
+        model = fit(pts, FitConfig(epsilon=epsilon, normalization=NormalizationKind.coefficient(),
+                                   max_degree=max_degree))
+        if max_degree is not None:
+            assert model.truncated
+        save_model(tmp_path / "m.json", model)
+        loaded, _ = load_model(tmp_path / "m.json")
+        for h in model.handles():
+            assert bits(expand(model, h).terms) == bits(expand(loaded, h).terms)
+
+    def test_fit_kernel_forms_no_pair_products_or_candidates(self, monkeypatch):
+        """After a coefficient fit, ``expand`` of every handle steps no
+        degree again: no pair products and no pre-candidates."""
+        rng = np.random.default_rng(3)
+        model = fit(random_cloud(rng, 9, 3), FitConfig(epsilon=1e-3, normalization=NormalizationKind.coefficient()))
+        assert model.g_handles() and model.max_degree > 2
+
+        def refuse(*args):
+            raise AssertionError("expand repeated the fit's symbolic work")
+
+        for target in ("avibasis.densepoly._pair_products", "avibasis.model._pair_products",
+                       "avibasis.model._Expansions.candidates"):
+            monkeypatch.setattr(target, refuse)
+        for h in model.handles():
+            expand(model, h)
+
+    @pytest.mark.parametrize("kind", ["identity", "gradient", "coefficient"])
+    def test_only_a_coefficient_fit_keeps_its_kernel_while_the_model_lives(self, kind):
+        cache = avibasis.model._EXPANSION_CACHE
+        model = fit(random_cloud(np.random.default_rng(4), 6, 2),
+                    FitConfig(normalization=getattr(NormalizationKind, kind)()))
+        assert (model in cache) == (kind == "coefficient")
+        if kind != "coefficient":
+            return
+        kernel = weakref.ref(cache[model])
+        assert kernel().step is None  # no fold grid is kept
+        del model
+        gc.collect()
+        assert kernel() is None
 
     @pytest.mark.parametrize("seed", range(6))
     def test_combine_is_the_copying_fold(self, seed):

@@ -9,7 +9,8 @@ Under corruption, a saved model with one field deleted or replaced must
 load into a model that validates and replays to finite values, or be
 refused with a ValueError.  An integer field holding a bool, a string or
 a fractional number, parents other than the ones the F counts give, a
-``truncated`` flag that disagrees with the last degree, an emptied
+``truncated`` flag that is not a JSON bool or that disagrees with the
+last degree, an emptied
 matrix, a non-finite eigenvalue or residual, a non-finite or negative
 reduction threshold and a negative or NaN epsilon are always refused."""
 
@@ -85,7 +86,8 @@ FINITE_KEYS = ("threshold", "max_residual")
 def _must_refuse(name, path, value) -> bool:
     """Whether the mutation of saved model ``name`` leaves an integer field
     a bool, a string or a fraction, changes any parents, makes the
-    ``truncated`` flag read differently (both fits end naturally),
+    ``truncated`` flag anything but absent or false (both fits end
+    naturally),
     empties a degree's matrix, makes an eigenvalue, a residual or the
     reduction threshold non-finite, makes the threshold negative, or makes
     epsilon negative or NaN."""
@@ -93,7 +95,7 @@ def _must_refuse(name, path, value) -> bool:
     if path == ("epsilon",):
         return value in ("nan", "-inf", -1)
     if path == ("truncated",):
-        return bool(None if value is DELETE else value)
+        return value is not DELETE and value is not False
     if key == "parents" and _mutated(name, path, value) != json.loads(SAVED[name][0]):
         return True
     if key in INTEGER_KEYS:
@@ -185,11 +187,14 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("epsilon",)), "-1", "epsilon must be >= 0, got -1.0"),
     (("vca", ("epsilon",)), "-inf", "epsilon must be >= 0, got -inf"),
     (("grad", ("epsilon",)), "nan", "epsilon must be >= 0, got nan"),
+    (("grad", ("truncated",)), "false", "truncated: expected true or false, got 'false'"),
+    (("vca", ("truncated",)), 0, "truncated: expected true or false, got 0"),
+    (("grad", ("truncated",)), None, "truncated: expected true or false, got None"),
 ], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "string num_vars",
         "string parent", "triple parent", "int parent pair", "string parent pair", "bool degree",
         "fractional column", "string column", "bool deflated degree", "fractional original_count", "nan threshold",
         "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
-        "-inf epsilon", "nan epsilon"])
+        "-inf epsilon", "nan epsilon", "string truncated", "integer truncated", "null truncated"])
 def test_refused_with_a_one_line_field_error(field, value, message):
     data = _mutated(*field, value)
     with pytest.raises(ValueError, match=re.escape(message)) as info:
