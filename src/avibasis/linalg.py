@@ -26,25 +26,17 @@ __all__ = [
 
 RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
-# While the largest absolute coordinate lies in this range, the plain
-# norm's sums of squares cannot overflow, and squares that underflow move
-# the mean row norm by less than 2**-70 of it (below 2**40 points and
-# variables), so the plain norm is as accurate as the scaled one.
-_PLAIN_NORM_RANGE = (2.0**-400, 2.0**400)
 
 
 def _mean_norm(points: np.ndarray) -> float:
-    """Mean Euclidean norm of the rows of ``points``.
-
-    It is ``np.linalg.norm(points, axis=1).mean()``, bit for bit, unless
-    the largest absolute coordinate is so large or so small that squaring
-    could overflow or underflow.  Then the rows are divided by the power of
-    two at or below that coordinate, which is exact, and the mean is
-    multiplied back."""
+    """Mean Euclidean norm of the rows of ``points``, which neither
+    overflows nor underflows: the rows are divided by the power of two at
+    or below the largest absolute coordinate, and the mean is multiplied
+    back.  Both steps are exact, and so is every step of the norm and the
+    mean on the scaled rows, so this is ``np.linalg.norm(points,
+    axis=1).mean()`` bit for bit wherever that neither overflows nor
+    rounds a subnormal square that the sum does not absorb."""
     big = float(np.abs(points).max())
-    low, high = _PLAIN_NORM_RANGE
-    if low <= big <= high:
-        return float(np.linalg.norm(points, axis=1).mean())
     scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
     return float(np.linalg.norm(points / scale, axis=1).mean() * scale)
 

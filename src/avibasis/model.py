@@ -573,26 +573,21 @@ class _Expansions:
 
     def replay(self, model: BasisModel, degree: int) -> None:
         """Form the outputs of ``model``'s degrees up to ``degree`` that
-        earlier calls have not formed.  A degree nothing stepped is stepped
-        now; one whose F block is appended forms only its G columns, which
-        go in column order with that block."""
+        earlier calls have not formed, stepping each degree nothing stepped.
+        A degree's F columns are its F block, appended now unless a fit
+        appended it; its G columns, if any, are combined and go in column
+        order with that block."""
         for t in range(len(self.outputs) + 1, degree + 1):
             rec = model.record(t)
-            appended = t < len(self.blocks)
-            rest = rec.columns("G") if appended else range(rec.num_outputs)
+            f, g = rec.columns("F"), rec.columns("G")
             if t > self.degree:
                 self.candidates(rec.ortho_weights)
-            elif len(rest):
+            elif len(g):  # a fit stepped it and kept its pre-candidates, not its fold
                 self._fold(t)
-            if not appended:
-                out = self.combine([rec.eigvecs[:, c] for c in rest])
-                self.blocks.append(out.take(rec.columns("F")))
-            else:
-                out = self.blocks[t]
-                if len(rest):
-                    made = self.combine([rec.eigvecs[:, c] for c in rest])
-                    out = _Terms.concat([out, made]).take(np.argsort(np.concatenate([rec.columns("F"), rest])))
-            self.outputs[t] = out
+            if t == len(self.blocks):
+                self.append(rec)
+            made = [self.combine([rec.eigvecs[:, c] for c in g])] if len(g) else []
+            self.outputs[t] = _Terms.concat([self.blocks[t], *made]).take(np.argsort(np.concatenate([f, g])))
             del self.kept[t]
 
 
