@@ -67,6 +67,7 @@ class ConcentricEllipses:
 
     radii: tuple[tuple[float, float], ...]
     rotation: float = 0.0
+    num_vars = 2
 
     def __post_init__(self) -> None:
         radii = tuple((float(a), float(b)) for a, b in self.radii)
@@ -107,9 +108,14 @@ class CustomPoints:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError("custom points must be a non-empty 2-D array")
+        _check_finite("custom points", pts)
         object.__setattr__(self, "points", pts)
+
+    @property
+    def num_vars(self) -> int:
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +137,19 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 <= self.noise_std_fraction < math.inf:
             raise ValueError("noise_std_fraction must be finite and >= 0")
+        if isinstance(self.variety, CustomPoints) and self.variety.points.shape[0] != self.samples:
+            raise ValueError("samples must equal the row count of the custom points")
         object.__setattr__(self, "extra_linear_vars", tuple(self.extra_linear_vars))
         for weights in self.extra_linear_vars:
             _check_finite("extra_linear_vars", weights)
+            if np.shape(weights) not in ((), (self.variety.num_vars,)):
+                raise ValueError("extra_linear_vars: a weight vector's length must match the base dimension")
+            if np.ndim(weights) == 0 and self.variety.num_vars < 2:
+                raise ValueError("extra_linear_vars: scalar mixture weights need at least two base variables")
 
 
 def _sample_ellipses(spec: ConcentricEllipses, samples: int, rng) -> np.ndarray:
@@ -261,8 +275,6 @@ def generate_dataset(spec: DatasetSpec) -> PointSet:
     elif isinstance(variety, PolynomialSystem):
         base = _sample_polynomial_system(variety, spec.samples, rng)
     elif isinstance(variety, CustomPoints):
-        if variety.points.shape[0] != spec.samples:
-            raise ValueError("custom points row count must equal the sample count")
         base = variety.points.copy()
     else:
         raise ValueError(f"unknown variety {type(variety).__name__}")
@@ -270,15 +282,10 @@ def generate_dataset(spec: DatasetSpec) -> PointSet:
     columns = [base]
     for weights in spec.extra_linear_vars:
         if np.ndim(weights) == 0:
-            if base.shape[1] < 2:
-                raise ValueError("scalar mixture weights need at least two base variables")
             k = float(weights)
             col = k * base[:, 0] + (1.0 - k) * base[:, 1]
         else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (base.shape[1],):
-                raise ValueError("mixture weight vector length must match the base dimension")
-            col = base @ w
+            col = base @ np.asarray(weights, dtype=float)
         columns.append(col[:, None])
     pts = np.concatenate(columns, axis=1)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from .analysis import (
 from .densepoly import DensePolynomial
 from .fit import FitConfig, NormalizationKind, fit
 from .model import BasisModel, evaluate
-from .model_io import FLOAT_FORMAT, load_model, save_model
+from .model_io import FLOAT_FORMAT, integer, items, load_model, matrix, number, obj, save_model, text, vector
 from .reduction import reduce_basis
 
 __all__ = ["main"]
@@ -57,35 +56,20 @@ class CliError(Exception):
 def read_points_csv(path: str) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw_rows = list(csv.reader(fh))
+            rows = [(line, [cell.strip() for cell in row]) for line, row in enumerate(csv.reader(fh), start=1)]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    rows = [(i + 1, [cell.strip() for cell in row]) for i, row in enumerate(raw_rows)]
-    rows = [(line, row) for line, row in rows if any(cell for cell in row)]
-    if not rows:
-        raise CliError(f"{path}: empty point set")
-
-    def parse(line: int, row: list[str]) -> list[float]:
-        try:
-            return [float(cell) for cell in row]
-        except ValueError as exc:
-            raise CliError(f"{path}: line {line}: malformed row: {exc}") from exc
-
-    start = 0
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:
-        start = 1  # header row
-    if start >= len(rows):
-        raise CliError(f"{path}: empty point set")
-    width = len(rows[start][1])
     data = []
-    for line, row in rows[start:]:
-        if len(row) != width:
-            raise CliError(
-                f"{path}: line {line}: expected {width} columns, found {len(row)}"
-            )
-        data.append(parse(line, row))
+    for i, (line, row) in enumerate([(line, row) for line, row in rows if any(row)]):
+        if data and len(row) != len(data[0]):
+            raise CliError(f"{path}: line {line}: expected {len(data[0])} columns, found {len(row)}")
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError as exc:
+            if i > 0:  # the first row may be a header
+                raise CliError(f"{path}: line {line}: malformed row: {exc}") from exc
+    if not data:
+        raise CliError(f"{path}: empty point set")
     return np.array(data, dtype=float)
 
 
@@ -108,18 +92,12 @@ def _write_json(path: str, payload) -> None:
     print(f"report written to {path}")
 
 
-def _parse_index_list(raw: str, flag: str) -> tuple[int, ...]:
+def _parse_list(raw: str, flag: str, kind: type) -> list:
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+        return [kind(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"{flag} expects a comma-separated integer list", code=2) from exc
-
-
-def _parse_float_list(raw: str, flag: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
-    except ValueError as exc:
-        raise CliError(f"{flag} expects a comma-separated float list", code=2) from exc
+        name = "integer" if kind is int else "float"
+        raise CliError(f"{flag} expects a comma-separated {name} list", code=2) from exc
 
 
 def _normalization_from_args(args) -> NormalizationKind:
@@ -130,8 +108,8 @@ def _normalization_from_args(args) -> NormalizationKind:
                 code=2,
             )
         return NormalizationKind.subsampled_gradient(
-            _parse_index_list(args.subsample_vars, "--subsample-vars"),
-            _parse_index_list(args.subsample_points, "--subsample-points"),
+            _parse_list(args.subsample_vars, "--subsample-vars", int),
+            _parse_list(args.subsample_points, "--subsample-points", int),
         )
     if args.subsample_vars or args.subsample_points:
         raise CliError("subsample flags are only valid with --normalization subgrad", code=2)
@@ -263,11 +241,9 @@ def _cmd_diagnose(args) -> int:
     if not math.isfinite(args.scale) or args.scale == 0:
         raise CliError(f"--scale must be finite and nonzero, got {args.scale!r}", code=2)
     points = read_points_csv(args.points)
-    b = (
-        _parse_float_list(args.translate, "--translate")
-        if args.translate
-        else np.zeros(points.shape[1])
-    )
+    b = np.zeros(points.shape[1])
+    if args.translate:
+        b = np.array(_parse_list(args.translate, "--translate", float))
     if b.shape != (points.shape[1],):
         raise CliError("--translate length must match the point dimension", code=2)
     report = invariance_report(
@@ -294,81 +270,53 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-_REQUIRED = object()
+_VARIETY_FIELDS = {
+    "concentric_ellipses": ("radii", "rotation"),
+    "polynomial_system": ("num_vars", "polynomials"),
+    "custom": ("points",),
+}
 
 
-def _spec_field(spec: str, data: dict, key: str, convert, default=_REQUIRED, where: str = ""):
-    """``convert(data[key])``, or ``default`` when the key is absent.
-
-    A missing required field or a value ``convert`` rejects is a usage
-    error naming the field (``where`` prefixes nested ones).
-    """
-    if key not in data:
-        if default is _REQUIRED:
-            raise CliError(f"{spec}: missing field '{where}{key}'", code=2)
-        return default
-    try:
-        return convert(data[key])
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CliError(f"{spec}: {where}{key}: invalid value: {exc}", code=2) from None
+def _polynomial(num_vars: int):
+    """The reader of one polynomial: its coefficients keyed by comma-separated exponents."""
+    def read(value, path: str) -> DensePolynomial:
+        get = obj()(value, path)
+        terms = {}
+        for key in value:
+            exps = key.split(",")
+            if len(exps) != num_vars or not all(e.strip().isdecimal() for e in exps):
+                raise ValueError(f"{path}: expected keys of {num_vars} comma-separated exponents, got {key!r}")
+            terms[tuple(map(int, exps))] = get(key, number)
+        return DensePolynomial(num_vars, terms)
+    return read
 
 
-def _spec_integer(value) -> int:
-    """``value`` as an int; a bool or a fractional number is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _mixture(value, path: str):
+    """A mixture variable's weights: a scalar, or a vector over the base variables."""
+    return tuple(vector(value, path).tolist()) if type(value) is list else number(value, path)
 
 
-def _spec_float(value) -> float:
-    """``value`` as a float; NaN and the infinities are rejected."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _spec_object(spec: str, where: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise CliError(f"{spec}: {where}expected an object, got {type(value).__name__}", code=2)
-    return value
-
-
-def _polynomials_from_json(num_vars: int, polynomials) -> tuple:
-    polys = []
-    for terms in polynomials:
-        parsed = {}
-        for key, coeff in terms.items():
-            exps = tuple(int(tok) for tok in key.split(","))
-            parsed[exps] = _spec_float(coeff)
-        polys.append(DensePolynomial(num_vars, parsed))
-    return tuple(polys)
-
-
-def _mixture_weights(entries) -> tuple:
-    """Scalars stay scalars and vectors become float tuples."""
-    return tuple(
-        _spec_float(w) if np.ndim(w) == 0 else tuple(_spec_float(x) for x in w) for w in entries
-    )
-
-
-def _variety_from_json(spec: str, data):
-    data = _spec_object(spec, "variety: ", data)
-    field = functools.partial(_spec_field, spec, data, where="variety.")
-    kind = data.get("kind")
-    if kind == "concentric_ellipses":
-        return ConcentricEllipses(
-            radii=field("radii", lambda v: tuple((_spec_float(a), _spec_float(b)) for a, b in v)),
-            rotation=field("rotation", _spec_float, 0.0),
-        )
-    if kind == "polynomial_system":
-        num_vars = field("num_vars", _spec_integer)
-        return PolynomialSystem(
-            field("polynomials", lambda v: _polynomials_from_json(num_vars, v))
-        )
+def _variety(value, path: str):
+    kind = obj()(value, path)("kind", text)
+    if kind not in _VARIETY_FIELDS:
+        raise ValueError(f"{path}.kind: expected one of {', '.join(_VARIETY_FIELDS)}, got {kind!r}")
+    get = obj(("kind", *_VARIETY_FIELDS[kind]))(value, path)
     if kind == "custom":
-        return CustomPoints(field("points", lambda v: np.array(v, dtype=float)))
-    raise CliError(f"{spec}: unknown variety kind {kind!r}", code=2)
+        return CustomPoints(get("points", matrix))
+    if kind == "polynomial_system":
+        return PolynomialSystem(get("polynomials", items(_polynomial(get("num_vars", integer)))))
+    return ConcentricEllipses(get("radii", items(items(number, 2))), get("rotation", number, 0.0))
+
+
+def _dataset_spec(value) -> DatasetSpec:
+    get = obj(("variety", "samples", "extra_linear_vars", "noise_std_fraction", "seed"))(value, "")
+    return DatasetSpec(
+        variety=get("variety", _variety),
+        samples=get("samples", integer),
+        extra_linear_vars=get("extra_linear_vars", items(_mixture), ()),
+        noise_std_fraction=get("noise_std_fraction", number, 0.0),
+        seed=get("seed", integer, 0),
+    )
 
 
 def _cmd_generate(args) -> int:
@@ -378,15 +326,11 @@ def _cmd_generate(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{args.spec}: invalid JSON: {exc}") from exc
-    field = functools.partial(_spec_field, args.spec, _spec_object(args.spec, "", data))
-    spec = DatasetSpec(
-        variety=field("variety", lambda v: _variety_from_json(args.spec, v)),
-        samples=field("samples", _spec_integer),
-        extra_linear_vars=field("extra_linear_vars", _mixture_weights, ()),
-        noise_std_fraction=field("noise_std_fraction", _spec_float, 0.0),
-        seed=field("seed", _spec_integer, 0),
-    )
+        raise CliError(f"{args.spec}: invalid JSON: {exc}", code=2) from exc
+    try:
+        spec = _dataset_spec(data)
+    except ValueError as exc:  # the readers' and the dataclasses' messages name the field
+        raise CliError(f"{args.spec}: {exc}", code=2) from None
     dataset = generate_dataset(spec)
     write_csv(args.output, None, dataset.points)
     print(f"{dataset.num_points} points ({dataset.num_vars} variables) written to {args.output}")

@@ -32,6 +32,7 @@ its points.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -195,7 +196,8 @@ class DensePolynomial:
         return values
 
     def coefficient_norm(self) -> float:
-        return math.sqrt(float(sum(float(c) ** 2 for c in self.terms.values())))
+        # left to right in term order: the builtin sum of floats is compensated from Python 3.12 on
+        return math.sqrt(functools.reduce(lambda total, c: total + float(c) ** 2, self.terms.values(), 0.0))
 
     def __str__(self) -> str:
         if not self.terms:

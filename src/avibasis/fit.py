@@ -260,7 +260,10 @@ def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, floa
     """``config``'s preprocessing of ``points``, the model-space points it
     gives, and the constant polynomial's value on them."""
     pts_in = _as_points(points)
-    prep = Preprocessing(center=pts_in.mean(axis=0) if config.center else None)
+    prep = Preprocessing()
+    if config.center:  # each column's mean over its binade, whose sum cannot overflow
+        binade = linalg._binade(np.abs(pts_in).max(axis=0))
+        prep = Preprocessing(center=(pts_in / binade).mean(axis=0) * binade)
     if config.unit_mean_norm:
         scale = linalg._mean_norm(prep.apply(pts_in))
         if scale <= 0.0:

@@ -28,16 +28,21 @@ RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
 
 
+def _binade(values):
+    """The power of two at or below each absolute value (a number or an array):
+    dividing by it and multiplying back are exact steps that bring it to [1, 2)."""
+    return np.ldexp(1.0, np.frexp(values)[1] - 1)
+
+
 def _mean_norm(points: np.ndarray) -> float:
     """Mean Euclidean norm of the rows of ``points``, which neither
-    overflows nor underflows: the rows are divided by the power of two at
-    or below the largest absolute coordinate, and the mean is multiplied
-    back.  Both steps are exact, and so is every step of the norm and the
-    mean on the scaled rows, so this is ``np.linalg.norm(points,
-    axis=1).mean()`` bit for bit wherever that neither overflows nor
-    rounds a subnormal square that the sum does not absorb."""
-    big = float(np.abs(points).max())
-    scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
+    overflows nor underflows: the rows are divided by the ``_binade`` of
+    the largest absolute coordinate, and the mean is multiplied back.  Both
+    steps are exact, and so is every step of the norm and the mean on the
+    scaled rows, so this is ``np.linalg.norm(points, axis=1).mean()`` bit
+    for bit wherever that neither overflows nor rounds a subnormal square
+    that the sum does not absorb."""
+    scale = float(_binade(np.abs(points).max()))
     return float(np.linalg.norm(points / scale, axis=1).mean() * scale)
 
 

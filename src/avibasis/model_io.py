@@ -21,7 +21,11 @@ Each degree's ``parents`` are written from the F counts
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import math
+import reprlib
 
 import numpy as np
 
@@ -79,39 +83,8 @@ def _floats(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _dec_vector(data) -> np.ndarray:
-    return np.array([float(x) for x in data], dtype=float)
-
-
-def _dec_matrix(data, cols_hint: int | None = None) -> np.ndarray:
-    rows = [[float(x) for x in row] for row in data]
-    if not rows:
-        return np.zeros((0, cols_hint or 0))
-    width = len(rows[0])
-    return np.array(rows, dtype=float).reshape(len(rows), width)
-
-
 def _handle_to_dict(h: PolyHandle) -> dict:
     return {"degree": h.degree, "column": h.column, "kind": h.kind}
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, a string or a fractional number is
-    rejected, not converted."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _pair(value) -> tuple[int, int]:
-    """A parent entry above degree 1: an ``[i, j]`` list of integers."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"parents: expected an [i, j] pair, got {value!r}")
-    return _integer("parents", value[0]), _integer("parents", value[1])
-
-
-def _handle_from_dict(d: dict) -> PolyHandle:
-    return PolyHandle(_integer("degree", d["degree"]), _integer("column", d["column"]), str(d["kind"]))
 
 
 def _document(model: BasisModel, report: ReductionReport | None) -> dict:
@@ -183,89 +156,204 @@ def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> d
     return json.loads(_model_text(model, report))
 
 
-def _expect(where: str, value, kind: type):
-    """``value`` itself, or a ValueError naming ``where`` when it is not a ``kind``."""
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ValueError(f"model JSON {where}: expected {expected}, got {type(value).__name__}")
-    return value
+# -- typed field readers ------------------------------------------------------
+#
+# Every external JSON input is decoded by these: model files here, dataset
+# specs in ``cli``.  A reader is called as ``read(value, path)`` with a JSON
+# value and the path of the field that holds it ("" for the whole document),
+# and returns the decoded value or raises one ValueError naming the path.
+
+_NO_DEFAULT = object()
+_NUMBERS = {int, float, str}  # a JSON number, or the decimal string a model file stores
 
 
-def _decode(where: str, decode, *args):
-    """Run ``decode(*args)``, reporting malformed JSON data as ValueError.
+def _refuse(path: str, expected: str, value):
+    raise ValueError(f"{path + ': ' if path else ''}expected {expected}, got {reprlib.repr(value)}")
 
-    A missing key or a value of the wrong type becomes a one-line
-    ``ValueError`` naming the field and ``where`` it sits ("" for the top
-    level of the document).
-    """
-    label = f"model JSON {where}" if where else "model JSON"
+
+def integer(value, path: str) -> int:
+    """A JSON integer (an integral float counts); never a bool, a string or a fraction."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    _refuse(path, "an integer", value)
+
+
+def number(value, path: str, finite: bool = True) -> float:
+    """A JSON number or a decimal string, never a bool; finite unless ``finite`` is false."""
+    with contextlib.suppress(ValueError, OverflowError):
+        if type(value) in _NUMBERS and (math.isfinite(out := float(value)) or not finite):
+            return out
+    _refuse(path, "a finite number" if finite else "a number", value)
+
+
+def _exact(kind: type, expected: str):
+    """The reader of a JSON value of type ``kind``: nothing is read by its truth value."""
+    def read(value, path: str):
+        if type(value) is not kind:
+            _refuse(path, expected, value)
+        return value
+    return read
+
+
+flag = _exact(bool, "true or false")
+text = _exact(str, "a string")
+listing = _exact(list, "a list")
+_object = _exact(dict, "an object")
+
+
+def items(read, length: int | None = None):
+    """The reader of a list (of ``length`` entries, when given) whose
+    entries ``read`` reads, as a tuple."""
+    def read_items(value, path: str) -> tuple:
+        if type(value) is not list or length not in (None, len(value)):
+            _refuse(path, "a list" if length is None else f"{length} entries", value)
+        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
+    return read_items
+
+
+def vector(value, path: str) -> np.ndarray:
+    """A list of finite numbers as a float array, in one NumPy conversion
+    (which reads a string as ``float`` does) when every entry is one."""
+    entries = listing(value, path)
+    if set(map(type, entries)) <= _NUMBERS:
+        with contextlib.suppress(ValueError, OverflowError):
+            out = np.array(entries, dtype=float)
+            if np.isfinite(out).all():
+                return out
+    return np.array([number(x, f"{path}[{i}]") for i, x in enumerate(entries)], dtype=float)
+
+
+def matrix(value, path: str, cols: int = 0) -> np.ndarray:
+    """A list of equal-length lists of finite numbers as a 2-D float array;
+    ``[]`` has ``cols`` columns."""
+    rows = listing(value, path)
+    if not rows:
+        return np.zeros((0, cols))
+    width = len(listing(rows[0], f"{path}[0]"))
+    for i, row in enumerate(rows):
+        if len(listing(row, f"{path}[{i}]")) != width:
+            _refuse(f"{path}[{i}]", f"{width} entries", row)
     try:
-        return decode(*args)
-    except KeyError as exc:
-        raise ValueError(f"{label}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{label}: invalid value: {exc}") from None
+        out = vector([x for row in rows for x in row], path)
+    except ValueError:  # name the entry by its row
+        out = np.array([vector(row, f"{path}[{i}]") for i, row in enumerate(rows)])
+    return out.reshape(len(rows), width)
 
 
-def _finite(name: str, values):
-    """``values`` itself, or a ValueError naming ``name`` when one is NaN or infinite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} holds a non-finite value")
-    return values
+def field(data: dict, key: str, read, default=_NO_DEFAULT, path: str = ""):
+    """``read`` of ``data[key]``, where ``data`` sits at ``path``; ``default``
+    when the key is absent, or when it holds null and the default is None."""
+    where = f"{path}.{key}" if path else key
+    value = data.get(key)
+    if value is None and (key not in data or default is None):
+        if default is _NO_DEFAULT:
+            raise ValueError(f"missing field '{where}'")
+        return default
+    return read(value, where)
 
 
-def _degree_from_dict(entry: dict, t: int) -> tuple[DegreeRecord, tuple]:
-    """The record of degree ``t``, which ``entry`` must say it holds, and its stored parents."""
-    if isinstance(entry["degree"], bool) or entry["degree"] != t:
-        raise ValueError(f"degree {entry['degree']!r}, expected {t}")
-    if t == 1:
-        parents: tuple = tuple(_integer("parents", k) for k in entry["parents"])
-    else:
-        parents = tuple(_pair(pair) for pair in entry["parents"])
-    eigvals = _dec_vector(entry["eigvals"])
-    eigvecs = _dec_matrix(entry["eigvecs"], cols_hint=eigvals.size)
-    weights = _dec_matrix(entry["ortho_weights"], cols_hint=len(parents))
+def obj(keys=None):
+    """The reader of a JSON object whose keys are all in ``keys`` (any key
+    when None).  It returns the object's lookup ``get(key, read,
+    default)``, which is ``field`` at the object's path."""
+    def read_obj(value, path: str):
+        _object(value, path)
+        unknown = [key for key in value if key not in keys] if keys is not None else []
+        if unknown:
+            raise ValueError(f"unknown field '{f'{path}.' if path else ''}{unknown[0]}'")
+        return functools.partial(field, value, path=path)
+    return read_obj
+
+
+# -- model files ---------------------------------------------------------------
+
+
+def _handle(value, path: str) -> PolyHandle:
+    get = obj(("degree", "column", "kind"))(value, path)
+    return PolyHandle(get("degree", integer), get("column", integer), get("kind", text))
+
+
+def _degree(value, path: str, t: int) -> tuple[DegreeRecord, tuple]:
+    """The record of degree ``t``, which the entry must say it holds, and its stored parents."""
+    get = obj(("degree", "parents", "ortho_weights", "eigvecs", "eigvals", "partition"))(value, path)
+    if get("degree", integer) != t:
+        _refuse(f"{path}.degree", str(t), value["degree"])
+    parents = get("parents", items(integer if t == 1 else items(integer, 2)))
+    eigvals = get("eigvals", vector)
     return DegreeRecord(
-        ortho_weights=_finite("ortho_weights", weights),
-        eigvecs=_finite("eigvecs", eigvecs),
-        eigvals=_finite("eigvals", eigvals),
-        partition=tuple(str(tag) for tag in entry["partition"]),
+        ortho_weights=get("ortho_weights", lambda v, p: matrix(v, p, len(parents))),
+        eigvecs=get("eigvecs", lambda v, p: matrix(v, p, eigvals.size)),
+        eigvals=eigvals,
+        partition=get("partition", items(text)),
     ), parents
 
 
-def _model_from_dict(data: dict, records: tuple[DegreeRecord, ...]) -> BasisModel:
-    norm = data["normalization"]
-    subsets = [
-        tuple(_integer(name, i) for i in norm[name]) if norm.get(name) is not None else None
-        for name in ("var_subset", "point_subset")
-    ]
-    kind = NormalizationKind(norm["variant"], *subsets)
-    num_vars = _integer("num_vars", data["num_vars"])
-    prep_data = data.get("preprocessing") or {}
-    center = scale = None
-    if prep_data.get("center") is not None:
-        center = _finite("preprocessing.center", _dec_vector(prep_data["center"]))
-        if center.shape != (num_vars,):
-            raise ValueError(f"preprocessing.center must hold {num_vars} numbers")
-    if prep_data.get("scale") is not None:
-        scale = float(prep_data["scale"])
-        if not 0.0 < scale < np.inf:
-            raise ValueError(f"preprocessing.scale must be finite and > 0, got {scale!r}")
-    truncated = data.get("truncated", False)
-    if not isinstance(truncated, bool):  # not read by its truth value
-        raise ValueError(f"truncated: expected true or false, got {truncated!r}")
-    epsilon = float(data["epsilon"])
-    if not epsilon >= 0:  # also rejects NaN; +inf (everything vanishes) loads
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    return BasisModel(
-        num_vars=num_vars,
-        constant_value=_finite("constant_value", float(data["constant_value"])),
-        degrees=records,
-        epsilon=epsilon,
-        normalization=kind,
-        preprocessing=Preprocessing(center=center, scale=scale),
-        truncated=truncated,
+def _removed(value, path: str) -> RemovedPolynomial:
+    get = obj(("handle", "max_residual", "per_point_residuals"))(value, path)
+    return RemovedPolynomial(get("handle", _handle), get("max_residual", number), get("per_point_residuals", vector))
+
+
+def _deflated(value, path: str) -> DeflationRecord:
+    get = obj(("degree", "removed", "original_count", "gram_rank"))(value, path)
+    return DeflationRecord(
+        get("degree", integer), get("removed", items(_handle)), get("original_count", integer), get("gram_rank", integer)
     )
+
+
+def _report(value, path: str) -> ReductionReport:
+    get = obj(("threshold", "kept", "removed", "rank_deflated"))(value, path)
+    threshold = get("threshold", number)
+    if threshold < 0:
+        raise ValueError(f"reduction.threshold must be >= 0, got {threshold!r}")
+    return ReductionReport(get("kept", items(_handle)), get("removed", items(_removed)),
+                           get("rank_deflated", items(_deflated)), threshold)
+
+
+def _model(data) -> tuple[BasisModel, ReductionReport | None]:
+    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {data.get('format_version')!r}")
+    get = obj(("format_version", "num_vars", "constant_value", "epsilon", "normalization", "preprocessing",
+               "truncated", "degrees", "reduction"))(data, "")
+    get("format_version", integer)  # which refuses true, though true == 1
+    decoded = [_degree(entry, f"degrees[{i}]", i + 1) for i, entry in enumerate(get("degrees", listing))]
+    norm = get("normalization", obj(("variant", "var_subset", "point_subset")))
+    num_vars = get("num_vars", integer)
+    prep = get("preprocessing", obj(("center", "scale")), None) or obj()({}, "preprocessing")  # absent: no fields
+    center = prep("center", vector, None)
+    if center is not None and center.shape != (num_vars,):
+        raise ValueError(f"preprocessing.center must hold {num_vars} numbers")
+    scale = prep("scale", number, None)
+    if scale is not None and scale <= 0:
+        raise ValueError(f"preprocessing.scale must be > 0, got {scale!r}")
+    epsilon = get("epsilon", functools.partial(number, finite=False))
+    if not epsilon >= 0:  # also refuses NaN; +inf (everything vanishes) loads
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    model = BasisModel(
+        num_vars=num_vars,
+        constant_value=get("constant_value", number),
+        degrees=tuple(record for record, _ in decoded),
+        epsilon=epsilon,
+        normalization=NormalizationKind(
+            norm("variant", text), norm("var_subset", items(integer), None), norm("point_subset", items(integer), None)
+        ),
+        preprocessing=Preprocessing(center=center, scale=scale),
+        truncated=get("truncated", flag, False),
+    )
+    model.validate()
+    for t, (_, parents) in enumerate(decoded, start=1):
+        if parents != model.parents(t):
+            want = "the variables 0..n-1 in order" if t == 1 else "the degree-1-major grid of F pairs"
+            raise ValueError(f"degree-{t} parents are not {want}")
+    return model, get("reduction", _report, None)
+
+
+def _decode(decode, *args):
+    """``decode(*args)``, with any error in the data as one ``ValueError``
+    line: a safety net under the readers, which name the field."""
+    try:
+        return decode(*args)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"model JSON: {exc}") from None
 
 
 def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
@@ -273,63 +361,12 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
 
     Raises ``ValueError`` for an unsupported version or malformed data.
     """
-    if not isinstance(data, dict):
-        raise ValueError("model JSON must be an object")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    entries = _expect("degrees", _decode("", data.__getitem__, "degrees"), list)
-    decoded = [
-        _decode(f"degrees[{i}]", _degree_from_dict, _expect(f"degrees[{i}]", e, dict), i + 1)
-        for i, e in enumerate(entries)
-    ]
-    records = tuple(record for record, _ in decoded)
-    if "normalization" in data:
-        _expect("normalization", data["normalization"], dict)
-    if data.get("preprocessing") is not None:
-        _expect("preprocessing", data["preprocessing"], dict)
-    model = _decode("", _model_from_dict, data, records)
-    model.validate()
-    for t, (_, parents) in enumerate(decoded, start=1):
-        if parents != model.parents(t):
-            want = "the variables 0..n-1 in order" if t == 1 else "the degree-1-major grid of F pairs"
-            raise ValueError(f"degree-{t} parents are not {want}")
-    report = None
-    if "reduction" in data:
-        report = report_from_dict(_expect("reduction", data["reduction"], dict))
-    return model, report
-
-
-def _report_from_dict(data: dict) -> ReductionReport:
-    threshold = _finite("threshold", float(data["threshold"]))
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
-    return ReductionReport(
-        kept=tuple(_handle_from_dict(h) for h in data["kept"]),
-        removed=tuple(
-            RemovedPolynomial(
-                _handle_from_dict(r["handle"]),
-                _finite("max_residual", float(r["max_residual"])),
-                _finite("per_point_residuals", _dec_vector(r["per_point_residuals"])),
-            )
-            for r in data["removed"]
-        ),
-        rank_deflated=tuple(
-            DeflationRecord(
-                _integer("degree", rec["degree"]),
-                tuple(_handle_from_dict(h) for h in rec["removed"]),
-                _integer("original_count", rec["original_count"]),
-                _integer("gram_rank", rec["gram_rank"]),
-            )
-            for rec in data["rank_deflated"]
-        ),
-        threshold=threshold,
-    )
+    return _decode(_model, data)
 
 
 def report_from_dict(data: dict) -> ReductionReport:
     """Rebuild a reduction report; raises ``ValueError`` for malformed data."""
-    return _decode("reduction", _report_from_dict, data)
+    return _decode(_report, data, "reduction")
 
 
 def save_model(path, model: BasisModel, report: ReductionReport | None = None) -> None:

@@ -1,10 +1,15 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avibasis import (
@@ -24,6 +29,7 @@ from avibasis.analysis import default_epsilon_grid
 from avibasis.cli import _grid_points, main, read_points_csv, write_csv
 from avibasis.model_io import model_to_dict
 from conftest import FOUR_POINTS
+from test_model_io import DELETE, VALUES, _field_paths
 
 
 def write_four_points(path):
@@ -530,6 +536,13 @@ class TestGenerateCommand:
         assert main(["generate", str(spec_path), "-o", str(out)]) == 0
         assert read_points_csv(str(out)).shape == (5, 3)
 
+    def test_invalid_json_is_a_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"samples": 3,')
+        assert main(["generate", str(spec_path), "-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: invalid JSON: ") and err.count("\n") == 1
+
     def test_unknown_variety(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"variety": {"kind": "nope"}, "samples": 3}))
@@ -538,41 +551,62 @@ class TestGenerateCommand:
     @pytest.mark.parametrize(
         "change,field",
         [
-            ({"variety": [1]}, "variety: expected an object, got list"),
-            ([1, 2], "spec.json: expected an object, got list"),
-            ({"extra_linear_vars": 3}, "extra_linear_vars: invalid value"),
-            ({"extra_linear_vars": [[1, [2]]]}, "extra_linear_vars: invalid value"),
-            ({"samples": [5]}, "samples: invalid value"),
-            ({"seed": None}, "seed: invalid value"),
-            ({"noise_std_fraction": "lots"}, "noise_std_fraction: invalid value"),
-            ({"variety": {"kind": "concentric_ellipses", "radii": 1}}, "variety.radii: invalid value"),
+            ({"variety": [1]}, "variety: expected an object, got [1]"),
+            ([1, 2], "spec.json: expected an object, got [1, 2]"),
+            ({"extra_linear_vars": 3}, "extra_linear_vars: expected a list, got 3"),
+            ({"extra_linear_vars": [[1, [2]]]}, "extra_linear_vars[0][1]: expected a finite number, got [2]"),
+            ({"samples": [5]}, "samples: expected an integer, got [5]"),
+            ({"seed": None}, "seed: expected an integer, got None"),
+            ({"noise_std_fraction": "lots"}, "noise_std_fraction: expected a finite number, got 'lots'"),
+            ({"variety": {"kind": "concentric_ellipses", "radii": 1}}, "variety.radii: expected a list, got 1"),
             ({"variety": {"kind": "concentric_ellipses"}}, "missing field 'variety.radii'"),
             ({"variety": {"kind": "polynomial_system", "num_vars": 2, "polynomials": [[1]]}},
-             "variety.polynomials: invalid value"),
-            ({"variety": {"kind": "custom", "points": [[1, 2], [3]]}}, "variety.points: invalid value"),
-            ({"samples": 4.9}, "samples: invalid value"),
-            ({"samples": True}, "samples: invalid value"),
-            ({"seed": True}, "seed: invalid value"),
-            ({"seed": 1.5}, "seed: invalid value"),
+             "variety.polynomials[0]: expected an object, got [1]"),
+            ({"variety": {"kind": "custom", "points": [[1, 2], [3]]}}, "variety.points[1]: expected 2 entries, got [3]"),
+            ({"samples": 4.9}, "samples: expected an integer, got 4.9"),
+            ({"samples": True}, "samples: expected an integer, got True"),
+            ({"seed": True}, "seed: expected an integer, got True"),
+            ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
             ({"variety": {"kind": "polynomial_system", "num_vars": 2.7, "polynomials": [{"2,0": 1.0}]}},
-             "variety.num_vars: invalid value"),
-            ({"noise_std_fraction": float("nan")}, "noise_std_fraction: invalid value: expected a finite"),
-            ({"noise_std_fraction": float("inf")}, "noise_std_fraction: invalid value: expected a finite"),
+             "variety.num_vars: expected an integer, got 2.7"),
+            ({"noise_std_fraction": float("nan")}, "noise_std_fraction: expected a finite number, got nan"),
+            ({"noise_std_fraction": float("inf")}, "noise_std_fraction: expected a finite number, got inf"),
             ({"variety": {"kind": "concentric_ellipses", "radii": [[float("nan"), 0.5]]}},
-             "variety.radii: invalid value: expected a finite"),
+             "variety.radii[0][0]: expected a finite number, got nan"),
             ({"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]], "rotation": float("inf")}},
-             "variety.rotation: invalid value: expected a finite"),
-            ({"extra_linear_vars": [float("-inf")]}, "extra_linear_vars: invalid value: expected a finite"),
-            ({"extra_linear_vars": [[1.0, float("nan")]]}, "extra_linear_vars: invalid value: expected a finite"),
+             "variety.rotation: expected a finite number, got inf"),
+            ({"extra_linear_vars": [float("-inf")]}, "extra_linear_vars[0]: expected a finite number, got -inf"),
+            ({"extra_linear_vars": [[1.0, float("nan")]]}, "extra_linear_vars[0][1]: expected a finite number, got nan"),
             ({"variety": {"kind": "polynomial_system", "num_vars": 1,
                           "polynomials": [{"3": float("nan"), "1": -2.0, "0": 2.0}]}},
-             "variety.polynomials: invalid value: expected a finite"),
+             "variety.polynomials[0].3: expected a finite number, got nan"),
+            ({"noise_std_fraction": True}, "noise_std_fraction: expected a finite number, got True"),
+            ({"variety": {"kind": "concentric_ellipses", "radii": [[True, 0.5]]}},
+             "variety.radii[0][0]: expected a finite number, got True"),
+            ({"samples": "5"}, "samples: expected an integer, got '5'"),
+            ({"variety": {"kind": "polynomial_system", "num_vars": "1", "polynomials": [{"2": 1.0, "0": -1.0}]}},
+             "variety.num_vars: expected an integer, got '1'"),
+            ({"samples": -3}, "samples must be >= 1"),
+            ({"noise_std_fraction": -1}, "noise_std_fraction must be finite and >= 0"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"variety": {"kind": "custom", "points": [[1.0, 2.0], [float("nan"), 1.0]]}, "samples": 2},
+             "variety.points[1][0]: expected a finite number, got nan"),
+            ({"variety": {"kind": "custom", "points": [[1.0, 2.0], [3.0, 1.0]]}, "samples": 3},
+             "samples must equal the row count of the custom points"),
+            ({"extra_linear_vars": [[1.0, 2.0, 3.0]]},
+             "extra_linear_vars: a weight vector's length must match the base dimension"),
+            ({"seeds": 3}, "unknown field 'seeds'"),
+            ({"variety": {"kind": "custom", "points": [[1.0]], "radii": 1}, "samples": 1},
+             "unknown field 'variety.radii'"),
         ],
         ids=["variety list", "top-level list", "mixtures number", "mixture nested",
              "samples list", "seed null", "noise string", "radii number", "no radii",
              "polynomial list", "ragged points", "samples fraction", "samples bool",
              "seed bool", "seed fraction", "num_vars fraction", "noise nan", "noise inf",
-             "radius nan", "rotation inf", "mixture -inf", "mixture vector nan", "coefficient nan"],
+             "radius nan", "rotation inf", "mixture -inf", "mixture vector nan", "coefficient nan",
+             "noise bool", "radius bool", "samples string", "num_vars string", "samples negative",
+             "noise negative", "seed negative", "custom points nan", "custom row count",
+             "mixture vector length", "unknown key", "unknown variety key"],
     )
     def test_malformed_spec_names_the_field(self, change, field, tmp_path, capsys):
         spec = {
@@ -764,53 +798,57 @@ class TestMalformedModel:
         "make_data,field",
         [
             (lambda tmp_path: {"format_version": 1, "num_vars": 2}, "'degrees'"),
-            (_model_without_parents, "degrees[1]: missing field 'parents'"),
-            (_model_with(normalization=[1]), "normalization: expected an object, got list"),
-            (_model_with(preprocessing="x"), "preprocessing: expected an object, got str"),
-            (_model_with(degrees={"1": {}}), "degrees: expected a list, got dict"),
-            (_model_with(degrees=[3]), "degrees[0]: expected an object, got int"),
-            (_model_with(reduction=[]), "reduction: expected an object, got list"),
+            (_model_without_parents, "missing field 'degrees[1].parents'"),
+            (_model_with(normalization=[1]), "normalization: expected an object, got [1]"),
+            (_model_with(preprocessing="x"), "preprocessing: expected an object, got 'x'"),
+            (_model_with(degrees={"1": {}}), "degrees: expected a list, got {'1': {}}"),
+            (_model_with(degrees=[3]), "degrees[0]: expected an object, got 3"),
+            (_model_with(reduction=[]), "reduction: expected an object, got []"),
             (_model_edited(lambda d: d["degrees"][2].update(degree=0)),
-             "degrees[2]: invalid value: degree 0, expected 3"),
+             "degrees[2].degree: expected 3, got 0"),
             (_model_edited(lambda d: d["degrees"][2].update(degree=2)),
-             "degrees[2]: invalid value: degree 2, expected 3"),
+             "degrees[2].degree: expected 3, got 2"),
             (_model_edited(lambda d: d["degrees"][0].update(degree=1.5)),
-             "degrees[0]: invalid value: degree 1.5, expected 1"),
-            (_model_edited(_set_entry("eigvecs", "nan", degree=1)), "degrees[1]: invalid value: eigvecs"),
-            (_model_edited(_set_entry("ortho_weights", "inf")), "degrees[0]: invalid value: ortho_weights"),
+             "degrees[0].degree: expected an integer, got 1.5"),
+            (_model_edited(_set_entry("eigvecs", "nan", degree=1)),
+             "degrees[1].eigvecs[0][0]: expected a finite number, got 'nan'"),
+            (_model_edited(_set_entry("ortho_weights", "inf")),
+             "degrees[0].ortho_weights[0][0]: expected a finite number, got 'inf'"),
             (_model_edited(lambda d: d["degrees"][1]["eigvals"].__setitem__(0, "nan")),
-             "degrees[1]: invalid value: eigvals holds a non-finite value"),
-            (_model_with(constant_value="nan"), "constant_value holds a non-finite value"),
+             "degrees[1].eigvals[0]: expected a finite number, got 'nan'"),
+            (_model_with(constant_value="nan"), "constant_value: expected a finite number, got 'nan'"),
             (_model_with(preprocessing={"center": ["nan", "0"], "scale": None}),
-             "preprocessing.center holds a non-finite value"),
+             "preprocessing.center[0]: expected a finite number, got 'nan'"),
             (_model_with(preprocessing={"center": ["0"], "scale": None}),
              "preprocessing.center must hold 2 numbers"),
-            (_model_with(preprocessing={"center": None, "scale": "0"}), "preprocessing.scale must be"),
-            (_model_with(preprocessing={"center": None, "scale": "nan"}), "preprocessing.scale must be"),
-            (_model_with(preprocessing={"center": None, "scale": "inf"}), "preprocessing.scale must be"),
+            (_model_with(preprocessing={"center": None, "scale": "0"}), "preprocessing.scale must be > 0, got 0.0"),
+            (_model_with(preprocessing={"center": None, "scale": "nan"}),
+             "preprocessing.scale: expected a finite number, got 'nan'"),
+            (_model_with(preprocessing={"center": None, "scale": "inf"}),
+             "preprocessing.scale: expected a finite number, got 'inf'"),
             (_model_edited(lambda d: d["degrees"][1].update(eigvecs=[])),
              "degree-2 eigenvector rows != candidate count"),
             (_model_edited(lambda d: d["degrees"][0].update(parents=[0.9, 1.2])),
-             "degrees[0]: invalid value: parents: expected an integer, got 0.9"),
+             "degrees[0].parents[0]: expected an integer, got 0.9"),
             (_model_edited(lambda d: d["degrees"][1]["parents"].reverse()),
              "degree-2 parents are not the degree-1-major grid"),
-            (_model_with(num_vars=True), "invalid value: num_vars: expected an integer, got True"),
-            (_model_with(num_vars="2"), "invalid value: num_vars: expected an integer, got '2'"),
+            (_model_with(num_vars=True), "model JSON: num_vars: expected an integer, got True"),
+            (_model_with(num_vars="2"), "model JSON: num_vars: expected an integer, got '2'"),
             (_model_edited(lambda d: d["degrees"][1]["parents"].__setitem__(0, [0, 0, 0])),
-             "degrees[1]: invalid value: parents: expected an [i, j] pair, got [0, 0, 0]"),
+             "degrees[1].parents[0]: expected 2 entries, got [0, 0, 0]"),
             (_model_edited(lambda d: d["degrees"][1]["parents"].__setitem__(0, 0)),
-             "degrees[1]: invalid value: parents: expected an [i, j] pair, got 0"),
+             "degrees[1].parents[0]: expected 2 entries, got 0"),
             (_report_edited(lambda r: r.update(threshold="nan")),
-             "reduction: invalid value: threshold holds a non-finite value"),
+             "reduction.threshold: expected a finite number, got 'nan'"),
             (_report_edited(lambda r: r.update(threshold="-1")),
-             "reduction: invalid value: threshold must be >= 0, got -1.0"),
+             "reduction.threshold must be >= 0, got -1.0"),
             (_report_edited(lambda r: r["removed"][0].update(max_residual="inf")),
-             "reduction: invalid value: max_residual holds a non-finite value"),
+             "reduction.removed[0].max_residual: expected a finite number, got 'inf'"),
             (_report_edited(lambda r: r["removed"][1]["per_point_residuals"].__setitem__(2, "nan")),
-             "reduction: invalid value: per_point_residuals holds a non-finite value"),
-            (_model_with(epsilon="-1"), "invalid value: epsilon must be >= 0, got -1.0"),
-            (_model_with(epsilon="-inf"), "invalid value: epsilon must be >= 0, got -inf"),
-            (_model_with(epsilon="nan"), "invalid value: epsilon must be >= 0, got nan"),
+             "reduction.removed[1].per_point_residuals[2]: expected a finite number, got 'nan'"),
+            (_model_with(epsilon="-1"), "model JSON: epsilon must be >= 0, got -1.0"),
+            (_model_with(epsilon="-inf"), "model JSON: epsilon must be >= 0, got -inf"),
+            (_model_with(epsilon="nan"), "model JSON: epsilon must be >= 0, got nan"),
             (_model_edited(lambda d: d["degrees"][0].update(parents=[0, 0])),
              "degree-1 parents are not the variables 0..n-1 in order"),
             (_model_edited(lambda d: d["degrees"][0]["parents"].reverse()),
@@ -818,9 +856,9 @@ class TestMalformedModel:
             (_model_with(truncated=True), "truncated is True, which disagrees with the last degree's partition"),
             (lambda tmp_path: {**_capped_model(tmp_path), "truncated": False},
              "truncated is False, which disagrees with the last degree's partition"),
-            (_model_with(truncated="false"), "invalid value: truncated: expected true or false, got 'false'"),
+            (_model_with(truncated="false"), "model JSON: truncated: expected true or false, got 'false'"),
             (lambda tmp_path: {**_capped_model(tmp_path), "truncated": "no"},
-             "invalid value: truncated: expected true or false, got 'no'"),
+             "model JSON: truncated: expected true or false, got 'no'"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
@@ -842,6 +880,71 @@ class TestMalformedModel:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
         assert "Traceback" not in err
+
+
+def _fuzz_model() -> dict:
+    """A reduced model file with preprocessing, a removed and a kept G polynomial."""
+    config = FitConfig(epsilon=0.0, center=True, unit_mean_norm=True)
+    model = fit(FOUR_POINTS + np.array([3.0, -1.0]), config)
+    return model_to_dict(model, reduce_basis(model, FOUR_POINTS + np.array([3.0, -1.0])))
+
+
+FUZZ_INPUTS = {
+    "ellipse spec": {"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5], [2.0, 1.0]], "rotation": 0.3},
+                     "samples": 8, "extra_linear_vars": [0.5, [1.0, -1.0]], "noise_std_fraction": 0.01, "seed": 3},
+    "polynomial spec": {"variety": {"kind": "polynomial_system", "num_vars": 2,
+                                    "polynomials": [{"2,0": 1.0, "0,2": 1.0, "0,0": -1.0}]}, "samples": 4},
+    "custom spec": {"variety": {"kind": "custom", "points": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]}, "samples": 3},
+    "model": _fuzz_model(),
+}
+# list entries, which _field_paths does not reach
+FUZZ_FIELDS = [(name, path) for name, doc in FUZZ_INPUTS.items() for path in _field_paths(doc)] + [
+    ("ellipse spec", ("variety", "radii", 0, 1)), ("ellipse spec", ("extra_linear_vars", 0)),
+    ("ellipse spec", ("extra_linear_vars", 1, 0)), ("custom spec", ("variety", "points", 1, 0)),
+    ("model", ("degrees", 0, "parents", 1)), ("model", ("degrees", 1, "parents", 0, 1)),
+    ("model", ("degrees", 1, "eigvals", 0)), ("model", ("preprocessing", "center", 0)),
+]
+
+
+class TestFuzzedInputs:
+    """Every subcommand that reads a spec or a model file, on one with a field
+    deleted or replaced: it exits 0, 1 or 2, and a nonzero exit writes one
+    stderr line.  The commands run in this process, so an exception that
+    would print a traceback fails the test, and so does a warning on a
+    nonzero exit, which would print lines of its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(VALUES + [False]))
+    def test_one_exit_code_and_at_most_one_line(self, field, value):
+        name, path = field
+        assume(path != ("samples",) or value != 10**6)  # valid, but seconds of sampling and writing
+        data = copy.deepcopy(FUZZ_INPUTS[name])
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            (work / "input.json").write_text(json.dumps(data))
+            file, points, out = str(work / "input.json"), write_four_points(work / "points.csv"), str(work / "out")
+            if name == "model":
+                commands = [["eval", file, points, "-o", out], ["eval", file, points, "-o", out, "--kept-only"],
+                            ["reduce", file, points, "-o", out], ["features", file, points, "-o", out]]
+            else:
+                commands = [["generate", file, "-o", out]]
+            for argv in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                if code:
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+                    assert not caught, [str(w.message) for w in caught]
 
 
 class TestPersistence:

@@ -393,3 +393,9 @@ class TestCoefficientVectors:
         q = DensePolynomial(2, {(1, 1): 3.0, (0, 0): 1.0})
         vp, vq = dense_vectors(p, q)
         assert coeff_dot(p, q) == pytest.approx(float(vp @ vq))
+
+    def test_coefficient_norm_sums_left_to_right(self):
+        # a compensated sum (the builtin sum of floats from Python 3.12 on)
+        # gives 100000000.00000001; n_ratio and the replay goldens read these bits
+        p = DensePolynomial(2, {(2, 0): 1e8, (1, 1): 1.0, (0, 0): 1.0})
+        assert p.coefficient_norm() == 1e8

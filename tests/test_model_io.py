@@ -7,12 +7,12 @@ byte.
 
 Under corruption, a saved model with one field deleted or replaced must
 load into a model that validates and replays to finite values, or be
-refused with a ValueError.  An integer field holding a bool, a string or
-a fractional number, parents other than the ones the F counts give, a
-``truncated`` flag that is not a JSON bool or that disagrees with the
-last degree, an emptied
-matrix, a non-finite eigenvalue or residual, a non-finite or negative
-reduction threshold and a negative or NaN epsilon are always refused."""
+refused with a ValueError.  A bool anywhere but ``truncated``, an integer
+field holding a string or a fractional number, parents other than the ones
+the F counts give, a ``truncated`` flag that is not a JSON bool or that
+disagrees with the last degree, an emptied matrix, a non-finite eigenvalue
+or residual, a non-finite or negative reduction threshold and a negative
+or NaN epsilon are always refused."""
 
 import dataclasses
 import json
@@ -84,14 +84,16 @@ FINITE_KEYS = ("threshold", "max_residual")
 
 
 def _must_refuse(name, path, value) -> bool:
-    """Whether the mutation of saved model ``name`` leaves an integer field
-    a bool, a string or a fraction, changes any parents, makes the
+    """Whether the mutation of saved model ``name`` puts true anywhere,
+    leaves an integer field a bool, a string or a fraction, changes any parents, makes the
     ``truncated`` flag anything but absent or false (both fits end
     naturally),
     empties a degree's matrix, makes an eigenvalue, a residual or the
     reduction threshold non-finite, makes the threshold negative, or makes
     epsilon negative or NaN."""
     key = next(k for k in reversed(path) if isinstance(k, str))
+    if value is True:  # no field reads a bool by its truth value, and true ends neither fit
+        return True
     if path == ("epsilon",):
         return value in ("nan", "-inf", -1)
     if path == ("truncated",):
@@ -165,36 +167,44 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
 
 @pytest.mark.parametrize("field,value,message", [
     (("grad", ("degrees", 1, "eigvecs")), [], "degree-2 eigenvector rows != candidate count"),
-    (("grad", ("degrees", 0, "parents")), [0.9, 1.2], "parents: expected an integer, got 0.9"),
-    (("grad", ("degrees", 1, "parents", 0, 1)), True, "parents: expected an integer, got True"),
+    (("grad", ("degrees", 0, "parents")), [0.9, 1.2], "degrees[0].parents[0]: expected an integer, got 0.9"),
+    (("grad", ("degrees", 1, "parents", 0, 1)), True, "degrees[1].parents[0][1]: expected an integer, got True"),
     (("grad", ("num_vars",)), 2.5, "num_vars: expected an integer, got 2.5"),
     (("grad", ("num_vars",)), "2", "num_vars: expected an integer, got '2'"),
-    (("grad", ("degrees", 0, "parents", 1)), "1", "parents: expected an integer, got '1'"),
-    (("grad", ("degrees", 1, "parents", 0)), [0, 0, 0], "parents: expected an [i, j] pair, got [0, 0, 0]"),
-    (("grad", ("degrees", 1, "parents", 0)), 0, "parents: expected an [i, j] pair, got 0"),
-    (("grad", ("degrees", 1, "parents", 0)), "00", "parents: expected an [i, j] pair, got '00'"),
-    (("grad", ("degrees", 0, "degree")), True, "degree True, expected 1"),
+    (("grad", ("degrees", 0, "parents", 1)), "1", "degrees[0].parents[1]: expected an integer, got '1'"),
+    (("grad", ("degrees", 1, "parents", 0)), [0, 0, 0], "degrees[1].parents[0]: expected 2 entries, got [0, 0, 0]"),
+    (("grad", ("degrees", 1, "parents", 0)), 0, "degrees[1].parents[0]: expected 2 entries, got 0"),
+    (("grad", ("degrees", 1, "parents", 0)), "00", "degrees[1].parents[0]: expected 2 entries, got '00'"),
+    (("grad", ("degrees", 0, "degree")), True, "degrees[0].degree: expected an integer, got True"),
     (("grad", ("reduction", "kept", 0, "column")), 2.5, "column: expected an integer, got 2.5"),
     (("grad", ("reduction", "kept", 0, "column")), "0", "column: expected an integer, got '0'"),
     (("vca", ("reduction", "rank_deflated", 0, "degree")), True, "degree: expected an integer, got True"),
     (("vca", ("reduction", "rank_deflated", 0, "original_count")), 3.5,
      "original_count: expected an integer, got 3.5"),
-    (("grad", ("reduction", "threshold")), "nan", "threshold holds a non-finite value"),
+    (("grad", ("reduction", "threshold")), "nan", "reduction.threshold: expected a finite number, got 'nan'"),
     (("grad", ("reduction", "threshold")), "-1", "threshold must be >= 0, got -1.0"),
-    (("grad", ("reduction", "removed", 0, "max_residual")), "inf", "max_residual holds a non-finite value"),
+    (("grad", ("reduction", "removed", 0, "max_residual")), "inf",
+     "reduction.removed[0].max_residual: expected a finite number, got 'inf'"),
     (("grad", ("reduction", "removed", 0, "per_point_residuals", 1)), "nan",
-     "per_point_residuals holds a non-finite value"),
+     "reduction.removed[0].per_point_residuals[1]: expected a finite number, got 'nan'"),
     (("grad", ("epsilon",)), "-1", "epsilon must be >= 0, got -1.0"),
     (("vca", ("epsilon",)), "-inf", "epsilon must be >= 0, got -inf"),
     (("grad", ("epsilon",)), "nan", "epsilon must be >= 0, got nan"),
     (("grad", ("truncated",)), "false", "truncated: expected true or false, got 'false'"),
     (("vca", ("truncated",)), 0, "truncated: expected true or false, got 0"),
     (("grad", ("truncated",)), None, "truncated: expected true or false, got None"),
+    (("grad", ("preprocessing", "scale")), True, "preprocessing.scale: expected a finite number, got True"),
+    (("grad", ("constant_value",)), True, "constant_value: expected a finite number, got True"),
+    (("grad", ("degrees", 1, "eigvals", 0)), True, "degrees[1].eigvals[0]: expected a finite number, got True"),
+    (("grad", ("format_version",)), True, "format_version: expected an integer, got True"),
+    (("grad", ("bogus",)), 1, "unknown field 'bogus'"),
+    (("vca", ("reduction", "kept", 0, "bogus")), 1, "unknown field 'reduction.kept[0].bogus'"),
 ], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "string num_vars",
         "string parent", "triple parent", "int parent pair", "string parent pair", "bool degree",
         "fractional column", "string column", "bool deflated degree", "fractional original_count", "nan threshold",
         "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
-        "-inf epsilon", "nan epsilon", "string truncated", "integer truncated", "null truncated"])
+        "-inf epsilon", "nan epsilon", "string truncated", "integer truncated", "null truncated",
+        "bool scale", "bool constant", "bool eigval", "bool format_version", "unknown key", "unknown handle key"])
 def test_refused_with_a_one_line_field_error(field, value, message):
     data = _mutated(*field, value)
     with pytest.raises(ValueError, match=re.escape(message)) as info:
