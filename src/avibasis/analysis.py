@@ -22,7 +22,6 @@ from .fit import (
     COEFFICIENT,
     FitConfig,
     GRADIENT,
-    IDENTITY,
     NormalizationKind,
     SUBSAMPLED_GRADIENT,
     _fit_path,
@@ -266,7 +265,8 @@ def generate_dataset(spec: DatasetSpec) -> PointSet:
     mixture variables, mean-centering, then optional Gaussian noise.
 
     Fully deterministic for a given seed.  The returned PointSet records
-    the centering vector, so pre-centering coordinates are recoverable.
+    the centering vector: ``points + preprocessing.center`` undoes the
+    centering (not the noise).
     """
     rng = np.random.default_rng(spec.seed)
     variety = spec.variety
@@ -348,13 +348,11 @@ def n_ratio(model: BasisModel, kind: NormalizationKind, points=None) -> float:
         norms = [float(np.linalg.norm(g)) for g in grads]
     elif kind.variant == COEFFICIENT:
         norms = [expand(model, h).coefficient_norm() for h in handles]
-    elif kind.variant == IDENTITY:
+    else:  # identity: NormalizationKind admits no other variant
         norms = [
             float(np.linalg.norm(model.record(h.degree).eigvecs[:, h.column]))
             for h in handles
         ]
-    else:  # pragma: no cover - NormalizationKind validates variants
-        raise ValueError(f"unsupported mapping {kind.variant!r}")
     low, high = min(norms), max(norms)
     if low <= 1e-12 * high:  # numerically zero minimum
         return math.inf

@@ -9,12 +9,18 @@ coefficients stays exact; float coefficients behave like ordinary floats.
 Variables are indexed 0-based.  An exponent vector is a tuple of
 ``num_vars`` non-negative ints; zero coefficients are never stored.
 
+The arithmetic is ``+``, ``-`` and ``*`` between two polynomials of
+one variable count, ``scale`` by a scalar, and ``diff``/``gradient``.  A
+polynomial compares by ``==`` and is not hashable: its terms dict can
+change.
+
 Term order is insertion order; it decides the last bits of ``coeff_dot``
-and ``evaluate``.  ``+`` adds in place by one rule, ``_add_scaled``: a
-monomial keeps its place while its coefficient stays nonzero, one that
-cancels to exactly 0 is dropped, and one that (re)appears goes to the
-end.  A product keeps each monomial at its first appearance and drops
-zero sums only at the end.
+and ``evaluate``.  ``+`` and ``-`` add in place by one rule,
+``_add_scaled`` (``-`` adds the right operand times -1): a monomial keeps
+its place while its coefficient stays nonzero, one that cancels to
+exactly 0 is dropped, and one that (re)appears goes to the end.  A
+product keeps each monomial at its first appearance and drops zero sums
+only at the end.
 
 The symbolic kernel in ``model`` holds its polynomials as term arrays
 instead (``_Terms``: monomial numbers and float coefficients, in term
@@ -82,10 +88,6 @@ class DensePolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int) -> "DensePolynomial":
-        return cls(num_vars, {})
-
-    @classmethod
     def constant(cls, num_vars: int, value) -> "DensePolynomial":
         return cls(num_vars, {(0,) * num_vars: value})
 
@@ -98,18 +100,11 @@ class DensePolynomial:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; the zero polynomial reports degree 0."""
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -120,35 +115,32 @@ class DensePolynomial:
             )
 
     def __add__(self, other: "DensePolynomial") -> "DensePolynomial":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
+        return self._plus(other, -1)
+
+    def _plus(self, other, c):
+        """``self + c * other`` by ``_add_scaled`` (``-1 * a`` is ``-a``
+        exactly); ``NotImplemented`` unless ``other`` is a polynomial."""
         if not isinstance(other, DensePolynomial):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        _add_scaled(out, other, 1)
+        _add_scaled(out, other, c)
         return DensePolynomial._from_clean(self.num_vars, out)
 
-    def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
+    def __mul__(self, other: "DensePolynomial") -> "DensePolynomial":
         if not isinstance(other, DensePolynomial):
             return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "DensePolynomial":
-        return DensePolynomial._from_clean(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, DensePolynomial):
-            self._check_compatible(other)
-            out: dict[tuple[int, ...], float] = {}
-            get, add = out.get, operator.add
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(map(add, e1, e2))
-                    out[exps] = get(exps, 0) + c1 * c2
-            return DensePolynomial._from_clean(self.num_vars, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        self._check_compatible(other)
+        out: dict[tuple[int, ...], float] = {}
+        get, add = out.get, operator.add
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        return DensePolynomial._from_clean(self.num_vars, out)
 
     def scale(self, factor) -> "DensePolynomial":
         return DensePolynomial._from_clean(
@@ -374,9 +366,6 @@ class _Terms:
         exps = self.table.exps
         return DensePolynomial._from_clean(
             num_vars, dict(zip([exps[i] for i in self.mono[s:e].tolist()], self.coef[s:e].tolist())))
-
-    def polynomials(self, num_vars: int) -> list[DensePolynomial]:
-        return [self.polynomial(k, num_vars) for k in range(len(self))]
 
 
 class _Fold:

@@ -259,18 +259,21 @@ def fit(points, config: FitConfig | None = None) -> BasisModel:
 def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, float]:
     """``config``'s preprocessing of ``points``, the model-space points it
     gives, and the constant polynomial's value on them."""
-    pts_in = _as_points(points)
-    prep = Preprocessing()
+    pts = _as_points(points)
+    center = scale = None
     if config.center:  # each column's mean over its binade, whose sum cannot overflow
-        binade = linalg._binade(np.abs(pts_in).max(axis=0))
-        prep = Preprocessing(center=(pts_in / binade).mean(axis=0) * binade)
+        binade = linalg._binade(np.abs(pts).max(axis=0))
+        center = (pts / binade).mean(axis=0) * binade
+        with np.errstate(over="ignore"):
+            pts = pts - center
+        if not np.isfinite(pts).all():
+            raise ValueError("centred coordinates overflow: the points span more than the float range")
     if config.unit_mean_norm:
-        scale = linalg._mean_norm(prep.apply(pts_in))
+        scale = linalg._mean_norm(pts)
         if scale <= 0.0:
             raise ValueError("cannot scale a point set with zero mean norm")
-        prep = Preprocessing(center=prep.center, scale=scale)
-    pts = prep.apply(pts_in)
-    return prep, pts, _constant_value(config.normalization, pts)
+        pts = pts / scale
+    return Preprocessing(center=center, scale=scale), pts, _constant_value(config.normalization, pts)
 
 
 def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=None, expansions=None):

@@ -74,14 +74,6 @@ class Preprocessing:
             out = out / self.scale
         return out
 
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        out = np.asarray(points, dtype=float)
-        if self.scale is not None:
-            out = out * self.scale
-        if self.center is not None:
-            out = out + self.center
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
@@ -107,10 +99,6 @@ class PointSet:
     @property
     def num_vars(self) -> int:
         return self.points.shape[1]
-
-    def raw_points(self) -> np.ndarray:
-        """Points with the recorded preprocessing undone."""
-        return self.preprocessing.invert(self.points)
 
 
 def _as_points(points) -> np.ndarray:

@@ -36,9 +36,7 @@ from .reduction import DeflationRecord, ReductionReport, RemovedPolynomial
 __all__ = [
     "FLOAT_FORMAT",
     "FORMAT_VERSION",
-    "model_to_dict",
     "model_from_dict",
-    "report_from_dict",
     "save_model",
     "load_model",
 ]
@@ -149,11 +147,6 @@ def _document(model: BasisModel, report: ReductionReport | None) -> dict:
 
 def _model_text(model: BasisModel, report: ReductionReport | None) -> str:
     return _render(_document(model, report)) + "\n"
-
-
-def model_to_dict(model: BasisModel, report: ReductionReport | None = None) -> dict:
-    """The JSON object ``save_model`` writes, floats as 17-digit strings."""
-    return json.loads(_model_text(model, report))
 
 
 # -- typed field readers ------------------------------------------------------
@@ -300,13 +293,28 @@ def _deflated(value, path: str) -> DeflationRecord:
     )
 
 
-def _report(value, path: str) -> ReductionReport:
+def _report(value, path: str, model: BasisModel) -> ReductionReport:
+    """The reduction report of ``model``, whose kept, removed and
+    rank-deflated handles must name each G handle of the model once."""
     get = obj(("threshold", "kept", "removed", "rank_deflated"))(value, path)
     threshold = get("threshold", number)
     if threshold < 0:
         raise ValueError(f"reduction.threshold must be >= 0, got {threshold!r}")
-    return ReductionReport(get("kept", items(_handle)), get("removed", items(_removed)),
-                           get("rank_deflated", items(_deflated)), threshold)
+    report = ReductionReport(get("kept", items(_handle)), get("removed", items(_removed)),
+                             get("rank_deflated", items(_deflated)), threshold)
+    named = ([(f"{path}.kept[{i}]", h) for i, h in enumerate(report.kept)]
+             + [(f"{path}.removed[{i}].handle", r.handle) for i, r in enumerate(report.removed)]
+             + [(f"{path}.rank_deflated[{i}].removed[{j}]", h)
+                for i, rec in enumerate(report.rank_deflated) for j, h in enumerate(rec.removed)])
+    unseen = dict.fromkeys(model.g_handles())
+    for where, h in named:
+        if h not in unseen:
+            problem = "named twice" if h in model.g_handles() else "not a G polynomial of the model"
+            raise ValueError(f"{where}: {h.label()} is {problem}")
+        del unseen[h]
+    if unseen:
+        raise ValueError(f"{path}: {next(iter(unseen)).label()} is neither kept, removed nor rank-deflated")
+    return report
 
 
 def _model(data) -> tuple[BasisModel, ReductionReport | None]:
@@ -344,7 +352,7 @@ def _model(data) -> tuple[BasisModel, ReductionReport | None]:
         if parents != model.parents(t):
             want = "the variables 0..n-1 in order" if t == 1 else "the degree-1-major grid of F pairs"
             raise ValueError(f"degree-{t} parents are not {want}")
-    return model, get("reduction", _report, None)
+    return model, get("reduction", functools.partial(_report, model=model), None)
 
 
 def _decode(decode, *args):
@@ -362,11 +370,6 @@ def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     Raises ``ValueError`` for an unsupported version or malformed data.
     """
     return _decode(_model, data)
-
-
-def report_from_dict(data: dict) -> ReductionReport:
-    """Rebuild a reduction report; raises ``ValueError`` for malformed data."""
-    return _decode(_report, data, "reduction")
 
 
 def save_model(path, model: BasisModel, report: ReductionReport | None = None) -> None:

@@ -93,23 +93,21 @@ def _pool_solver(generator_grads: np.ndarray):
 def gradient_dependence_residuals(
     generator_grads: np.ndarray, candidate_grad: np.ndarray
 ) -> np.ndarray:
-    """Per-point residuals of fitting gradients by lower-degree gradients.
+    """Per-point residuals of fitting one candidate's gradients by
+    lower-degree gradients.
 
-    ``generator_grads`` has shape ``(points, vars, generators)``;
-    ``candidate_grad`` has shape ``(points, vars)`` for one candidate or
-    ``(points, vars, c)`` for ``c`` candidates.  At each point the best
+    ``generator_grads`` has shape ``(points, vars, generators)`` and
+    ``candidate_grad`` shape ``(points, vars)``.  At each point the best
     linear combination of generator gradients is solved independently, by
     minimum-norm least squares truncated at ``linalg.RANK_TOL`` as in
-    ``linalg.lstsq``; the result
-    holds the residual norms, of shape ``(points,)`` or ``(points, c)``.
-    The generator block is factored once, by one stacked SVD, for all
-    points and candidates.
+    ``linalg.lstsq``; the result holds the ``(points,)`` residual norms.
+    It is ``reduce_basis``'s stacked solve (``_pool_solver``) for one
+    candidate.
     """
-    residuals = _pool_solver(np.asarray(generator_grads, dtype=float))
     candidate_grad = np.asarray(candidate_grad, dtype=float)
-    if candidate_grad.ndim == 2:
-        return residuals(candidate_grad[:, :, None])[:, 0]
-    return residuals(candidate_grad)
+    if candidate_grad.ndim != 2:
+        raise ValueError("candidate_grad must have shape (points, vars)")
+    return _pool_solver(np.asarray(generator_grads, dtype=float))(candidate_grad[:, :, None])[:, 0]
 
 
 def rank_deflate_degree(

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from avibasis import DensePolynomial, FitConfig, NormalizationKind, fit
+from avibasis.model_io import _model_text
 
 FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -42,6 +45,21 @@ def random_polynomial(rng, num_vars, max_degree, max_terms=5, coeff_range=4):
     if not terms:
         terms = {(0,) * num_vars: 1}
     return DensePolynomial(num_vars, terms)
+
+
+def model_dict(model, report=None):
+    """The JSON object ``save_model`` writes, floats as 17-digit strings."""
+    return json.loads(_model_text(model, report))
+
+
+def raw_points(point_set):
+    """A generated dataset's points with its recorded centering undone."""
+    return point_set.points + point_set.preprocessing.center
+
+
+def polynomials(terms, num_vars):
+    """Every polynomial of a term-array batch (``densepoly._Terms``), in order."""
+    return [terms.polynomial(k, num_vars) for k in range(len(terms))]
 
 
 def bits(terms):

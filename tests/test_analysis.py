@@ -26,7 +26,7 @@ from avibasis import (
 from avibasis import linalg
 from avibasis.analysis import _sample_polynomial_system, _unit_grid, default_epsilon_grid
 from avibasis.densepoly import _compile, _evaluate
-from conftest import FOUR_POINTS, random_cloud
+from conftest import FOUR_POINTS, random_cloud, raw_points
 
 
 class TestInvarianceReport:
@@ -264,7 +264,7 @@ class TestGenerateDataset:
             variety=ConcentricEllipses(radii=((1.0, 1.0),)), samples=8, seed=7
         )
         ds = generate_dataset(spec)
-        raw = ds.raw_points()
+        raw = raw_points(ds)
         assert np.abs(raw[:, 0] ** 2 + raw[:, 1] ** 2 - 1.0).max() <= 1e-12
 
     def test_seed_determinism(self):
@@ -286,7 +286,7 @@ class TestGenerateDataset:
             extra_linear_vars=(1.0,),
             seed=1,
         )
-        raw = generate_dataset(spec).raw_points()
+        raw = raw_points(generate_dataset(spec))
         assert np.allclose(raw[:, 2], raw[:, 0])
 
     def test_vector_weights(self):
@@ -296,14 +296,14 @@ class TestGenerateDataset:
             extra_linear_vars=((2.0, -1.0),),
             seed=1,
         )
-        raw = generate_dataset(spec).raw_points()
+        raw = raw_points(generate_dataset(spec))
         assert np.allclose(raw[:, 2], 2.0 * raw[:, 0] - raw[:, 1])
 
     def test_polynomial_system_residuals(self):
         x1, x2, x3 = (DensePolynomial.variable(3, k) for k in range(3))
         system = PolynomialSystem((x1 * x3 - x2 * x2, x1 * x1 * x1 - x2 * x3))
         spec = DatasetSpec(variety=system, samples=15, seed=5)
-        raw = generate_dataset(spec).raw_points()
+        raw = raw_points(generate_dataset(spec))
         for poly in system.polynomials:
             assert np.abs(poly.evaluate(raw)).max() <= 1e-10
 
@@ -326,7 +326,7 @@ class TestGenerateDataset:
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
         spec = DatasetSpec(variety=CustomPoints(pts), samples=2, seed=0)
         ds = generate_dataset(spec)
-        assert np.allclose(ds.raw_points(), pts)
+        assert np.allclose(raw_points(ds), pts)
         with pytest.raises(ValueError):
             generate_dataset(DatasetSpec(variety=CustomPoints(pts), samples=3, seed=0))
 

@@ -27,8 +27,7 @@ from avibasis import (
 )
 from avibasis.analysis import default_epsilon_grid
 from avibasis.cli import _grid_points, main, read_points_csv, write_csv
-from avibasis.model_io import model_to_dict
-from conftest import FOUR_POINTS
+from conftest import FOUR_POINTS, model_dict
 from test_model_io import DELETE, VALUES, _field_paths
 
 
@@ -859,6 +858,13 @@ class TestMalformedModel:
             (_model_with(truncated="false"), "model JSON: truncated: expected true or false, got 'false'"),
             (lambda tmp_path: {**_capped_model(tmp_path), "truncated": "no"},
              "model JSON: truncated: expected true or false, got 'no'"),
+            (_report_edited(lambda r: (r["kept"][0].update(column=10**6),
+                                       r["kept"].append({"degree": 9, "column": 0, "kind": "G"}))),
+             "model JSON: reduction.kept[0]: d2_g1000000 is not a G polynomial of the model"),
+            (_report_edited(lambda r: r["kept"].append(r["removed"][0]["handle"])),
+             "model JSON: reduction.removed[0].handle: d3_g0 is named twice"),
+            (_report_edited(lambda r: r["kept"].pop()),
+             "model JSON: reduction: d2_g2 is neither kept, removed nor rank-deflated"),
         ],
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
@@ -868,7 +874,8 @@ class TestMalformedModel:
              "triple parent", "int parent pair", "nan threshold", "negative threshold",
              "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon",
              "repeated degree-1 parent", "reversed degree-1 parents", "truncated natural fit", "untruncated capped fit",
-             "string truncated natural fit", "string truncated capped fit"],
+             "string truncated natural fit", "string truncated capped fit", "foreign kept handles",
+             "handle kept and removed", "handle dropped"],
     )
     def test_eval_reports_one_line_error(self, make_data, field, four_csv, tmp_path, capsys):
         model_path = tmp_path / "bad.json"
@@ -886,7 +893,7 @@ def _fuzz_model() -> dict:
     """A reduced model file with preprocessing, a removed and a kept G polynomial."""
     config = FitConfig(epsilon=0.0, center=True, unit_mean_norm=True)
     model = fit(FOUR_POINTS + np.array([3.0, -1.0]), config)
-    return model_to_dict(model, reduce_basis(model, FOUR_POINTS + np.array([3.0, -1.0])))
+    return model_dict(model, reduce_basis(model, FOUR_POINTS + np.array([3.0, -1.0])))
 
 
 FUZZ_INPUTS = {
@@ -972,7 +979,7 @@ class TestPersistence:
 
     def test_bad_version_rejected(self, tmp_path):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
-        data = model_to_dict(model)
+        data = model_dict(model)
         data["format_version"] = 99
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,18 @@ class TestMeanNormOverTheFloatRange:
         # a power of two scales exactly, and so does the grid
         two = 2.0 ** round(3 * k)
         assert default_epsilon_grid(two * pts).tobytes() == (two * grid).tobytes()
+
+    @pytest.mark.parametrize("pts", [
+        np.array([[-1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 2.0]]),
+        np.random.default_rng(5).standard_normal((12, 3)) * 1e308,  # largest coordinate 1.73e308
+    ], ids=["three rows", "cloud"])
+    def test_centred_overflow_is_one_value_error(self, pts):
+        """Centred differences past the largest double are refused before
+        anything divides by them, and without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^centred coordinates overflow"):
+                fit(pts, FitConfig(center=True, unit_mean_norm=True))
 
 
 class TestFitInvariants:

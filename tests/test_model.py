@@ -21,7 +21,6 @@ from avibasis import (
     NormalizationKind,
     PointSet,
     PolyHandle,
-    Preprocessing,
     evaluate,
     expand,
     finite_diff_gradient,
@@ -32,7 +31,7 @@ from avibasis import (
     reduce_basis,
     save_model,
 )
-from conftest import bits, copying_fold, random_cloud, random_model
+from conftest import bits, copying_fold, polynomials, random_cloud, random_model
 
 
 class TestPointSet:
@@ -43,12 +42,6 @@ class TestPointSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PointSet(np.zeros((0, 2)))
-
-    def test_raw_points_roundtrip(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        prep = Preprocessing(center=np.array([1.0, 1.0]), scale=2.0)
-        ps = PointSet(prep.apply(pts), prep)
-        assert np.allclose(ps.raw_points(), pts)
 
 
 class TestEvaluate:
@@ -219,7 +212,7 @@ class TestExpand:
             patch.setattr(avibasis.model._Expansions, "__init__", recording_init)
             model = fit(pts, config)
         (kernel,) = kernels
-        fitted = [p for block in kernel.blocks for p in block.polynomials(model.num_vars)]
+        fitted = [p for block in kernel.blocks for p in polynomials(block, model.num_vars)]
         save_model(tmp_path / "m.json", model)
         loaded, _ = load_model(tmp_path / "m.json")
 
@@ -297,7 +290,7 @@ class TestExpand:
             fold, w = kernel.step  # pre-candidates, then the F blocks below
             u = model.record(h.degree).eigvecs[:, h.column]
             coeffs = [float(c) for c in np.concatenate([u, -(w @ u)])]
-            polys = fold.terms.polynomials(model.num_vars)
+            polys = polynomials(fold.terms, model.num_vars)
             want = copying_fold([(p, c) for p, c in zip(polys, coeffs) if c != 0.0])
             assert bits(kernel.combine([u]).polynomial(0, model.num_vars).terms) == bits(want)
 
@@ -316,12 +309,12 @@ class TestExpand:
             kernel.replay(model, t)
             rec = model.record(t)
             fold, w = kernel.step
-            polys = fold.terms.polynomials(num_vars)
+            polys = polynomials(fold.terms, num_vars)
             if t > 1:
-                first, last = (kernel.blocks[k].polynomials(num_vars) for k in (1, t - 1))
+                first, last = (polynomials(kernel.blocks[k], num_vars) for k in (1, t - 1))
                 products = [p * q for p in first for q in last]
                 assert [bits(p.terms) for p in polys[: len(products)]] == [bits(p.terms) for p in products]
-            for c, poly in enumerate(kernel.outputs[t].polynomials(num_vars)):
+            for c, poly in enumerate(polynomials(kernel.outputs[t], num_vars)):
                 u = rec.eigvecs[:, c]
                 weights = np.concatenate([u, -(w @ u)]).tolist()
                 want = copying_fold([(p, a) for p, a in zip(polys, weights) if a != 0.0])
@@ -329,7 +322,7 @@ class TestExpand:
             units = kernel.combine(list(np.eye(rec.num_candidates)))
             gram = normalization_matrix(NormalizationKind.coefficient(), np.zeros((num_points, len(units))),
                                         expansions=units)
-            dicts = units.polynomials(num_vars)
+            dicts = polynomials(units, num_vars)
             want = [[coeff_dot(dicts[min(i, j)], dicts[max(i, j)]) for j in range(len(dicts))]
                     for i in range(len(dicts))]
             assert gram.tobytes() == np.array(want).reshape(gram.shape).tobytes()

@@ -11,8 +11,9 @@ refused with a ValueError.  A bool anywhere but ``truncated``, an integer
 field holding a string or a fractional number, parents other than the ones
 the F counts give, a ``truncated`` flag that is not a JSON bool or that
 disagrees with the last degree, an emptied matrix, a non-finite eigenvalue
-or residual, a non-finite or negative reduction threshold and a negative
-or NaN epsilon are always refused."""
+or residual, a non-finite or negative reduction threshold, a negative or
+NaN epsilon and reduction handles that do not name each G polynomial of
+the model once are always refused."""
 
 import dataclasses
 import json
@@ -27,15 +28,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avibasis import FitConfig, NormalizationKind, evaluate, fit, load_model, reduce_basis, save_model
-from avibasis.model_io import model_from_dict, model_to_dict
-from conftest import FOUR_POINTS, random_cloud
+from avibasis.model_io import model_from_dict
+from conftest import FOUR_POINTS, model_dict, random_cloud
 
 DATA = Path(__file__).parent / "data"
 
 
 def _saved(points, config, **reduce_args):
     model = fit(points, config)
-    return json.dumps(model_to_dict(model, reduce_basis(model, points, **reduce_args))), points
+    return json.dumps(model_dict(model, reduce_basis(model, points, **reduce_args))), points
 
 
 def _ellipse_points():
@@ -81,6 +82,9 @@ MATRIX_KEYS = ("eigvecs", "ortho_weights")
 
 FINITE_ENTRY_KEYS = ("eigvals", "per_point_residuals")
 FINITE_KEYS = ("threshold", "max_residual")
+# the report's handle lists and each handle's fields
+HANDLE_KEYS = ("kept", "removed", "handle", "degree", "column", "kind")
+GRAD_KEPT = json.loads(SAVED["grad"][0])["reduction"]["kept"]
 
 
 def _must_refuse(name, path, value) -> bool:
@@ -89,8 +93,8 @@ def _must_refuse(name, path, value) -> bool:
     ``truncated`` flag anything but absent or false (both fits end
     naturally),
     empties a degree's matrix, makes an eigenvalue, a residual or the
-    reduction threshold non-finite, makes the threshold negative, or makes
-    epsilon negative or NaN."""
+    reduction threshold non-finite, makes the threshold negative, makes
+    epsilon negative or NaN, or changes any reduction handle."""
     key = next(k for k in reversed(path) if isinstance(k, str))
     if value is True:  # no field reads a bool by its truth value, and true ends neither fit
         return True
@@ -100,6 +104,10 @@ def _must_refuse(name, path, value) -> bool:
         return value is not DELETE and value is not False
     if key == "parents" and _mutated(name, path, value) != json.loads(SAVED[name][0]):
         return True
+    # the handles name each G polynomial once, so any other handle is foreign or a repeat
+    record_degree = path[1:2] + path[3:] == ("rank_deflated", "degree")  # not a handle's
+    if path[0] == "reduction" and key in HANDLE_KEYS and not record_degree:
+        return _mutated(name, path, value) != json.loads(SAVED[name][0])
     if key in INTEGER_KEYS:
         return isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer())
     if key in FINITE_ENTRY_KEYS and path[-1] != key:
@@ -153,6 +161,9 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("grad", ("epsilon",)), value=-1)
 @example(field=("vca", ("epsilon",)), value="-inf")
 @example(field=("vca", ("epsilon",)), value="nan")
+@example(field=("grad", ("reduction", "kept", 0, "column")), value=10**6)
+@example(field=("grad", ("reduction", "removed", 0, "handle", "column")), value=3)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "removed")), value=[])
 def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     name, path = field
     data = _mutated(name, path, value)
@@ -199,12 +210,20 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("format_version",)), True, "format_version: expected an integer, got True"),
     (("grad", ("bogus",)), 1, "unknown field 'bogus'"),
     (("vca", ("reduction", "kept", 0, "bogus")), 1, "unknown field 'reduction.kept[0].bogus'"),
+    (("grad", ("reduction", "kept", 0, "column")), 10**6,
+     "reduction.kept[0]: d2_g1000000 is not a G polynomial of the model"),
+    (("grad", ("reduction", "kept")), GRAD_KEPT + [{"degree": 9, "column": 0, "kind": "G"}],
+     "reduction.kept[5]: d9_g0 is not a G polynomial of the model"),
+    (("grad", ("reduction", "kept")), GRAD_KEPT + GRAD_KEPT[:1], "reduction.kept[5]: d2_g2 is named twice"),
+    (("vca", ("reduction", "rank_deflated", 0, "removed")), [],
+     "reduction: d2_g2 is neither kept, removed nor rank-deflated"),
 ], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "string num_vars",
         "string parent", "triple parent", "int parent pair", "string parent pair", "bool degree",
         "fractional column", "string column", "bool deflated degree", "fractional original_count", "nan threshold",
         "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
         "-inf epsilon", "nan epsilon", "string truncated", "integer truncated", "null truncated",
-        "bool scale", "bool constant", "bool eigval", "bool format_version", "unknown key", "unknown handle key"])
+        "bool scale", "bool constant", "bool eigval", "bool format_version", "unknown key", "unknown handle key",
+        "foreign kept column", "foreign kept degree", "repeated kept handle", "dropped deflated handle"])
 def test_refused_with_a_one_line_field_error(field, value, message):
     data = _mutated(*field, value)
     with pytest.raises(ValueError, match=re.escape(message)) as info:
@@ -308,7 +327,7 @@ def test_golden_file_reloads_and_saves_byte_for_byte(path):
     saved = _saved_bytes(model, report)
     assert saved == path.read_bytes()
     assert saved.decode() == _oracle_text(model, report)
-    assert model_to_dict(model, report) == json.loads(saved)
+    assert model_dict(model, report) == json.loads(saved)
 
 
 SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, np.inf, -np.inf, np.nan]
@@ -381,7 +400,7 @@ def test_written_bytes_are_the_json_dumps_oracle(case):
     model, report = case
     saved = _saved_bytes(model, report)
     assert saved.decode() == _oracle_text(model, report)
-    assert model_to_dict(model, report) == json.loads(saved)
+    assert model_dict(model, report) == json.loads(saved)
 
 
 @pytest.mark.parametrize("name", sorted(SAVED))

@@ -19,7 +19,7 @@ from avibasis import (
 )
 from avibasis.fit import GRADIENT
 from avibasis.model import DegreeRecord
-from avibasis.reduction import gradient_dependence_residuals, rank_deflate_degree
+from avibasis.reduction import _pool_solver, gradient_dependence_residuals, rank_deflate_degree
 from conftest import (
     FOUR_POINTS,
     circle_and_hyperbola_targets,
@@ -281,7 +281,8 @@ class TestBatchedResiduals:
     @given(_pool_and_candidates())
     def test_matches_per_point_lstsq(self, case):
         gens, y = case
-        got = gradient_dependence_residuals(gens, y)
+        # many candidates: the stacked solve reduce_basis runs; one: the public wrapper
+        got = _pool_solver(gens)(y) if y.ndim == 3 else gradient_dependence_residuals(gens, y)
         want = _lstsq_residuals(gens, y)
         assert got.shape == want.shape == y.shape[:1] + y.shape[2:]
         y_norm = np.linalg.norm(y, axis=1)
@@ -291,6 +292,11 @@ class TestBatchedResiduals:
         y = np.array([[3.0, 4.0], [0.0, 1.0]])
         got = gradient_dependence_residuals(np.zeros((2, 2, 3)), y)
         assert np.array_equal(got, [5.0, 1.0])
+
+    def test_one_candidate_per_call(self):
+        # a (points, vars, c) block would broadcast into garbage where c == vars
+        with pytest.raises(ValueError, match="candidate_grad"):
+            gradient_dependence_residuals(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
 
 
 def _per_handle_reduction(model, points, threshold):

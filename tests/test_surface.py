@@ -1,6 +1,7 @@
-"""The public surface: the package root's names and their parameters, the
-degree step's stages and their parameters, and the module attributes the
-benchmark's tracer wraps by name."""
+"""The public surface: the package root's names and their parameters, each
+module's ``__all__``, ``DensePolynomial``'s public names and operators,
+the degree step's stages and their parameters, and the module attributes
+the benchmark's tracer wraps by name."""
 
 import ast
 import dataclasses
@@ -87,6 +88,35 @@ ROOT_SIGNATURES = {
 }
 
 
+# Each module's ``__all__``, space-separated and sorted, so that a new public
+# name has to edit this pin.
+MODULE_API = {
+    "analysis": (
+        "ConcentricEllipses CustomPoints DatasetSpec EpsilonScanPoint EpsilonSearchResult EpsilonTarget "
+        "InvarianceReport PolynomialSystem default_epsilon_grid epsilon_search extract_features "
+        "generate_dataset invariance_report n_ratio"
+    ),
+    "densepoly": "DensePolynomial coeff_dot finite_diff_gradient monomial_count",
+    "fit": "FitConfig NormalizationKind classify fit normalization_matrix orthogonalize",
+    "linalg": "RANK_TOL gen_sym_eig lstsq orthonormal_basis principal_angles",
+    "model": (
+        "BasisModel DegreeRecord EXPANSION_TERM_CAP ExpansionLimitError PointSet PolyHandle Preprocessing "
+        "evaluate expand gradient gradient_with_op_count"
+    ),
+    "model_io": "FLOAT_FORMAT FORMAT_VERSION load_model model_from_dict save_model",
+    "reduction": (
+        "DeflationRecord ReductionReport RemovedPolynomial gradient_dependence_residuals rank_deflate_degree "
+        "reduce_basis"
+    ),
+}
+
+# DensePolynomial's fields and public methods, and which of Python's
+# arithmetic operators it defines: + - * between polynomials, and a call.
+DENSE_POLYNOMIAL_NAMES = "coefficient_norm constant degree diff evaluate gradient num_vars scale terms variable"
+DENSE_POLYNOMIAL_OPERATORS = "__add__ __call__ __mul__ __sub__"
+OPERATORS = ("__abs__ __add__ __call__ __floordiv__ __invert__ __mod__ __mul__ __neg__ __pos__ __pow__ "
+             "__radd__ __rmul__ __rsub__ __rtruediv__ __sub__ __truediv__").split()
+
 # The stages of one degree step pass plain arrays; a bundle type in their
 # parameters has to edit this pin.
 DEGREE_STEP_SIGNATURES = {
@@ -120,6 +150,21 @@ def test_root_signatures_are_pinned():
     assert set(ROOT_SIGNATURES) == callables
     for name, params in ROOT_SIGNATURES.items():
         assert " ".join(inspect.signature(getattr(avibasis, name)).parameters) == params, name
+
+
+def test_module_api_is_pinned():
+    for module, names in MODULE_API.items():
+        mod = importlib.import_module(f"avibasis.{module}")
+        assert " ".join(sorted(mod.__all__)) == names, module
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{module}.{name}"
+
+
+def test_dense_polynomial_names_are_pinned():
+    cls = avibasis.DensePolynomial
+    names = {n for n in dir(cls) if not n.startswith("_")} | {f.name for f in dataclasses.fields(cls)}
+    assert " ".join(sorted(names)) == DENSE_POLYNOMIAL_NAMES
+    assert " ".join(n for n in OPERATORS if hasattr(cls, n)) == DENSE_POLYNOMIAL_OPERATORS
 
 
 def test_degree_step_signatures_are_pinned():
