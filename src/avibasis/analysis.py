@@ -525,27 +525,6 @@ class InvarianceReport:
         return self.base_counts == self.translated_counts == self.scaled_counts
 
 
-def _pad_counts(counts: tuple, length: int) -> tuple:
-    return counts + ((0, 0),) * (length - len(counts))
-
-
-def _block_gap(
-    base_block: np.ndarray, q: np.ndarray, other_block: np.ndarray
-) -> tuple[float, float]:
-    """(max principal angle, relative out-of-span energy) between blocks,
-    given ``q``, the orthonormal basis of ``base_block``."""
-    if base_block.shape[1] == 0 and other_block.shape[1] == 0:
-        return 0.0, 0.0
-    if base_block.shape[1] == 0 or other_block.shape[1] == 0:
-        return math.nan, math.nan
-    angles = linalg.principal_angles(q, linalg.orthonormal_basis(other_block))
-    out = other_block - q @ (q.T @ other_block)
-    denom = float(np.linalg.norm(other_block))
-    energy = float(np.linalg.norm(out)) / denom if denom > 0 else 0.0
-    gap = float(angles.max()) if angles.size else 0.0
-    return gap, energy
-
-
 def _blocks(model: BasisModel, eval_points) -> dict:
     """(degree, kind) -> the evaluation block of those handles at
     ``eval_points``, all from one replay of ``model``."""
@@ -563,37 +542,6 @@ def _blocks(model: BasisModel, eval_points) -> dict:
     return {key: np.array(values[:, _as_slice(cols)], order="C") for key, cols in columns.items()}
 
 
-def _eig_ratios(
-    lam_other: np.ndarray,
-    lam_base: np.ndarray,
-    factor: float,
-    base_scale: float,
-    other_scale: float,
-) -> tuple[float, ...]:
-    """Ratios other/base for eigenvalues above a relative floor.
-
-    ``factor`` is the expected ratio.  The floor is relative to the
-    model-wide largest eigenvalue, which keeps fully vanished directions
-    (whose eigenvalues are pure roundoff) out of the comparison.
-    """
-    size = min(lam_other.size, lam_base.size)
-    if size == 0:
-        return ()
-    floor = 1e-12 * max(base_scale, other_scale / factor, 1e-300)
-    out = []
-    for i in range(size):
-        if lam_base[i] > floor and lam_other[i] > floor * factor:
-            out.append(float(lam_other[i] / lam_base[i]))
-    return tuple(out)
-
-
-def _model_eig_scale(model: BasisModel) -> float:
-    return max(
-        (float(rec.eigvals.max()) for rec in model.degrees if rec.eigvals.size),
-        default=0.0,
-    )
-
-
 def invariance_report(
     points,
     b,
@@ -606,7 +554,10 @@ def invariance_report(
     normalization and report per-degree counts, eigenvalue ratios (scaling
     should give alpha^2, translation should give 1), and evaluation
     subspace gaps on a shared probe set of ``probe_count`` points.
-    ``alpha`` must be finite and nonzero and ``probe_count`` at least 1."""
+    ``alpha`` must be finite and nonzero and ``probe_count`` at least 1.
+    Eigenvalues are compared above 1e-12 times the larger of the two
+    models' largest, which keeps fully vanished directions (pure roundoff)
+    out; a gap is NaN when a block exists on one side only, 0 on neither."""
     if not math.isfinite(alpha) or alpha == 0:
         raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
     if probe_count < 1:
@@ -616,55 +567,64 @@ def invariance_report(
     if b.shape != (pts.shape[1],):
         raise ValueError("translation vector dimension mismatch")
 
-    kind = NormalizationKind.gradient()
-    base = fit(pts, FitConfig(epsilon=epsilon, normalization=kind))
-    translated = fit(pts - b, FitConfig(epsilon=epsilon, normalization=kind))
-    scaled = fit(alpha * pts, FitConfig(epsilon=abs(alpha) * epsilon, normalization=kind))
-
     rng = np.random.default_rng(seed)
     spread = np.maximum(pts.std(axis=0), 1e-2 * (float(np.abs(pts).mean()) + 1.0))
     probes = pts.mean(axis=0) + rng.standard_normal((probe_count, pts.shape[1])) * (1.25 * spread)
+    # (points, tolerance, probes, expected eigenvalue ratio): the base fit,
+    # then the translated and the scaled one
+    runs = [
+        (pts, epsilon, probes, 1.0),
+        (pts - b, epsilon, probes - b, 1.0),
+        (alpha * pts, abs(alpha) * epsilon, alpha * probes, alpha * alpha),
+    ]
+    kind = NormalizationKind.gradient()
+    models = [fit(x, FitConfig(epsilon=eps, normalization=kind)) for x, eps, _, _ in runs]
+    replays = [_blocks(model, p) for model, (_, _, p, _) in zip(models, runs)]
+    top = [max((float(r.eigvals.max()) for r in m.degrees if r.eigvals.size), default=0.0) for m in models]
+    floors = [1e-12 * max(top[0], top[s] / runs[s][3], 1e-300) for s in (1, 2)]
 
-    length = max(base.max_degree, translated.max_degree, scaled.max_degree)
-    base_scale = _model_eig_scale(base)
-    scaled_scale = _model_eig_scale(scaled)
-    translated_scale = _model_eig_scale(translated)
-    replays = [_blocks(base, probes), _blocks(translated, probes - b), _blocks(scaled, alpha * probes)]
+    length = max(model.max_degree for model in models)
     empty = np.zeros((probe_count, 0))
+    ratios: list = [[], []]
     gaps = []
-    ratios_scaled = []
-    ratios_translated = []
     discrepancy = 0.0
     for t in range(1, length + 1):
+        lam = [model.record(t).eigvals if t <= model.max_degree else np.zeros(0) for model in models]
+        for s in (1, 2):
+            floor, factor = floors[s - 1], runs[s][3]
+            ratios[s - 1].append(tuple(
+                float(lam[s][i] / lam[0][i])
+                for i in range(min(lam[s].size, lam[0].size))
+                if lam[0][i] > floor and lam[s][i] > floor * factor
+            ))
         entry: dict = {"degree": t}
-        lam_b = base.record(t).eigvals if t <= base.max_degree else np.zeros(0)
-        lam_s = scaled.record(t).eigvals if t <= scaled.max_degree else np.zeros(0)
-        lam_tr = translated.record(t).eigvals if t <= translated.max_degree else np.zeros(0)
-        ratios_scaled.append(_eig_ratios(lam_s, lam_b, alpha * alpha, base_scale, scaled_scale))
-        ratios_translated.append(
-            _eig_ratios(lam_tr, lam_b, 1.0, base_scale, translated_scale)
-        )
         for kind_tag in ("F", "G"):
-            base_block, tr_block, sc_block = (blocks.get((t, kind_tag), empty) for blocks in replays)
-            q = linalg.orthonormal_basis(base_block) if base_block.shape[1] else None
-            gap_tr, energy_tr = _block_gap(base_block, q, tr_block)
-            gap_sc, energy_sc = _block_gap(base_block, q, sc_block)
-            entry[f"{kind_tag}_translation"] = gap_tr
-            entry[f"{kind_tag}_scaling"] = gap_sc
-            for energy in (energy_tr, energy_sc):
-                if not math.isnan(energy):
-                    discrepancy = max(discrepancy, energy)
+            base, *sides = (blocks.get((t, kind_tag), empty) for blocks in replays)
+            q = linalg.orthonormal_basis(base) if base.shape[1] else None
+            for name, block in zip(("translation", "scaling"), sides):
+                gap = 0.0
+                if bool(base.shape[1]) != bool(block.shape[1]):
+                    gap = math.nan
+                elif base.shape[1]:
+                    angles = linalg.principal_angles(q, linalg.orthonormal_basis(block))
+                    gap = float(angles.max()) if angles.size else 0.0
+                    # relative energy of the side's block outside the base's span
+                    denom = float(np.linalg.norm(block))
+                    out = float(np.linalg.norm(block - q @ (q.T @ block)))
+                    discrepancy = max(discrepancy, out / denom if denom > 0 else 0.0)
+                entry[f"{kind_tag}_{name}"] = gap
         gaps.append(entry)
 
+    counts = [c + ((0, 0),) * (length - len(c)) for c in (model.degree_counts() for model in models)]
     return InvarianceReport(
         alpha=float(alpha),
         translation=b,
         epsilon=float(epsilon),
-        base_counts=_pad_counts(base.degree_counts(), length),
-        translated_counts=_pad_counts(translated.degree_counts(), length),
-        scaled_counts=_pad_counts(scaled.degree_counts(), length),
-        eigenvalue_ratios=tuple(ratios_scaled),
-        translation_eigenvalue_ratios=tuple(ratios_translated),
+        base_counts=counts[0],
+        translated_counts=counts[1],
+        scaled_counts=counts[2],
+        eigenvalue_ratios=tuple(ratios[1]),
+        translation_eigenvalue_ratios=tuple(ratios[0]),
         subspace_gaps=tuple(gaps),
         max_eval_discrepancy=discrepancy,
     )

@@ -59,6 +59,8 @@ def read_points_csv(path: str) -> np.ndarray:
             rows = [(line, [cell.strip() for cell in row]) for line, row in enumerate(csv.reader(fh), start=1)]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     data = []
     for i, (line, row) in enumerate([(line, row) for line, row in rows if any(row)]):
         if data and len(row) != len(data[0]):
@@ -141,7 +143,11 @@ def _cmd_fit(args) -> int:
         center=args.center,
         unit_mean_norm=args.unit_mean_norm,
     )
-    model = fit(points, config)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            model = fit(points, config)
+    except FloatingPointError as exc:
+        raise CliError(f"{exc} while fitting: coordinates this large need --center --unit-mean-norm") from None
     save_model(args.output, model)
     _print_fit_summary(model)
     print(f"model written to {args.output}")
@@ -209,13 +215,16 @@ def _cmd_eval(args) -> int:
             lo, hi = args.grid_range
             if not -math.inf < lo < hi < math.inf:  # also rejects NaN
                 raise CliError(f"--grid-range needs finite LO < HI, got {lo!r} {hi!r}", code=2)
-        grid = _grid_points(points, args.grid, args.grid_range)
-        values = evaluate(model, handles, grid)
-        header = ["x0", "x1"] + [h.label() for h in handles]
-        write_csv(args.output, header, np.column_stack([grid, values]))
-    else:
+        points = _grid_points(points, args.grid, args.grid_range)
+    with np.errstate(all="ignore"):  # one count below, not a warning per product
         values = evaluate(model, handles, points)
-        write_csv(args.output, [h.label() for h in handles], values)
+    if bad := int(np.count_nonzero(~np.isfinite(values))):
+        print(f"warning: {bad} of {values.size} values are inf or NaN: the points are too large for the "
+              "model's products", file=sys.stderr)
+    header = [h.label() for h in handles]
+    if args.grid is not None:
+        header, values = ["x0", "x1"] + header, np.column_stack([points, values])
+    write_csv(args.output, header, values)
     print(f"values written to {args.output}")
     return 0
 

@@ -294,8 +294,9 @@ def _deflated(value, path: str) -> DeflationRecord:
 
 
 def _report(value, path: str, model: BasisModel) -> ReductionReport:
-    """The reduction report of ``model``, whose kept, removed and
-    rank-deflated handles must name each G handle of the model once."""
+    """The reduction report of ``model``: its kept, removed and rank-deflated
+    handles name each G handle of the model once, and each rank-deflation
+    record is one that ``rank_deflate_degree`` could have written."""
     get = obj(("threshold", "kept", "removed", "rank_deflated"))(value, path)
     threshold = get("threshold", number)
     if threshold < 0:
@@ -314,6 +315,18 @@ def _report(value, path: str, model: BasisModel) -> ReductionReport:
         del unseen[h]
     if unseen:
         raise ValueError(f"{path}: {next(iter(unseen)).label()} is neither kept, removed nor rank-deflated")
+    for i, rec in enumerate(report.rank_deflated):
+        where = f"{path}.rank_deflated[{i}]"
+        if not rec.removed:
+            _refuse(f"{where}.removed", "at least one handle", [])
+        if any(h.degree != rec.degree for h in rec.removed):
+            _refuse(f"{where}.degree", f"{rec.removed[0].degree}, the degree of each removed handle", rec.degree)
+        count = model.record(rec.degree).partition.count("G")
+        if rec.original_count != count:
+            _refuse(f"{where}.original_count", f"{count}, the model's G count at degree {rec.degree}",
+                    rec.original_count)
+        if not 0 <= rec.gram_rank <= count - len(rec.removed):
+            _refuse(f"{where}.gram_rank", f"an integer in 0..{count - len(rec.removed)}", rec.gram_rank)
     return report
 
 

@@ -301,6 +301,56 @@ class TestReduceCommand:
         assert main(["reduce", str(model_path), four_csv, "--threshold", "1e-6"]) == 0
 
 
+def _run_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``; a warning fails the test, since
+    it would print lines of its own."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+class TestExtremeCoordinates:
+    """Coordinates whose products overflow, without preprocessing: one stderr
+    line each.  The points are the CI console step's ellipse."""
+
+    @pytest.fixture
+    def ellipse(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 0.5]]}, "samples": 12, "seed": 3}')
+        assert main(["generate", str(spec), "-o", str(tmp_path / "points.csv")]) == 0
+        return read_points_csv(str(tmp_path / "points.csv"))
+
+    def test_fit_points_to_the_preprocessing_flags(self, ellipse, tmp_path):
+        np.savetxt(tmp_path / "huge.csv", 1e200 * ellipse, delimiter=",", fmt="%.17g")
+        code, err = _run_quietly(["fit", str(tmp_path / "huge.csv"), "-o", str(tmp_path / "model.json")])
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert "--center --unit-mean-norm" in err
+        assert not (tmp_path / "model.json").exists()
+        code, err = _run_quietly(["fit", str(tmp_path / "huge.csv"), "-o", str(tmp_path / "model.json"),
+                                  "--center", "--unit-mean-norm"])
+        assert code == 0 and err == ""
+
+    def test_eval_counts_the_non_finite_values(self, ellipse, tmp_path):
+        model_path, out = str(tmp_path / "model.json"), str(tmp_path / "values.csv")
+        assert main(["fit", str(tmp_path / "points.csv"), "-o", model_path, "--epsilon", "0.01"]) == 0
+        np.savetxt(tmp_path / "top.csv", 1e307 * ellipse, delimiter=",", fmt="%.17g")
+        code, err = _run_quietly(["eval", model_path, str(tmp_path / "top.csv"), "-o", out])
+        model, _ = load_model(model_path)
+        with np.errstate(all="ignore"):
+            want = evaluate(model, model.g_handles(), 1e307 * ellipse)
+        bad = int(np.count_nonzero(~np.isfinite(want)))
+        assert code == 0 and bad
+        assert err == f"warning: {bad} of {want.size} values are inf or NaN: the points are too large for " \
+                      "the model's products\n"
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2), want)
+        code, err = _run_quietly(["eval", model_path, str(tmp_path / "points.csv"), "-o", out])
+        assert code == 0 and err == ""
+
+
 class TestEvalCommand:
     def test_reduced_model_values_vanish(self, four_csv, tmp_path):
         model_path = tmp_path / "model.json"
@@ -952,6 +1002,30 @@ class TestFuzzedInputs:
                 if code:
                     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
                     assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("content,message", [
+        (b"1,1\n2,0,5\n0,3\n", "line 2: expected 2 columns, found 3"),
+        (b"1,1\n2,x\n0,3\n", "line 2: malformed row"),
+        (b"1,1\n2,1e999\n0,3\n", "points contain NaN or Inf"),
+        (b"", "empty point set"),
+        (b"x0,x1\n", "empty point set"),
+        (b"1,1\n2,\0\n0,3\n", "line 2: malformed row"),
+        (b"1,1\n2,\xff\n0,3\n", "can't decode byte 0xff"),
+    ], ids=["ragged row", "non-numeric cell", "overflowing cell", "empty file", "header only", "NUL cell",
+            "non-UTF-8 bytes"])
+    def test_malformed_points_csv(self, tmp_path, content, message):
+        """Every subcommand that reads a points CSV exits 1 with one stderr
+        line on a malformed one, naming the file where it reads it."""
+        (tmp_path / "bad.csv").write_bytes(content)
+        model = str(tmp_path / "model.json")
+        assert main(["fit", write_four_points(tmp_path / "good.csv"), "-o", model]) == 0
+        bad, out = str(tmp_path / "bad.csv"), str(tmp_path / "out")
+        for argv in (["fit", bad, "-o", out], ["eval", model, bad, "-o", out], ["reduce", model, bad, "-o", out],
+                     ["features", model, bad, "-o", out], ["diagnose", bad, "-o", out],
+                     ["epsilon-search", bad, "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1"]):
+            code, err = _run_quietly(argv)
+            assert code == 1 and err.count("\n") == 1 and message in err, (argv, err)
+            assert "NaN" in message or err.startswith(f"error: {bad}: "), (argv, err)
 
 
 class TestPersistence:

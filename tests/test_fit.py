@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import avibasis
 from avibasis import (
     BasisModel,
     DensePolynomial,
@@ -609,3 +613,43 @@ class TestFitPath:
         # one tolerance, or a descend that keeps one partition, is a chain
         assert len(list(_path_models(pts, FitConfig(), grid[:1]))) == 1
         assert len(list(_path_models(pts, FitConfig(), grid, lambda path: _descend(EpsilonTarget(0, 3, 1), path)))) == 25
+
+
+_THREAD_CHILD = """
+import sys
+import numpy as np
+from avibasis import ConcentricEllipses, DatasetSpec, FitConfig, evaluate, fit, generate_dataset
+spec = DatasetSpec(ConcentricEllipses(((1.41, 0.71), (2.0, 1.0))), samples=5000,
+                   extra_linear_vars=(0.0, 0.5, 1.0), noise_std_fraction=0.02, seed=7)
+points = generate_dataset(spec).points
+model = fit(points, FitConfig(epsilon=0.05))
+np.savez(sys.argv[1], counts=model.degree_counts(), partitions=["".join(r.partition) for r in model.degrees],
+         eigvals=np.concatenate([r.eigvals for r in model.degrees]), values=evaluate(model, model.handles(), points))
+"""
+
+
+class TestBlasThreadCount:
+    """A fit large enough for BLAS to split its products, at 1 and at 2 BLAS
+    threads, set only through the environment of a fresh process.  Its bits
+    may differ (with OpenBLAS 0.3.31 on 2 cores they do from degree 8 on, in
+    the orthogonalization weights); the counts and partitions may not, and
+    eigenvalues and replay values agree within ``BOUND``, relative."""
+
+    BOUND = 1e-8  # measured there: 3.5e-11 (eigenvalues), 2.3e-11 (values)
+
+    def test_counts_equal_and_values_within_the_bound(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(avibasis.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", _THREAD_CHILD, str(out)], env=env, check=True, timeout=120)
+            runs.append(np.load(out))
+        one, two = runs
+        np.testing.assert_array_equal(one["counts"], two["counts"])
+        np.testing.assert_array_equal(one["partitions"], two["partitions"])
+        lam = one["eigvals"]
+        assert np.all(np.abs(two["eigvals"] - lam) <= self.BOUND * np.abs(lam))
+        values = one["values"]
+        assert np.abs(two["values"] - values).max() <= self.BOUND * np.abs(values).max()

@@ -85,6 +85,7 @@ FINITE_KEYS = ("threshold", "max_residual")
 # the report's handle lists and each handle's fields
 HANDLE_KEYS = ("kept", "removed", "handle", "degree", "column", "kind")
 GRAD_KEPT = json.loads(SAVED["grad"][0])["reduction"]["kept"]
+VCA_DEFLATED = json.loads(SAVED["vca"][0])["reduction"]["rank_deflated"]
 
 
 def _must_refuse(name, path, value) -> bool:
@@ -94,7 +95,8 @@ def _must_refuse(name, path, value) -> bool:
     naturally),
     empties a degree's matrix, makes an eigenvalue, a residual or the
     reduction threshold non-finite, makes the threshold negative, makes
-    epsilon negative or NaN, or changes any reduction handle."""
+    epsilon negative or NaN, changes any reduction handle, or changes a
+    rank-deflation record's degree or count or puts its rank out of range."""
     key = next(k for k in reversed(path) if isinstance(k, str))
     if value is True:  # no field reads a bool by its truth value, and true ends neither fit
         return True
@@ -104,9 +106,17 @@ def _must_refuse(name, path, value) -> bool:
         return value is not DELETE and value is not False
     if key == "parents" and _mutated(name, path, value) != json.loads(SAVED[name][0]):
         return True
+    if path[1:2] == ("rank_deflated",) and len(path) == 4 and key != "removed":
+        # a record's own field: its handles' degree, the degree's G count, and a rank in
+        # 0..original_count - len(removed)
+        rec = json.loads(SAVED[name][0])["reduction"]["rank_deflated"][path[2]]
+        if type(value) is not int:
+            return not (isinstance(value, float) and value.is_integer() and value == rec[key])
+        if key == "gram_rank":
+            return not 0 <= value <= rec["original_count"] - len(rec["removed"])
+        return value != rec[key]
     # the handles name each G polynomial once, so any other handle is foreign or a repeat
-    record_degree = path[1:2] + path[3:] == ("rank_deflated", "degree")  # not a handle's
-    if path[0] == "reduction" and key in HANDLE_KEYS and not record_degree:
+    if path[0] == "reduction" and key in HANDLE_KEYS:
         return _mutated(name, path, value) != json.loads(SAVED[name][0])
     if key in INTEGER_KEYS:
         return isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer())
@@ -164,6 +174,12 @@ def test_fixtures_cover_the_report_sections():
 @example(field=("grad", ("reduction", "kept", 0, "column")), value=10**6)
 @example(field=("grad", ("reduction", "removed", 0, "handle", "column")), value=3)
 @example(field=("vca", ("reduction", "rank_deflated", 0, "removed")), value=[])
+@example(field=("vca", ("reduction", "rank_deflated", 0, "degree")), value=10**6)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "degree")), value=0)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=10**6)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=-1)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "gram_rank")), value=0)
+@example(field=("vca", ("reduction", "rank_deflated", 0, "original_count")), value=-5)
 def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     name, path = field
     data = _mutated(name, path, value)
@@ -217,13 +233,28 @@ def test_mutated_model_loads_sound_or_raises_value_error(field, value):
     (("grad", ("reduction", "kept")), GRAD_KEPT + GRAD_KEPT[:1], "reduction.kept[5]: d2_g2 is named twice"),
     (("vca", ("reduction", "rank_deflated", 0, "removed")), [],
      "reduction: d2_g2 is neither kept, removed nor rank-deflated"),
+    (("vca", ("reduction", "rank_deflated", 0, "degree")), 10**6,
+     "reduction.rank_deflated[0].degree: expected 2, the degree of each removed handle, got 1000000"),
+    (("vca", ("reduction", "rank_deflated", 0, "degree")), 0,
+     "reduction.rank_deflated[0].degree: expected 2, the degree of each removed handle, got 0"),
+    (("vca", ("reduction", "rank_deflated", 0, "gram_rank")), 10**6,
+     "reduction.rank_deflated[0].gram_rank: expected an integer in 0..2, got 1000000"),
+    (("vca", ("reduction", "rank_deflated", 0, "gram_rank")), -1,
+     "reduction.rank_deflated[0].gram_rank: expected an integer in 0..2, got -1"),
+    (("vca", ("reduction", "rank_deflated", 0, "original_count")), -5,
+     "reduction.rank_deflated[0].original_count: expected 3, the model's G count at degree 2, got -5"),
+    (("vca", ("reduction", "rank_deflated")),
+     VCA_DEFLATED + [{"degree": 2, "removed": [], "original_count": 3, "gram_rank": 0}],
+     "reduction.rank_deflated[1].removed: expected at least one handle, got []"),
 ], ids=["empty eigvecs", "fractional parents", "bool pair parent", "fractional num_vars", "string num_vars",
         "string parent", "triple parent", "int parent pair", "string parent pair", "bool degree",
         "fractional column", "string column", "bool deflated degree", "fractional original_count", "nan threshold",
         "negative threshold", "inf max_residual", "nan residual", "negative epsilon",
         "-inf epsilon", "nan epsilon", "string truncated", "integer truncated", "null truncated",
         "bool scale", "bool constant", "bool eigval", "bool format_version", "unknown key", "unknown handle key",
-        "foreign kept column", "foreign kept degree", "repeated kept handle", "dropped deflated handle"])
+        "foreign kept column", "foreign kept degree", "repeated kept handle", "dropped deflated handle",
+        "huge deflated degree", "zero deflated degree", "huge gram_rank", "negative gram_rank",
+        "negative original_count", "empty deflation record"])
 def test_refused_with_a_one_line_field_error(field, value, message):
     data = _mutated(*field, value)
     with pytest.raises(ValueError, match=re.escape(message)) as info:
