@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -422,20 +424,17 @@ def _satisfies(degrees, target: EpsilonTarget) -> tuple[tuple[int, ...], bool]:
     """The G counts of the records ``degrees`` and whether they have the
     target's shape."""
     g_counts = tuple(rec.partition.count("G") for rec in degrees)
-    def g_at(degree: int) -> int:
-        return g_counts[degree - 1] if degree <= len(g_counts) else 0
-    ok = g_at(1) == target.num_linear
-    ok = ok and all(g_at(t) == 0 for t in range(2, target.d_min))
-    ok = ok and g_at(target.d_min) >= target.num_at_dmin
-    return g_counts, ok
+    g_at = g_counts + (0,) * target.d_min  # degree t's count at t - 1, 0 past the last degree
+    return g_counts, (g_at[0] == target.num_linear and not any(g_at[1:target.d_min - 1])
+                      and g_at[target.d_min - 1] >= target.num_at_dmin)
 
 
 def _descend(target: EpsilonTarget, path) -> bool:
     """Whether a degree below the records ``path`` could still change the
     target's ``satisfied`` flag: only the one prefix with ``num_linear`` G
     at degree 1 and none above, so the prefixes stepped form a chain."""
-    g_counts = [rec.partition.count("G") for rec in path]
-    return len(path) < target.d_min and g_counts[0] == target.num_linear and not any(g_counts[1:])
+    return (len(path) < target.d_min and path[0].partition.count("G") == target.num_linear
+            and all("G" not in rec.partition for rec in path[1:]))
 
 
 def epsilon_search(
@@ -462,13 +461,15 @@ def epsilon_search(
     """
     normalization = normalization or NormalizationKind.gradient()
     grid = default_epsilon_grid(points) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0 or not np.all(grid > 0):
+    if grid.ndim != 1:
+        raise ValueError("the tolerance grid must be one-dimensional")
+    if grid.size == 0 or not (grid > 0).all():
         raise ValueError("the tolerance grid must be positive")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] - grid[:-1] <= 0).any():
         raise ValueError("the tolerance grid must be strictly increasing")
 
     config = FitConfig(normalization=normalization)
-    epsilons = [float(eps) for eps in grid]
+    epsilons = grid.tolist()
 
     _, pts, m = _prepare(points, config)
     trace: list = [None] * len(epsilons)
@@ -476,21 +477,15 @@ def epsilon_search(
         g_counts, ok = _satisfies(degrees, target)
         for i in indices:
             trace[i] = EpsilonScanPoint(epsilons[i], g_counts, ok)
-    flags = [point.satisfied for point in trace]
 
-    best_start, best_len = -1, 0
-    run_start = None
-    for i, ok in enumerate(list(flags) + [False]):
-        if ok and run_start is None:
-            run_start = i
-        elif not ok and run_start is not None:
-            if i - run_start > best_len:
-                best_start, best_len = run_start, i - run_start
-            run_start = None
-    if best_len == 0:
+    best: tuple = ()  # the first of the longest runs of satisfying tolerances
+    for ok, run in groupby(trace, attrgetter("satisfied")):
+        run = tuple(run)
+        if ok and len(run) > len(best):
+            best = run
+    if not best:
         return EpsilonSearchResult(False, None, None, None, tuple(trace))
-    lower = float(grid[best_start])
-    upper = float(grid[best_start + best_len - 1])
+    lower, upper = best[0].epsilon, best[-1].epsilon
     return EpsilonSearchResult(True, (lower + upper) / 2.0, lower, upper, tuple(trace))
 
 

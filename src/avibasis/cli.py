@@ -61,8 +61,9 @@ def read_points_csv(path: str) -> np.ndarray:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    rows = [(line, row) for line, row in rows if any(row)]
     data = []
-    for i, (line, row) in enumerate([(line, row) for line, row in rows if any(row)]):
+    for i, (line, row) in enumerate(rows):
         if data and len(row) != len(data[0]):
             raise CliError(f"{path}: line {line}: expected {len(data[0])} columns, found {len(row)}")
         try:
@@ -72,7 +73,11 @@ def read_points_csv(path: str) -> np.ndarray:
                 raise CliError(f"{path}: line {line}: malformed row: {exc}") from exc
     if not data:
         raise CliError(f"{path}: empty point set")
-    return np.array(data, dtype=float)
+    points = np.array(data, dtype=float)
+    if not np.isfinite(points).all():  # one vectorised check; the first bad row is sought only on failure
+        first = int(np.isfinite(points).all(axis=1).argmin()) + len(rows) - len(data)  # past a header row
+        raise CliError(f"{path}: line {rows[first][0]}: points contain NaN or Inf")
+    return points
 
 
 def write_csv(path: str, header: list[str] | None, rows) -> None:
@@ -92,6 +97,22 @@ def _write_json(path: str, payload) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"report written to {path}")
+
+
+def _raising(what: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its first overflow or invalid value one error line."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return call(*args, **kwargs)
+    except FloatingPointError as exc:
+        raise CliError(f"{exc} while {what}") from None
+
+
+def _warn_non_finite(values: np.ndarray) -> None:
+    """One stderr line counting the inf and NaN ``values``, if any."""
+    if bad := int(np.count_nonzero(~np.isfinite(values))):
+        print(f"warning: {bad} of {values.size} values are inf or NaN: the points are too large for the "
+              "model's products", file=sys.stderr)
 
 
 def _parse_list(raw: str, flag: str, kind: type) -> list:
@@ -143,11 +164,7 @@ def _cmd_fit(args) -> int:
         center=args.center,
         unit_mean_norm=args.unit_mean_norm,
     )
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            model = fit(points, config)
-    except FloatingPointError as exc:
-        raise CliError(f"{exc} while fitting: coordinates this large need --center --unit-mean-norm") from None
+    model = _raising("fitting: coordinates this large need --center --unit-mean-norm", fit, points, config)
     save_model(args.output, model)
     _print_fit_summary(model)
     print(f"model written to {args.output}")
@@ -168,7 +185,8 @@ def _cmd_reduce(args) -> int:
         threshold = 1e-9
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise CliError("--threshold must be finite and >= 0", code=2)
-    report = reduce_basis(model, points, threshold=threshold)
+    report = _raising("reducing: the points are too large for the model's products",
+                      reduce_basis, model, points, threshold=threshold)
     out = args.output or args.model
     save_model(out, model, report)
     victims = report.deflation_victims()
@@ -218,9 +236,7 @@ def _cmd_eval(args) -> int:
         points = _grid_points(points, args.grid, args.grid_range)
     with np.errstate(all="ignore"):  # one count below, not a warning per product
         values = evaluate(model, handles, points)
-    if bad := int(np.count_nonzero(~np.isfinite(values))):
-        print(f"warning: {bad} of {values.size} values are inf or NaN: the points are too large for the "
-              "model's products", file=sys.stderr)
+    _warn_non_finite(values)
     header = [h.label() for h in handles]
     if args.grid is not None:
         header, values = ["x0", "x1"] + header, np.column_stack([points, values])
@@ -235,7 +251,9 @@ def _cmd_features(args) -> int:
         model, _ = load_model(path)
         models.append(model)
     points = read_points_csv(args.points)
-    rows = extract_features(models, points)
+    with np.errstate(all="ignore"):  # one count below, not a warning per product
+        rows = extract_features(models, points)
+    _warn_non_finite(rows)
     header = []
     for i, model in enumerate(models):
         header.extend(f"c{i}_{h.label()}" for h in model.g_handles())
@@ -255,14 +273,8 @@ def _cmd_diagnose(args) -> int:
         b = np.array(_parse_list(args.translate, "--translate", float))
     if b.shape != (points.shape[1],):
         raise CliError("--translate length must match the point dimension", code=2)
-    report = invariance_report(
-        points,
-        b,
-        alpha=args.scale,
-        epsilon=args.epsilon,
-        probe_count=args.probes,
-        seed=args.seed,
-    )
+    report = _raising("diagnosing: the points are too large for fits without preprocessing", invariance_report,
+                      points, b, alpha=args.scale, epsilon=args.epsilon, probe_count=args.probes, seed=args.seed)
     print(f"counts match: {report.counts_match}")
     ratios = [r for degree in report.eigenvalue_ratios for r in degree]
     if ratios:
@@ -361,7 +373,8 @@ def _cmd_epsilon_search(args) -> int:
         grid = np.geomspace(args.grid_lo, args.grid_hi, args.grid_count)
     else:
         grid = default_epsilon_grid(points, args.grid_count)
-    result = epsilon_search(points, target, normalization=_normalization_from_args(args), grid=grid)
+    result = _raising("searching: the points are too large for fits without preprocessing", epsilon_search,
+                      points, target, normalization=_normalization_from_args(args), grid=grid)
     if args.output:
         _write_json(args.output, asdict(result))
     if not result.found:

@@ -21,8 +21,10 @@ group's records without building a model.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import ge
 
 import numpy as np
 
@@ -138,28 +140,24 @@ def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
 
     A cut's G set is the roots ``<=`` it, so the G sets of two cuts are
     nested and two cuts with as many roots at or below them (a NaN cut
-    has none) share one partition, which is built once."""
+    has none) share one partition, which is built once per run."""
     ev = np.asarray(eigvals, dtype=float)
     if ev.size == 0:
         return [()] * len(epsilons)
     scale = max(1.0, float(np.abs(ev).max()))
-    if np.any(np.diff(ev) > 1e-9 * scale):
+    if (ev[1:] - ev[:-1] > 1e-9 * scale).any():
         raise ValueError("eigenvalues must be sorted in descending order")
     if float(ev.min()) < -1e-10 * scale:
         raise ValueError("eigenvalue is negative beyond roundoff")
-    roots = np.sqrt(np.clip(ev, 0.0, None))
+    roots = np.sqrt(np.maximum(ev, 0.0))  # a NaN root stays NaN, never <= a cut
     floor = 1e-10 * max(float(roots.max()), 1.0)
     values = roots.tolist()  # Python floats compare like float64, only faster
     ordered = sorted(r for r in values if r == r)  # NaN roots are never <= a cut
-    partitions: dict = {}
-    out = []
-    for eps in epsilons:
-        cut = max(float(eps), floor)
-        below = bisect.bisect_right(ordered, cut) if cut == cut else 0
-        partition = partitions.get(below)
-        if partition is None:
-            partition = partitions[below] = tuple("G" if r <= cut else "F" for r in values)
-        out.append(partition)
+    cuts = map(max, map(float, epsilons), repeat(floor))
+    out: list = []
+    for below, run in groupby([bisect_right(ordered, cut) if cut == cut else 0 for cut in cuts]):
+        top = ordered[below - 1] if below else -1.0  # no root is <= -1
+        out += repeat(tuple("G" if r <= top else "F" for r in values), len(list(run)))
     return out
 
 
@@ -305,7 +303,7 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     ``descend`` that keeps one G count, as the search's does, keeps the
     walk a chain; two groups that would step on raise ``ValueError``.
     """
-    if not all(eps >= 0 for eps in epsilons):  # also rejects NaN
+    if not all(map(ge, epsilons, repeat(0))):  # also rejects NaN
         raise ValueError("epsilon must be >= 0")
     kind = config.normalization
     num_points, num_vars = pts.shape
@@ -339,8 +337,9 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
         groups: dict = {}
-        for i, partition in zip(members, _classify_all(eigvals, [epsilons[i] for i in members])):
-            groups.setdefault(partition, []).append(i)
+        partitions = _classify_all(eigvals, [epsilons[i] for i in members])
+        for partition, run in groupby(range(len(members)), partitions.__getitem__):
+            groups.setdefault(partition, []).extend(map(members.__getitem__, run))
         prefix, members = records, []
         for partition, group in groups.items():
             rec = DegreeRecord(

@@ -102,3 +102,52 @@ def match_scalar_multiple(poly, target, tol=1e-8):
         if best is None or err < best:
             best = err
     return best <= tol
+
+
+# -- oracles: earlier spellings of the tolerance search's expressions ----------
+# Each is the code the search ran before it was rewritten with fewer calls;
+# the rewrites must give the same results.
+
+
+def satisfies_oracle(degrees, target):
+    """``analysis._satisfies`` with a per-degree lookup."""
+    g_counts = tuple(rec.partition.count("G") for rec in degrees)
+    def g_at(degree: int) -> int:
+        return g_counts[degree - 1] if degree <= len(g_counts) else 0
+    ok = g_at(1) == target.num_linear
+    ok = ok and all(g_at(t) == 0 for t in range(2, target.d_min))
+    ok = ok and g_at(target.d_min) >= target.num_at_dmin
+    return g_counts, ok
+
+
+def descend_oracle(target, path) -> bool:
+    """``analysis._descend`` from the list of every degree's G count."""
+    g_counts = [rec.partition.count("G") for rec in path]
+    return len(path) < target.d_min and g_counts[0] == target.num_linear and not any(g_counts[1:])
+
+
+def best_run_oracle(trace):
+    """``(found, epsilon, lower, upper)`` of ``epsilon_search``'s result, from
+    its trace by the loop that found the first longest satisfying run."""
+    best_start, best_len = -1, 0
+    run_start = None
+    for i, ok in enumerate([point.satisfied for point in trace] + [False]):
+        if ok and run_start is None:
+            run_start = i
+        elif not ok and run_start is not None:
+            if i - run_start > best_len:
+                best_start, best_len = run_start, i - run_start
+            run_start = None
+    if best_len == 0:
+        return False, None, None, None
+    lower, upper = trace[best_start].epsilon, trace[best_start + best_len - 1].epsilon
+    return True, (lower + upper) / 2.0, lower, upper
+
+
+def grid_check_oracle(grid):
+    """The tolerance grid checks of ``epsilon_search`` through ``np.all``,
+    ``np.any`` and ``np.diff``; raises their ``ValueError``."""
+    if grid.size == 0 or not np.all(grid > 0):
+        raise ValueError("the tolerance grid must be positive")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("the tolerance grid must be strictly increasing")

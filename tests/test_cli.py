@@ -350,6 +350,38 @@ class TestExtremeCoordinates:
         code, err = _run_quietly(["eval", model_path, str(tmp_path / "points.csv"), "-o", out])
         assert code == 0 and err == ""
 
+    def test_features_counts_the_non_finite_values(self, ellipse, tmp_path):
+        model_path, out = str(tmp_path / "model.json"), str(tmp_path / "features.csv")
+        assert main(["fit", str(tmp_path / "points.csv"), "-o", model_path, "--epsilon", "0.01"]) == 0
+        np.savetxt(tmp_path / "top.csv", 1e307 * ellipse, delimiter=",", fmt="%.17g")
+        code, err = _run_quietly(["features", model_path, str(tmp_path / "top.csv"), "-o", out])
+        model, _ = load_model(model_path)
+        with np.errstate(all="ignore"):
+            want = np.abs(evaluate(model, model.g_handles(), 1e307 * ellipse))
+        bad = int(np.count_nonzero(~np.isfinite(want)))
+        assert code == 0 and bad
+        assert err == f"warning: {bad} of {want.size} values are inf or NaN: the points are too large for " \
+                      "the model's products\n"
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2), want)
+
+    @pytest.mark.parametrize("command,scale,what", [
+        (["reduce", "{model}", "{points}", "--threshold", "1e-6", "-o", "{out}"], 1e307, "while reducing"),
+        (["diagnose", "{points}", "-o", "{out}"], 1e200, "while diagnosing"),
+        (["epsilon-search", "{points}", "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1", "-o", "{out}"],
+         1e200, "while searching"),
+    ], ids=["reduce", "diagnose", "epsilon-search"])
+    def test_overflow_is_one_error_line(self, ellipse, tmp_path, command, scale, what):
+        model_path, out = str(tmp_path / "model.json"), str(tmp_path / "out")
+        assert main(["fit", str(tmp_path / "points.csv"), "-o", model_path, "--epsilon", "0.01"]) == 0
+        np.savetxt(tmp_path / "big.csv", scale * ellipse, delimiter=",", fmt="%.17g")
+        argv = [arg.format(model=model_path, points=str(tmp_path / "big.csv"), out=out) for arg in command]
+        code, err = _run_quietly(argv)
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: overflow encountered in "), err
+        assert what in err
+        assert not Path(out).exists()
+        code, err = _run_quietly([arg.replace("big.csv", "points.csv") for arg in argv])
+        assert code == 0 and err == ""
+
 
 class TestEvalCommand:
     def test_reduced_model_values_vanish(self, four_csv, tmp_path):
@@ -426,7 +458,7 @@ class TestEvalCommand:
         code = main(["eval", str(model_path), str(nan_path), "-o", str(values_path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: points contain NaN or Inf\n"
+        assert err == f"error: {nan_path}: line 3: points contain NaN or Inf\n"
         assert not values_path.exists()
 
     def test_grid_range_without_grid_is_a_usage_error(self, four_csv, tmp_path, capsys):
@@ -1006,7 +1038,7 @@ class TestFuzzedInputs:
     @pytest.mark.parametrize("content,message", [
         (b"1,1\n2,0,5\n0,3\n", "line 2: expected 2 columns, found 3"),
         (b"1,1\n2,x\n0,3\n", "line 2: malformed row"),
-        (b"1,1\n2,1e999\n0,3\n", "points contain NaN or Inf"),
+        (b"1,1\n2,1e999\n0,3\n", "line 2: points contain NaN or Inf"),
         (b"", "empty point set"),
         (b"x0,x1\n", "empty point set"),
         (b"1,1\n2,\0\n0,3\n", "line 2: malformed row"),
@@ -1025,7 +1057,7 @@ class TestFuzzedInputs:
                      ["epsilon-search", bad, "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1"]):
             code, err = _run_quietly(argv)
             assert code == 1 and err.count("\n") == 1 and message in err, (argv, err)
-            assert "NaN" in message or err.startswith(f"error: {bad}: "), (argv, err)
+            assert err.startswith(f"error: {bad}: "), (argv, err)
 
 
 class TestPersistence:

@@ -34,7 +34,9 @@ from avibasis.fit import (
     normalization_matrix,
     orthogonalize,
 )
-from conftest import random_cloud, random_polynomial
+from avibasis.model import DegreeRecord
+from conftest import (best_run_oracle, descend_oracle, grid_check_oracle, random_cloud, random_polynomial,
+                      satisfies_oracle)
 
 
 def _path_models(points, config, epsilons, descend=None):
@@ -540,6 +542,37 @@ class TestFitPath:
             assert 1 <= len(point.g_counts) <= target.d_min
             assert point.g_counts == lone_counts[:len(point.g_counts)]
             assert point.satisfied == _satisfies(lone.degrees, target)[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_path_case(), _targets)
+    def test_search_result_is_its_traces_first_longest_run(self, case, target):
+        pts, config, grid = case
+        result = epsilon_search(pts, target, normalization=config.normalization, grid=grid)
+        assert (result.found, result.epsilon, result.lower, result.upper) == best_run_oracle(result.trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 2.0, 0.0, -0.0, -1.0, math.inf, math.nan]), max_size=5),
+           st.sampled_from([None, "ascending"]))
+    def test_grid_checks_match_their_oracle(self, grid, order):
+        grid = np.array(sorted(grid) if order and math.nan not in grid else grid, dtype=float)
+        pts = random_cloud(np.random.default_rng(0), 6, 2)
+        with np.errstate(all="ignore"):
+            try:
+                grid_check_oracle(grid)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    epsilon_search(pts, EpsilonTarget(0, 2, 1), grid=grid)
+                assert str(raised.value) == str(exc)
+            else:
+                assert len(epsilon_search(pts, EpsilonTarget(0, 2, 1), grid=grid).trace) == grid.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("FG"), max_size=4).map(tuple), min_size=1, max_size=4), _targets)
+    def test_satisfies_and_descend_match_their_oracles(self, partitions, target):
+        path = tuple(DegreeRecord(np.zeros((1, 0)), np.zeros((0, len(p))), np.zeros(len(p)), p)
+                     for p in partitions)
+        assert _satisfies(path, target) == satisfies_oracle(path, target)
+        assert _descend(target, path) == descend_oracle(target, path)
 
     @pytest.mark.parametrize("target", [EpsilonTarget(0, 2, 1), EpsilonTarget(1, 2, 1),
                                         EpsilonTarget(0, 3, 1), EpsilonTarget(1, 3, 0)])
