@@ -463,8 +463,8 @@ def epsilon_search(
     grid = default_epsilon_grid(points) if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("the tolerance grid must be one-dimensional")
-    if grid.size == 0 or not (grid > 0).all():
-        raise ValueError("the tolerance grid must be positive")
+    if grid.size == 0 or not ((grid > 0) & (grid < np.inf)).all():
+        raise ValueError("the tolerance grid must be positive and finite")
     if (grid[1:] - grid[:-1] <= 0).any():
         raise ValueError("the tolerance grid must be strictly increasing")
 

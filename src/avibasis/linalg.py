@@ -26,6 +26,7 @@ __all__ = [
 
 RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _binade(values):
@@ -49,10 +50,14 @@ def _mean_norm(points: np.ndarray) -> float:
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if a.size == 0 or (a == a.T).all():  # exactly symmetric: within any tolerance
+    if a.size == 0:
         return
     scale = float(np.abs(a).max())
-    if scale > 0.0 and float(np.abs(a - a.T).max()) > _ASYMMETRY_RTOL * scale:
+    if not scale <= _HALF_MAX:  # also NaN; past it, the symmetrization (a + a.T) / 2 overflows
+        raise ValueError(f"{name} must be finite and at most {_HALF_MAX:.4g} in magnitude")
+    if (a == a.T).all():  # exactly symmetric: within any tolerance
+        return
+    if float(np.abs(a - a.T).max()) > _ASYMMETRY_RTOL * scale:
         raise ValueError(
             f"{name} is not symmetric within relative tolerance {_ASYMMETRY_RTOL:g}"
         )
@@ -150,6 +155,8 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("design matrix must be 2-D")
     if m.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {m.shape[0]} vs {y.shape[0]}")
+    if not (np.isfinite(m).all() and np.isfinite(y).all()):  # LAPACK's SVD may never return on inf
+        raise ValueError("design matrix and right-hand side must be finite")
     y2 = y if y.ndim == 2 else y[:, None]
     w = _lstsq_weights(m, y2)
     residual = float(np.linalg.norm(m @ w - y2))

@@ -145,9 +145,9 @@ def best_run_oracle(trace):
 
 
 def grid_check_oracle(grid):
-    """The tolerance grid checks of ``epsilon_search`` through ``np.all``,
-    ``np.any`` and ``np.diff``; raises their ``ValueError``."""
-    if grid.size == 0 or not np.all(grid > 0):
-        raise ValueError("the tolerance grid must be positive")
+    """The tolerance grid checks of ``epsilon_search`` through ``np.isfinite``,
+    ``np.all``, ``np.any`` and ``np.diff``; raises their ``ValueError``."""
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("the tolerance grid must be positive and finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("the tolerance grid must be strictly increasing")

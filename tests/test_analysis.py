@@ -237,6 +237,8 @@ class TestEpsilonSearch:
             epsilon_search(pts, target, grid=np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match="one-dimensional"):
             epsilon_search(pts, target, grid=np.array([[0.1], [1.0]]))
+        with pytest.raises(ValueError, match="finite"):  # inf - inf is NaN, which passed the order check
+            epsilon_search(pts, target, grid=np.array([1.0, np.inf, np.inf]))
 
     @pytest.mark.parametrize("grid", [[0.1, math.nan], [math.nan], [math.nan, 0.1]])
     def test_nan_grid_rejected(self, grid):

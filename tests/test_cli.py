@@ -301,11 +301,11 @@ class TestReduceCommand:
         assert main(["reduce", str(model_path), four_csv, "--threshold", "1e-6"]) == 0
 
 
-def _run_quietly(argv) -> tuple[int, str]:
-    """Exit code and stderr of ``main(argv)``; a warning fails the test, since
-    it would print lines of its own."""
+def _run_quietly(argv, out=None) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, whose stdout goes to ``out``
+    if given; a warning fails the test, since it would print lines of its own."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    with contextlib.redirect_stdout(io.StringIO() if out is None else out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -315,7 +315,7 @@ def _run_quietly(argv) -> tuple[int, str]:
 
 class TestExtremeCoordinates:
     """Coordinates whose products overflow, without preprocessing: one stderr
-    line each.  The points are the CI console step's ellipse."""
+    line each.  The points are ``tests/data/reports/ellipse.csv``."""
 
     @pytest.fixture
     def ellipse(self, tmp_path):
@@ -330,9 +330,19 @@ class TestExtremeCoordinates:
         assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
         assert "--center --unit-mean-norm" in err
         assert not (tmp_path / "model.json").exists()
-        code, err = _run_quietly(["fit", str(tmp_path / "huge.csv"), "-o", str(tmp_path / "model.json"),
+        # with them the fit prints the per-degree |G_t| and |F_t| of the points themselves
+        counts = []
+        for points in ("points.csv", "huge.csv"):
+            out = io.StringIO()
+            assert _run_quietly(["fit", str(tmp_path / points), "-o", str(tmp_path / "model.json"),
+                                 "--center", "--unit-mean-norm"], out) == (0, "")
+            counts.append([line.split()[:3] for line in out.getvalue().splitlines() if line.lstrip()[:1].isdigit()])
+        assert counts[0] and counts[0] == counts[1]
+        # centred coordinates past the largest double are refused
+        (tmp_path / "overflow.csv").write_text("-1.7e308,0\n1.7e308,1\n1.7e308,2\n")
+        code, err = _run_quietly(["fit", str(tmp_path / "overflow.csv"), "-o", str(tmp_path / "model.json"),
                                   "--center", "--unit-mean-norm"])
-        assert code == 0 and err == ""
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: centred coordinates overflow"), err
 
     def test_eval_counts_the_non_finite_values(self, ellipse, tmp_path):
         model_path, out = str(tmp_path / "model.json"), str(tmp_path / "values.csv")
@@ -584,19 +594,28 @@ class TestReportGoldens:
         assert json.loads((REPORTS / "search_missed.json").read_text())["found"] is False
 
 
+# the space curve x^2 + y^2 + z^2 = 1, xy = z, sampled by Gauss-Newton projection
+CURVE_SPEC = {"variety": {"kind": "polynomial_system", "num_vars": 3,
+                          "polynomials": [{"2,0,0": 1.0, "0,2,0": 1.0, "0,0,2": 1.0, "0,0,0": -1.0},
+                                          {"1,1,0": 1.0, "0,0,1": -1.0}]},
+              "samples": 50, "noise_std_fraction": 0.01, "seed": 7}
+
+
 class TestGenerateCommand:
     def test_deterministic_output(self, tmp_path):
-        spec = {
-            "variety": {"kind": "concentric_ellipses", "radii": [[1.0, 1.0]], "rotation": 0.0},
-            "samples": 8,
-            "seed": 7,
-        }
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["generate", str(spec_path), "-o", str(out1)]) == 0
-        assert main(["generate", str(spec_path), "-o", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        """A circle, the space curve, and the cubic x^3 - 2x + 2, which
+        redraws many starts: each spec writes the same bytes twice."""
+        circle = {"variety": {"kind": "concentric_ellipses", "radii": [[1.0, 1.0]], "rotation": 0.0},
+                  "samples": 8, "seed": 7}
+        cubic = {"variety": {"kind": "polynomial_system", "num_vars": 1,
+                             "polynomials": [{"3": 1.0, "1": -2.0, "0": 2.0}]},
+                 "samples": 300, "noise_std_fraction": 0.01, "seed": 7}
+        spec_path, out1, out2 = tmp_path / "spec.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        for spec in (circle, CURVE_SPEC, cubic):
+            spec_path.write_text(json.dumps(spec))
+            assert main(["generate", str(spec_path), "-o", str(out1)]) == 0
+            assert main(["generate", str(spec_path), "-o", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_polynomial_system_spec(self, tmp_path):
         spec = {
@@ -780,6 +799,22 @@ class TestEpsilonSearchCommand:
         assert code == 1
         assert "points contain NaN or Inf" in capsys.readouterr().err
 
+    def test_coefficient_normalization_rewrites_the_same_bytes(self, tmp_path):
+        """The space curve through fit, reduce and eval with the coefficient
+        normalization, whose search steps the symbolic kernel through degree
+        2; searching again writes the same report."""
+        (tmp_path / "curve.json").write_text(json.dumps(CURVE_SPEC))
+        points, model = str(tmp_path / "curve.csv"), str(tmp_path / "model.json")
+        reports = [tmp_path / "search.json", tmp_path / "again.json"]
+        for argv in (["generate", str(tmp_path / "curve.json"), "-o", points],
+                     ["fit", points, "-o", model, "--normalization", "coef", "--epsilon", "0.01"],
+                     ["reduce", model, points, "--threshold", "1e-2"],
+                     ["eval", model, points, "-o", str(tmp_path / "kept.csv"), "--kept-only"],
+                     *(["epsilon-search", points, "--num-linear", "0", "--dmin", "3", "--num-at-dmin", "1",
+                        "--normalization", "coef", "-o", str(report)] for report in reports)):
+            assert _run_quietly(argv) == (0, ""), argv
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
     def test_not_found_exit_code(self, four_csv, tmp_path):
         code = main(
             ["epsilon-search", four_csv, "--num-linear", "7", "--dmin", "2",
@@ -907,6 +942,8 @@ class TestMalformedModel:
              "preprocessing.scale: expected a finite number, got 'nan'"),
             (_model_with(preprocessing={"center": None, "scale": "inf"}),
              "preprocessing.scale: expected a finite number, got 'inf'"),
+            (_model_with(preprocessing={"center": None, "scale": True}),
+             "preprocessing.scale: expected a finite number, got True"),
             (_model_edited(lambda d: d["degrees"][1].update(eigvecs=[])),
              "degree-2 eigenvector rows != candidate count"),
             (_model_edited(lambda d: d["degrees"][0].update(parents=[0.9, 1.2])),
@@ -951,7 +988,7 @@ class TestMalformedModel:
         ids=["no degrees", "degree without parents", "normalization list",
              "preprocessing string", "degrees object", "degree number", "reduction list",
              "degree zero", "degree repeated", "degree fraction", "nan eigvec", "inf weight", "nan eigval",
-             "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale",
+             "nan constant", "nan center", "short center", "zero scale", "nan scale", "inf scale", "bool scale",
              "empty eigvecs", "fractional parents", "reversed parents", "bool num_vars", "string num_vars",
              "triple parent", "int parent pair", "nan threshold", "negative threshold",
              "inf max_residual", "nan residual", "negative epsilon", "-inf epsilon", "nan epsilon",

@@ -74,6 +74,15 @@ class TestGenSymEig:
         assert vals.shape == (0,)
         assert vecs.shape == (3, 0)
 
+    @pytest.mark.parametrize("a,b,name", [
+        (np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], "right-hand"),
+        (np.eye(2), [[1e308, 1e308], [1e308, 1e308]], "right-hand"),  # finite; (b + b.T) / 2 is not
+        ([[1.0, np.nan], [np.nan, 1.0]], np.eye(2), "left-hand"),
+    ], ids=["inf", "overflowing symmetrization", "nan"])
+    def test_rejects_non_finite(self, a, b, name):
+        with pytest.raises(ValueError, match=f"^{name} matrix must be finite"):
+            gen_sym_eig(np.array(a), np.array(b))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gen_sym_eig(np.eye(2), np.eye(3))
@@ -130,6 +139,15 @@ class TestLstsq:
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             lstsq(np.eye(3), np.zeros(2))
+
+    @pytest.mark.parametrize("m,y", [
+        # LAPACK's SVD of this design never returned
+        ([[-np.inf, 1, -0.0], [-np.inf, 0, 1e-8], [-0.0, 0.5, -3], [2, 2, 0]], np.ones(4)),
+        (np.eye(2), [1.0, np.nan]),
+    ], ids=["inf design", "nan right-hand side"])
+    def test_rejects_non_finite(self, m, y):
+        with pytest.raises(ValueError, match="must be finite"):
+            lstsq(np.array(m), np.array(y))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
