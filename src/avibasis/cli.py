@@ -368,7 +368,10 @@ def _cmd_epsilon_search(args) -> int:
     if args.grid_lo is not None or args.grid_hi is not None:
         if args.grid_lo is None or args.grid_hi is None:
             raise CliError("--grid-lo and --grid-hi must be given together", code=2)
-        if not 0 < args.grid_lo < args.grid_hi:  # also rejects NaN
+        for flag, bound in (("--grid-lo", args.grid_lo), ("--grid-hi", args.grid_hi)):
+            if not math.isfinite(bound):
+                raise CliError(f"{flag} must be finite, with 0 < lo < hi; got {bound!r}", code=2)
+        if not 0 < args.grid_lo < args.grid_hi:
             raise CliError("grid bounds must satisfy 0 < lo < hi", code=2)
         grid = np.geomspace(args.grid_lo, args.grid_hi, args.grid_count)
     else:

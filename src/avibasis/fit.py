@@ -32,7 +32,7 @@ from . import linalg
 # coeff_dot is not called here, but stays importable as fit.coeff_dot: the
 # name bench/tracer.py wraps for its densepoly.coeff_dot metric
 from .densepoly import _gram, _Terms, coeff_dot  # noqa: F401
-from .model import BasisModel, DegreeRecord, Preprocessing, _apply_ortho, _as_points, _Expansions, _Forward
+from .model import BasisModel, DegreeRecord, Preprocessing, _apply_ortho, _as_points, _Expansions, _Forward, _rows_dot
 
 __all__ = [
     "NormalizationKind",
@@ -333,7 +333,7 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         # for exactly vanishing directions the solver value carries
         # eps-level noise whose square root (~1e-8) would pollute the
         # extent-of-vanishing identity ||h(X)|| = sqrt(lambda).
-        out_evals = c_eval @ eigvecs
+        out_evals = _rows_dot(c_eval, eigvecs)  # by blocks of points, as a replay forms it
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
         groups: dict = {}

@@ -11,7 +11,9 @@ drives it with its eigensolve and the replays with the stored records, so
 a replay at the training points reproduces the fit-time evaluation
 matrices bit for bit by construction.  Its F columns sit in one row-major
 buffer, whose column prefix gives BLAS the same arithmetic as the
-concatenation of the lower-degree blocks.
+concatenation of the lower-degree blocks.  Its row products are formed
+``_BLOCK`` points at a time; a replay runs one kernel per block of points,
+a fit, whose solves and Grams need every row, one over all of them.
 
 The one symbolic path is its twin ``_Expansions``, over exact dense
 polynomials held as term arrays (``densepoly._Terms``), whose order is
@@ -273,17 +275,32 @@ def _pair_grad(
     return g.reshape(m, n, -1)
 
 
+_BLOCK = 1024  # points per block of a row product; a replay steps one block at a time
+
+
+def _rows_dot(a: np.ndarray, b: np.ndarray, per: int = 1) -> np.ndarray:
+    """``a @ b``, formed ``_BLOCK`` points (``per`` rows of ``a`` each) at a
+    time, so that a fit and a replay at its points make the same BLAS call
+    on each block's rows; one block is the one call ``a @ b``."""
+    step = _BLOCK * per
+    if len(a) <= step:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]))
+    for lo in range(0, len(a), step):
+        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    return out
+
+
 def _grad_dot(grads: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``np.tensordot(grads, v, axes=([2], [0]))`` of gradients ``(m, n,
-    k)`` and columns ``(k, p)``, without its wrapper: the ``np.dot`` of the
-    same 2-D views, so the same bits."""
+    k)`` and columns ``(k, p)``, as the blocked product of the 2-D views."""
     m, n, k = grads.shape
-    return np.dot(grads.reshape(m * n, k), v).reshape(m, n, v.shape[1])
+    return _rows_dot(grads.reshape(m * n, k), v, n).reshape(m, n, v.shape[1])
 
 
 def _apply_ortho(pre: np.ndarray, f_all: np.ndarray, w: np.ndarray) -> np.ndarray:
     # ``pre`` may be the caller's array, so the product is the only buffer.
-    prod = f_all @ w
+    prod = _rows_dot(f_all, w)
     return np.subtract(pre, prod, out=prod)
 
 
@@ -298,6 +315,8 @@ class _Forward:
     row-major, so the prefix is a strided view that BLAS and the SVD read
     with the arithmetic of the contiguous concatenation of the blocks the
     buffer replaces.  A full buffer doubles; a replay sizes it up front.
+    Its row products are ``_rows_dot``'s, so that one kernel over all the
+    points and one per block make the same BLAS calls on a block's rows.
     A degree is ``candidates`` then ``append``, and the kernel only steps
     forward: a fit, like a replay, is one chain of degrees.
     """
@@ -336,13 +355,13 @@ class _Forward:
         c_grad = None
         if grads:  # through the 2-D view of the gradient prefix, not a copy
             c_grad = pre_grad
-            c_grad -= (self.grads.reshape(m * n, -1)[:, :width] @ w).reshape(m, n, -1)
+            c_grad -= _rows_dot(self.grads.reshape(m * n, -1)[:, :width], w, n).reshape(m, n, -1)
         return c_eval, c_grad, w
 
     def append(self, c_eval, c_grad, v_f) -> None:
         """Append the F block ``c_eval @ v_f`` (and its gradients) as the
         latest degree."""
-        f_eval = c_eval @ v_f
+        f_eval = _rows_dot(c_eval, v_f)
         f_grad = _grad_dot(c_grad, v_f) if c_grad is not None else None
         if self.width == 1:
             self.first, self.first_grad = f_eval, f_grad
@@ -411,7 +430,7 @@ def _as_slice(index: list[int]):
     return slice(start, stop) if index == list(range(start, stop)) else index
 
 
-def _model_space(model: BasisModel, points) -> np.ndarray:
+def _checked_points(model: BasisModel, points) -> np.ndarray:
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -419,36 +438,39 @@ def _model_space(model: BasisModel, points) -> np.ndarray:
         raise ValueError(f"expected points with {model.num_vars} columns")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf")
-    return model.preprocessing.apply(pts)
+    return pts
 
 
 def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.ndarray:
     """Values ``(handles, points)`` (or gradients ``(handles, points,
     vars)``) of ``handles``, handle-major.
 
-    Each degree's block is the C-order product the fit forms; its asked
-    columns are then copied into the output through a view with the handle
-    axis last, so that every write is contiguous.  The product is not
-    formed straight into the output: that would change BLAS's operand
-    layout, and so bits."""
+    The points go through every degree ``_BLOCK`` at a time, each block
+    with its own kernel, so that beyond the output a replay holds one
+    block's buffers, which stay in cache; at the training points, each
+    block's products are the fit's.  Each degree's output block is the
+    C-order product the fit forms; its asked columns are then copied into
+    the block's rows of the output through a view with the handle axis
+    last, so that every write is contiguous.  The product is not formed
+    straight into the output: that would change BLAS's operand layout,
+    and so bits."""
     handles = _check_handles(model, handles)
-    pts = _model_space(model, points)
+    pts = _checked_points(model, points)
     out = np.empty((len(handles),) + (pts.shape if need_grads else pts.shape[:1]))
     view = out.transpose(*range(1, out.ndim), 0)
     wanted = _by_degree(handles)
     if 0 in wanted:
         view[..., wanted.pop(0)[0]] = 0.0 if need_grads else model.constant_value
     top = max(wanted, default=0)
-    for t, rec, c_eval, c_grad in _Forward(pts, model.constant_value, need_grads).replay(model, top):
-        if t in wanted:
-            positions, columns = wanted[t]
-            # the whole block, as the fit computed it, then the asked columns
-            if need_grads:
-                block = _grad_dot(c_grad, rec.eigvecs)
-            else:
-                block = c_eval @ rec.eigvecs
-            view[..., positions] = block[..., columns]
-            del block  # so that it is freed before the next degree's temporaries
+    for lo in range(0, len(pts), _BLOCK):
+        rows = view[lo:lo + _BLOCK]
+        fwd = _Forward(model.preprocessing.apply(pts[lo:lo + _BLOCK]), model.constant_value, need_grads)
+        for t, rec, c_eval, c_grad in fwd.replay(model, top):
+            if t in wanted:
+                positions, columns = wanted[t]
+                # the whole block, as the fit computed it, then the asked columns
+                block = _grad_dot(c_grad, rec.eigvecs) if need_grads else _rows_dot(c_eval, rec.eigvecs)
+                rows[..., positions] = block[..., columns]
     return out
 
 
@@ -615,7 +637,7 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
     per-polynomial cost contract of the recursion.
     """
     (handle,) = _check_handles(model, [handle])
-    pts = _model_space(model, point)
+    pts = model.preprocessing.apply(_checked_points(model, point))
     if pts.shape[0] != 1:
         raise ValueError("op-counted propagation takes a single point")
     n = model.num_vars

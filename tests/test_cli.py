@@ -752,7 +752,16 @@ class TestEpsilonSearchCommand:
              "--num-at-dmin", "1", "--grid-lo", "nan", "--grid-hi", "1"]
         )
         assert code == 2
-        assert "0 < lo < hi" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --grid-lo must be finite, with 0 < lo < hi; got nan\n"
+
+    @pytest.mark.parametrize("bounds,flag", [(["--grid-lo=-inf", "--grid-hi", "1"], "--grid-lo"),
+                                            (["--grid-lo", "0.01", "--grid-hi", "inf"], "--grid-hi")])
+    def test_infinite_grid_bound_is_a_usage_error(self, four_csv, capsys, bounds, flag):
+        code = main(["epsilon-search", four_csv, "--num-linear", "0", "--dmin", "2",
+                     "--num-at-dmin", "1", *bounds])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be finite")
 
     @pytest.mark.parametrize("bounds,flag", [(["--grid-lo", "0.01"], "--grid-lo"), (["--grid-hi", "1"], "--grid-hi")])
     def test_one_grid_bound_is_a_usage_error(self, four_csv, tmp_path, capsys, bounds, flag):

@@ -665,10 +665,11 @@ class TestBlasThreadCount:
     """A fit large enough for BLAS to split its products, at 1 and at 2 BLAS
     threads, set only through the environment of a fresh process.  Its bits
     may differ (with OpenBLAS 0.3.31 on 2 cores they do from degree 8 on, in
-    the orthogonalization weights); the counts and partitions may not, and
+    the orthogonalization weights, with the row products formed by blocks
+    of 1,024 points as without); the counts and partitions may not, and
     eigenvalues and replay values agree within ``BOUND``, relative."""
 
-    BOUND = 1e-8  # measured there: 3.5e-11 (eigenvalues), 2.3e-11 (values)
+    BOUND = 1e-8  # measured there, blocked: 3.5e-11 (eigenvalues), 2.3e-11 (values)
 
     def test_counts_equal_and_values_within_the_bound(self, tmp_path):
         src = os.path.dirname(os.path.dirname(avibasis.__file__))

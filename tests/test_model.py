@@ -14,6 +14,8 @@ from avibasis.fit import normalization_matrix
 
 from avibasis import (
     BasisModel,
+    ConcentricEllipses,
+    DatasetSpec,
     DegreeRecord,
     DensePolynomial,
     ExpansionLimitError,
@@ -25,6 +27,7 @@ from avibasis import (
     expand,
     finite_diff_gradient,
     fit,
+    generate_dataset,
     gradient,
     gradient_with_op_count,
     load_model,
@@ -478,6 +481,62 @@ class TestReplayProperties:
             # evaluate's column-major result may round differently
             block = np.ascontiguousarray(evaluate(model, handles, pts))
             assert np.array_equal(np.einsum("ij,ij->j", block, block), rec.eigvals)
+
+
+@pytest.fixture(scope="module")
+def blocked_fit():
+    """The ``ellipse300`` benchmark input and fit at 3,500 samples: three
+    blocks of ``avibasis.model._BLOCK`` points and a partial one.  With
+    OpenBLAS 0.3.31, a fit that formed its F-prefix products in one call
+    would give other bits than its blocked replay from 3,400 samples on
+    (at 2,600 it would not)."""
+    spec = DatasetSpec(ConcentricEllipses(((1.41, 0.71), (2.0, 1.0))), samples=3500,
+                       extra_linear_vars=(0.0, 0.5, 1.0), noise_std_fraction=0.02, seed=7)
+    pts = generate_dataset(spec).points
+    assert pts.shape[0] > 2 * avibasis.model._BLOCK
+    return fit(pts, FitConfig(epsilon=0.05, normalization=NormalizationKind.gradient())), pts
+
+
+class TestBlockedReplay:
+    """Fits and replays form their row products ``_BLOCK`` points at a time."""
+
+    def test_training_replay_reproduces_eigvals_bit_for_bit(self, blocked_fit):
+        model, pts = blocked_fit
+        values = evaluate(model, model.handles(), pts)
+        column = 1  # column 0 is the constant
+        for rec in model.degrees:
+            block = np.ascontiguousarray(values[:, column:column + rec.num_outputs])
+            column += rec.num_outputs
+            assert np.array_equal(np.einsum("ij,ij->j", block, block), rec.eigvals)
+
+    def test_replay_equals_the_replays_of_its_blocks(self, blocked_fit):
+        model, pts = blocked_fit
+        handles = model.handles()
+        values, grads = evaluate(model, handles, pts), gradient(model, handles, pts)
+        for lo in range(0, len(pts), avibasis.model._BLOCK):
+            rows = slice(lo, lo + avibasis.model._BLOCK)
+            assert np.array_equal(evaluate(model, handles, pts[rows]), values[rows])
+            for got, want in zip(gradient(model, handles, pts[rows]), grads, strict=True):
+                assert np.array_equal(got, want[rows])
+
+    # Beyond its output, a replay holds one block's buffers (here about 1 MB
+    # at either count, against 17 and 67 MB with one buffer for all points).
+    GROWTH = 256 * 1024
+
+    def test_replay_memory_beyond_the_output_does_not_grow_with_the_points(self, blocked_fit):
+        model, pts = blocked_fit
+        handles = model.handles()[-1:]  # the top degree: every F column is replayed
+        extra = []
+        for count in (20_000, 80_000):
+            queries = np.resize(pts, (count, pts.shape[1]))
+            tracemalloc.start()
+            try:
+                values = evaluate(model, handles, queries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - values.nbytes)
+        assert extra[1] - extra[0] <= self.GROWTH
 
 
 class TestGradientFreeFits:
