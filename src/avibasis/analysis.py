@@ -232,6 +232,7 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
     return outcomes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is a failed start
 def _sample_polynomial_system(system: PolynomialSystem, samples: int, rng) -> np.ndarray:
     """Project a stream of standard-normal seed points onto the zero set,
     with the system and its Jacobian compiled once.
@@ -437,6 +438,7 @@ def _descend(target: EpsilonTarget, path) -> bool:
             and all("G" not in rec.partition for rec in path[1:]))
 
 
+@linalg._overflow_trap("searching: the points are too large for fits without preprocessing")
 def epsilon_search(
     points,
     target: EpsilonTarget,
@@ -537,6 +539,7 @@ def _blocks(model: BasisModel, eval_points) -> dict:
     return {key: np.array(values[:, _as_slice(cols)], order="C") for key, cols in columns.items()}
 
 
+@linalg._overflow_trap("diagnosing: the points are too large for fits without preprocessing")
 def invariance_report(
     points,
     b,

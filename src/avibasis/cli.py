@@ -99,15 +99,6 @@ def _write_json(path: str, payload) -> None:
     print(f"report written to {path}")
 
 
-def _raising(what: str, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, its first overflow or invalid value one error line."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return call(*args, **kwargs)
-    except FloatingPointError as exc:
-        raise CliError(f"{exc} while {what}") from None
-
-
 def _warn_non_finite(values: np.ndarray) -> None:
     """One stderr line counting the inf and NaN ``values``, if any."""
     if bad := int(np.count_nonzero(~np.isfinite(values))):
@@ -164,7 +155,7 @@ def _cmd_fit(args) -> int:
         center=args.center,
         unit_mean_norm=args.unit_mean_norm,
     )
-    model = _raising("fitting: coordinates this large need --center --unit-mean-norm", fit, points, config)
+    model = fit(points, config)
     save_model(args.output, model)
     _print_fit_summary(model)
     print(f"model written to {args.output}")
@@ -185,8 +176,7 @@ def _cmd_reduce(args) -> int:
         threshold = 1e-9
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise CliError("--threshold must be finite and >= 0", code=2)
-    report = _raising("reducing: the points are too large for the model's products",
-                      reduce_basis, model, points, threshold=threshold)
+    report = reduce_basis(model, points, threshold=threshold)
     out = args.output or args.model
     save_model(out, model, report)
     victims = report.deflation_victims()
@@ -273,8 +263,7 @@ def _cmd_diagnose(args) -> int:
         b = np.array(_parse_list(args.translate, "--translate", float))
     if b.shape != (points.shape[1],):
         raise CliError("--translate length must match the point dimension", code=2)
-    report = _raising("diagnosing: the points are too large for fits without preprocessing", invariance_report,
-                      points, b, alpha=args.scale, epsilon=args.epsilon, probe_count=args.probes, seed=args.seed)
+    report = invariance_report(points, b, args.scale, args.epsilon, probe_count=args.probes, seed=args.seed)
     print(f"counts match: {report.counts_match}")
     ratios = [r for degree in report.eigenvalue_ratios for r in degree]
     if ratios:
@@ -376,8 +365,7 @@ def _cmd_epsilon_search(args) -> int:
         grid = np.geomspace(args.grid_lo, args.grid_hi, args.grid_count)
     else:
         grid = default_epsilon_grid(points, args.grid_count)
-    result = _raising("searching: the points are too large for fits without preprocessing", epsilon_search,
-                      points, target, normalization=_normalization_from_args(args), grid=grid)
+    result = epsilon_search(points, target, normalization=_normalization_from_args(args), grid=grid)
     if args.output:
         _write_json(args.output, asdict(result))
     if not result.found:

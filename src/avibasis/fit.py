@@ -227,6 +227,7 @@ def _constant_value(kind: NormalizationKind, points: np.ndarray) -> float:
     return mean_abs if mean_abs > 0.0 else 1.0
 
 
+@linalg._overflow_trap("fitting: coordinates this large need --center --unit-mean-norm")
 def fit(points, config: FitConfig | None = None) -> BasisModel:
     """Construct the vanishing/nonvanishing basis for a point set.
 

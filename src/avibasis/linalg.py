@@ -14,6 +14,8 @@ are canonicalized (largest-magnitude entry positive) for reproducibility.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
@@ -33,6 +35,20 @@ def _binade(values):
     """The power of two at or below each absolute value (a number or an array):
     dividing by it and multiplying back are exact steps that bring it to [1, 2)."""
     return np.ldexp(1.0, np.frexp(values)[1] - 1)
+
+
+@contextmanager
+def _overflow_trap(what: str):
+    """The library's one overflow rule: the body's first overflow or invalid value raises one
+    ``ValueError(f"{exc} while {what}")``, which each trap around it renames to its own ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, ValueError) as exc:
+        first = exc.__cause__ if isinstance(exc, ValueError) else exc
+        if not isinstance(first, FloatingPointError):
+            raise
+        raise ValueError(f"{first} while {what}") from first
 
 
 def _mean_norm(points: np.ndarray) -> float:

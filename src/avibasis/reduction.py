@@ -151,6 +151,7 @@ def rank_deflate_degree(
     return kept, dropped, rank
 
 
+@linalg._overflow_trap("reducing: the points are too large for the model's products")
 def reduce_basis(
     model: BasisModel,
     points,

@@ -379,7 +379,9 @@ class TestExtremeCoordinates:
         (["diagnose", "{points}", "-o", "{out}"], 1e200, "while diagnosing"),
         (["epsilon-search", "{points}", "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1", "-o", "{out}"],
          1e200, "while searching"),
-    ], ids=["reduce", "diagnose", "epsilon-search"])
+        # the report's own fits overflow here: the report still names the operation
+        (["diagnose", "{points}", "-o", "{out}"], 1e80, "while diagnosing"),
+    ], ids=["reduce", "diagnose", "epsilon-search", "diagnose x1e80"])
     def test_overflow_is_one_error_line(self, ellipse, tmp_path, command, scale, what):
         model_path, out = str(tmp_path / "model.json"), str(tmp_path / "out")
         assert main(["fit", str(tmp_path / "points.csv"), "-o", model_path, "--epsilon", "0.01"]) == 0
@@ -635,6 +637,15 @@ class TestGenerateCommand:
         out = tmp_path / "pts.csv"
         assert main(["generate", str(spec_path), "-o", str(out)]) == 0
         assert read_points_csv(str(out)).shape == (5, 3)
+
+    def test_overflowing_system_is_one_error_line(self, tmp_path):
+        """Starts whose residuals overflow are failed starts, not warnings."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"variety": {"kind": "polynomial_system", "num_vars": 1,
+                                                     "polynomials": [{"2": 1e308, "0": -1e308}]},
+                                         "samples": 3, "seed": 0}))
+        code, err = _run_quietly(["generate", str(spec_path), "-o", str(tmp_path / "x.csv")])
+        assert (code, err) == (1, "error: projection onto the variety failed to converge\n")
 
     def test_invalid_json_is_a_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

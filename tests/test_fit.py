@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from avibasis import (
     expand,
     fit,
     gradient,
+    invariance_report,
     lstsq,
+    reduce_basis,
 )
 from avibasis.analysis import _descend, _satisfies, default_epsilon_grid
 from avibasis.densepoly import _Monomials, _Terms
@@ -380,6 +383,34 @@ class TestMeanNormOverTheFloatRange:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^centred coordinates overflow"):
                 fit(pts, FitConfig(center=True, unit_mean_norm=True))
+
+
+class TestOverflowRule:
+    """Without preprocessing, the CI cloud (``tests/data/reports/ellipse.csv``)
+    scaled by 1e80 or 1e200 overflows in each public entry point that fits or
+    reduces.  Each raises one single-line ``ValueError`` at the first
+    overflow, before any warning, and names its own operation, also around
+    the fits it makes, not the eigensolve's refusal of a non-finite Gram."""
+
+    @pytest.mark.parametrize("scale", [1e80, 1e200])
+    @pytest.mark.parametrize("call,what", [
+        (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.gradient())), "while fitting"),
+        (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.identity())), "while fitting"),
+        (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.coefficient())), "while fitting"),
+        (lambda x, a: reduce_basis(fit(x, FitConfig(epsilon=0.01)), a * x, 1e-6), "while reducing"),
+        (lambda x, a: epsilon_search(a * x, EpsilonTarget(0, 2, 1)), "while searching"),
+        (lambda x, a: invariance_report(a * x, np.zeros(2), 2.0, 0.0), "while diagnosing"),
+    ], ids=["fit gradient", "fit identity", "fit coefficient", "reduce_basis", "epsilon_search",
+            "invariance_report"])
+    def test_first_overflow_is_one_value_error(self, call, what, scale):
+        pts = np.loadtxt(Path(__file__).parent / "data" / "reports" / "ellipse.csv", delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                call(pts, scale)
+        message = str(raised.value)
+        assert message.startswith("overflow encountered in ") and "\n" not in message, message
+        assert f" {what}: " in message, message
 
 
 class TestFitInvariants:
