@@ -178,12 +178,11 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
 
     ``values`` is the system compiled by ``densepoly._compile`` and
     ``jacobian`` its partial derivatives, row by row.  Returns one outcome
-    per start: the first iterate whose residuals are all within 1e-13,
-    ``None`` when none of the 80 is, or the ``LinAlgError`` its solve raised.
-    Each step evaluates the starts one by one, then solves their least
-    squares with one stacked SVD, with the bits of ``linalg._lstsq_weights``:
-    the products take its operand layouts, and a start whose solve drops a
-    singular value or meets a non-finite value goes through it.  Norms are
+    per start: the first iterate whose residuals are all within 1e-13, or
+    ``None`` when none of the 80 is or a residual or Jacobian entry on the
+    way is not finite.  Each step evaluates the starts one by one, then
+    solves their least squares together with ``linalg._stacked_lstsq_weights``,
+    which keeps the bits of one start's ``linalg._lstsq_weights``.  Norms are
     ``sqrt(v . v)``, the arithmetic ``np.linalg.norm`` uses on a vector.
     """
     outcomes: list = [None] * len(starts)
@@ -200,35 +199,16 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
             jac.append(_evaluate(jacobian, point))
         if not rows:
             break
-        live, x = live[rows], x[rows]
         y = -np.array(res)[:, :, None]
         jac = np.array(jac).reshape(len(rows), y.shape[1], x.shape[1])
-        stacked = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2)))
-        try:
-            u, s, vt = np.linalg.svd(jac[stacked], full_matrices=False)
-        except np.linalg.LinAlgError:  # one start's failure: each meets its own below
-            stacked = stacked[:0]
-            u, s, vt = np.linalg.svd(jac[stacked], full_matrices=False)
-        full = (s[:, 0] > 0.0) & (s > linalg.RANK_TOL * s[:, :1]).all(axis=1)
-        stacked, u, s, vt = stacked[full], u[full], s[full], vt[full]
-        step = np.zeros_like(x)
-        # u's transpose C-contiguous and vt's F-contiguous, as the copies
-        # ``u[:, keep].T`` and ``vt[keep].T`` are in ``_lstsq_weights``
-        coeff = (np.ascontiguousarray(u.transpose(0, 2, 1)) @ y[stacked]) / s[:, :, None]
-        step[stacked] = (vt.transpose(0, 2, 1) @ coeff)[:, :, 0]
-        single, ok = np.ones(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
-        single[stacked] = False
-        for row in np.flatnonzero(single).tolist():
-            try:
-                step[row] = linalg._lstsq_weights(jac[row], y[row])[:, 0]
-            except np.linalg.LinAlgError as exc:  # raised when the sampler reaches this start
-                outcomes[live[row]] = exc
-                ok[row] = False
+        finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))  # else a failed start
+        live, x, y, jac = live[rows][finite], x[rows][finite], y[finite], jac[finite]
+        step = linalg._stacked_lstsq_weights(jac, y)[:, :, 0]
         limit = 1.0 + np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
         norm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
         over = norm > limit
         step[over] *= (limit[over] / norm[over])[:, None]
-        live, x = live[ok], (x + step)[ok]
+        x = x + step
     return outcomes
 
 
@@ -251,8 +231,6 @@ def _sample_polynomial_system(system: PolynomialSystem, samples: int, rng) -> np
     while len(points) < samples:
         starts = rng.standard_normal((samples - len(points), system.num_vars))
         for outcome in _project_to_variety(values, jacobian, starts):
-            if isinstance(outcome, Exception):
-                raise outcome
             if outcome is not None:
                 points.append(outcome)
                 failures = 0
@@ -564,6 +542,7 @@ def invariance_report(
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[1],):
         raise ValueError("translation vector dimension mismatch")
+    _check_finite("translation vector", b)
 
     rng = np.random.default_rng(seed)
     spread = np.maximum(pts.std(axis=0), 1e-2 * (float(np.abs(pts).mean()) + 1.0))

@@ -263,6 +263,8 @@ def _cmd_diagnose(args) -> int:
         b = np.array(_parse_list(args.translate, "--translate", float))
     if b.shape != (points.shape[1],):
         raise CliError("--translate length must match the point dimension", code=2)
+    if not np.isfinite(b).all():
+        raise CliError(f"--translate must be finite, got {args.translate!r}", code=2)
     report = invariance_report(points, b, args.scale, args.epsilon, probe_count=args.probes, seed=args.seed)
     print(f"counts match: {report.counts_match}")
     ratios = [r for degree in report.eigenvalue_ratios for r in degree]
@@ -369,7 +371,8 @@ def _cmd_epsilon_search(args) -> int:
     if args.output:
         _write_json(args.output, asdict(result))
     if not result.found:
-        print("no tolerance on the grid satisfies the target; see the scan trace")
+        trace = f"see the scan trace in {args.output}" if args.output else "-o writes the scan trace"
+        print(f"no tolerance on the grid satisfies the target; {trace}")
         return 1
     print(f"epsilon = {result.epsilon:.6g}  (range [{result.lower:.6g}, {result.upper:.6g}])")
     return 0

@@ -192,10 +192,24 @@ def _lstsq_weights(m: np.ndarray, y2: np.ndarray) -> np.ndarray:
     # Keep the boolean-index copies even when every value is kept: the copy
     # ``u[:, keep]`` is column-major where ``u`` is row-major, so the product
     # takes another BLAS path, and the uncopied factors change a fit's bits
-    # (seen on a 5000-point noisy-ellipse fit).  The polynomial-system
-    # sampler's stacked solve copies these layouts to keep these bits.
+    # (seen on a 5000-point noisy-ellipse fit).  ``_stacked_lstsq_weights``
+    # copies these layouts to keep these bits.
     coeff = (u[:, keep].T @ y2) / s[keep][:, None]
     return vt[keep].T @ coeff
+
+
+def _stacked_lstsq_weights(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Item ``i`` is ``_lstsq_weights(m[i], y[i])`` bit for bit: one stacked SVD,
+    then one pair of products per distinct rank (a prefix of the descending
+    singular values) on ``_lstsq_weights``' operand layouts; rank 0 gives zeros."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    rank = np.where(s[:, 0] > 0.0, (s > RANK_TOL * s[:, :1]).sum(axis=1), 0)
+    w = np.zeros((len(m), m.shape[2], y.shape[2]))
+    for r in set(rank[rank > 0].tolist()):  # not np.unique, which imports numpy.ma (1.6 MiB)
+        at = np.flatnonzero(rank == r)
+        coeff = (np.ascontiguousarray(u[at, :, :r].transpose(0, 2, 1)) @ y[at]) / s[at, :r, None]
+        w[at] = vt[at, :r].transpose(0, 2, 1) @ coeff
+    return w
 
 
 def orthonormal_basis(m: np.ndarray) -> np.ndarray:

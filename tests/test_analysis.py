@@ -109,6 +109,11 @@ class TestInvarianceReport:
         with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
             invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=alpha, epsilon=0.1)
 
+    @pytest.mark.parametrize("b", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_translation_rejected(self, b):
+        with pytest.raises(ValueError, match=r"^translation vector must be finite$"):
+            invariance_report(FOUR_POINTS, b=b, alpha=2.0, epsilon=0.1)
+
     @pytest.mark.parametrize("probe_count", [0, -1])
     def test_probe_count_below_one_rejected(self, probe_count):
         with pytest.raises(ValueError, match=f"probe_count must be >= 1, got {probe_count}"):
@@ -511,6 +516,8 @@ def _oracle_project(values, jacobian, start, rng):
             if all(abs(r) <= 1e-13 for r in res):
                 return x
             jac = np.array(_evaluate(jacobian, point)).reshape(len(res), x.size)
+            if not (np.isfinite(res).all() and np.isfinite(jac).all()):
+                break  # a failed start
             step = linalg._lstsq_weights(jac, -np.array(res)[:, None])[:, 0]
             limit = 1.0 + math.sqrt(x.dot(x))
             norm = math.sqrt(step.dot(step))
@@ -578,22 +585,8 @@ class TestSamplerParity:
         pts = pts + rng.normal(0.0, 0.01 * float(np.abs(pts).mean()), size=pts.shape)
         assert _hexes(ds.points) == _hexes(pts)
 
-    def test_failed_stacked_solve_falls_back_to_each_start(self, monkeypatch):
-        svd = np.linalg.svd
-
-        def failing_when_stacked(a, *args, **kwargs):
-            if np.ndim(a) == 3 and len(a):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, *args, **kwargs)
-
-        want = _oracle_sample(PARITY_SYSTEMS["space_curve"], 20, np.random.default_rng(5))
-        monkeypatch.setattr(np.linalg, "svd", failing_when_stacked)
-        got = _sample_polynomial_system(PARITY_SYSTEMS["space_curve"], 20, np.random.default_rng(5))
-        assert _hexes(got) == _hexes(want)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name,position", [("space_curve", 0), ("space_curve", 19), ("cubic", 27)])
-    def test_failed_solve_is_raised_when_its_start_is_reached(self, name, position):
+    def test_non_finite_start_is_a_failed_start(self, name, position):
         system = PARITY_SYSTEMS[name]
 
         class Stream:  # standard normals with a NaN start at ``position``
@@ -607,11 +600,9 @@ class TestSamplerParity:
                 self.taken += count
                 return self.values.ravel()[self.taken - count:self.taken].reshape(size)
 
-        with pytest.raises(np.linalg.LinAlgError) as want:
-            _oracle_sample(system, 20, Stream())
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            _sample_polynomial_system(system, 20, Stream())
-        assert str(got.value) == str(want.value)
+        want, got = Stream(), Stream()
+        assert _hexes(_sample_polynomial_system(system, 20, got)) == _hexes(_oracle_sample(system, 20, want))
+        assert got.taken == want.taken > 20 * system.num_vars
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("terms", [

@@ -550,13 +550,19 @@ class TestDiagnoseCommand:
         assert not report_path.exists()
 
 
-    @pytest.mark.parametrize("translate", ["1", "1,2,3"])
-    def test_translate_of_the_wrong_length_is_a_usage_error(self, translate, four_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("translate,message", [
+        pytest.param(translate, message, id=translate) for translate, message in [
+            ("1", "--translate length must match the point dimension"),
+            ("1,2,3", "--translate length must match the point dimension"),
+            ("nan,0", "--translate must be finite, got 'nan,0'"),
+            ("inf,0", "--translate must be finite, got 'inf,0'"),
+        ]])
+    def test_translate_of_the_wrong_length_is_a_usage_error(self, translate, message, four_csv, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(["diagnose", four_csv, "--translate", translate, "-o", str(report_path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: --translate length must match the point dimension\n"
+        assert err == f"error: {message}\n"
         assert not report_path.exists()
 
 
@@ -638,11 +644,14 @@ class TestGenerateCommand:
         assert main(["generate", str(spec_path), "-o", str(out)]) == 0
         assert read_points_csv(str(out)).shape == (5, 3)
 
-    def test_overflowing_system_is_one_error_line(self, tmp_path):
-        """Starts whose residuals overflow are failed starts, not warnings."""
+    @pytest.mark.parametrize("terms", [{"2": 1e308, "0": -1e308}, {"3": 1e308, "2": -1e308, "0": -1}],
+                             ids=["quadratic", "cubic"])
+    def test_overflowing_system_is_one_error_line(self, terms, tmp_path):
+        """Starts whose residuals or Jacobians overflow are failed starts, not
+        warnings or a failed SVD."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"variety": {"kind": "polynomial_system", "num_vars": 1,
-                                                     "polynomials": [{"2": 1e308, "0": -1e308}]},
+                                                     "polynomials": [terms]},
                                          "samples": 3, "seed": 0}))
         code, err = _run_quietly(["generate", str(spec_path), "-o", str(tmp_path / "x.csv")])
         assert (code, err) == (1, "error: projection onto the variety failed to converge\n")
@@ -834,6 +843,17 @@ class TestEpsilonSearchCommand:
                         "--normalization", "coef", "-o", str(report)] for report in reports)):
             assert _run_quietly(argv) == (0, ""), argv
         assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    @pytest.mark.parametrize("with_output", [False, True], ids=["stdout only", "-o"])
+    def test_miss_names_the_scan_trace(self, with_output, four_csv, tmp_path):
+        report_path = tmp_path / "eps.json"
+        out = io.StringIO()
+        code, err = _run_quietly(["epsilon-search", four_csv, "--num-linear", "7", "--dmin", "2",
+                                  "--num-at-dmin", "0", *(["-o", str(report_path)] if with_output else [])], out)
+        trace = f"see the scan trace in {report_path}" if with_output else "-o writes the scan trace"
+        assert (code, err) == (1, "")
+        assert out.getvalue().splitlines()[-1] == f"no tolerance on the grid satisfies the target; {trace}"
+        assert report_path.exists() == with_output
 
     def test_not_found_exit_code(self, four_csv, tmp_path):
         code = main(

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avibasis.linalg import (
+    _lstsq_weights,
+    _stacked_lstsq_weights,
     gen_sym_eig,
     lstsq,
     orthonormal_basis,
@@ -168,6 +170,35 @@ class TestLstsq:
         assert res == pytest.approx(0.0, abs=1e-12)
         # minimum-norm solution splits the weight evenly
         assert np.allclose(w, [1.5, 1.5])
+
+
+def _design(rng, rows: int, cols: int) -> np.ndarray:
+    """A random design, of full rank or with zero, duplicated or dependent rows, or all zero."""
+    m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    kind = rng.integers(5)
+    if kind == 1:
+        m[rng.random(rows) < 0.5] = 0.0
+    elif kind == 2:
+        m[rng.integers(rows, size=rows)] = m[rng.integers(rows)]
+    elif kind == 3:
+        m = rng.standard_normal((rows, 1)) @ m[:1]
+    elif kind == 4:
+        m[:] = 0.0
+    return m
+
+
+class TestStackedLstsqWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 4), st.integers(1, 6),
+           st.integers(1, 2))
+    def test_each_item_is_the_one_matrix_solve_bit_for_bit(self, seed, count, rows, cols, rhs):
+        rng = np.random.default_rng(seed)
+        m = np.array([_design(rng, rows, cols) for _ in range(count)]).reshape(count, rows, cols)
+        y = rng.standard_normal((count, rows, rhs))
+        got = _stacked_lstsq_weights(m, y)
+        assert got.shape == (count, cols, rhs)
+        for item, (mi, yi) in enumerate(zip(m, y)):
+            assert got[item].tobytes() == _lstsq_weights(mi, yi).tobytes()
 
 
 class TestPrincipalAngles:
