@@ -249,33 +249,42 @@ class BasisModel:
 # -- the degree-step kernel, shared by fitting and replay ---------------------
 
 
+_BLOCK = 1024  # points per block of a row product; a replay steps one block at a time
+
+
 def _pair_eval(f1_eval: np.ndarray, ftm1_eval: np.ndarray) -> np.ndarray:
-    """Entry-wise products of every (degree-1 F, degree-(t-1) F) pair.
+    """Entry-wise products of every (degree-1 F, degree-(t-1) F) pair, C-order.
 
     Pair order is degree-1-major: pair (i, j) lands at column i * n_{t-1} + j.
-    """
-    m = f1_eval.shape[0]
-    return (f1_eval[:, :, None] * ftm1_eval[:, None, :]).reshape(m, -1)
+    The product is written through the pair-major view of the output, so
+    numpy's inner loop runs over the points, not over a block's few columns;
+    beyond the output it allocates nothing."""
+    m, a = f1_eval.shape
+    out = np.empty((m, a * ftm1_eval.shape[1]))
+    np.multiply(f1_eval.T[:, None], ftm1_eval.T, out=out.reshape(m, a, -1).transpose(1, 2, 0), order="C")
+    return out
 
 
-def _pair_grad(
-    f1_eval: np.ndarray,
-    f1_grad: np.ndarray,
-    ftm1_eval: np.ndarray,
-    ftm1_grad: np.ndarray,
-) -> np.ndarray:
-    """Product-rule gradients of the pair products, same column order.
+def _pair_grad(f1_eval: np.ndarray, f1_grad: np.ndarray, ftm1_eval: np.ndarray, ftm1_grad: np.ndarray) -> np.ndarray:
+    """Product-rule gradients of the pair products, same column order, C-order.
 
-    The second term is added in place, one degree-1 column at a time, so
-    the only full-size array is the output."""
-    m, n, _ = f1_grad.shape
-    g = f1_grad[:, :, :, None] * ftm1_eval[:, None, None, :]
-    for i in range(f1_eval.shape[1]):
-        g[:, :, i] += f1_eval[:, None, i, None] * ftm1_grad
-    return g.reshape(m, n, -1)
-
-
-_BLOCK = 1024  # points per block of a row product; a replay steps one block at a time
+    As in ``_pair_eval``, numpy's inner loops run over the output's (point,
+    variable) rows: the values are repeated over the variables, and the two
+    products and their sum are formed ``_BLOCK`` points at a time, so that
+    beyond the output the kernel holds one block's repeated values and
+    second products, which stay in cache."""
+    m, n, a = f1_grad.shape
+    out = np.empty((m * n, a, ftm1_eval.shape[1]))
+    second = np.empty(out.shape[1:] + (min(m, _BLOCK) * n,))
+    g1, gl = f1_grad.reshape(m * n, -1).T, ftm1_grad.reshape(m * n, -1).T
+    for lo in range(0, m, _BLOCK):
+        pts, rows = slice(lo, lo + _BLOCK), slice(lo * n, (lo + _BLOCK) * n)
+        first = out[rows].transpose(1, 2, 0)
+        tail = second[..., : first.shape[2]]
+        np.multiply(g1[:, None, rows], np.repeat(ftm1_eval[pts].T, n, axis=1), out=first, order="C")
+        np.multiply(np.repeat(f1_eval[pts].T, n, axis=1)[:, None], gl[:, rows], out=tail, order="C")
+        np.add(first, tail, out=first, order="C")
+    return out.reshape(m, n, -1)
 
 
 def _rows_dot(a: np.ndarray, b: np.ndarray, per: int = 1) -> np.ndarray:
@@ -374,16 +383,15 @@ class _Forward:
             self.grads[:, :, width:end] = f_grad
         self.width = end
 
-    def replay(self, model: BasisModel, up_to_degree: int):
-        """Step through ``model``'s records of degrees 1..up_to_degree,
-        yielding ``(degree, record, c_eval, c_grad)`` for each."""
-        self._reserve(1 + sum(model.record(t).partition.count("F") for t in range(1, up_to_degree + 1)))
-        for t in range(1, up_to_degree + 1):
-            rec = model.record(t)
+    def replay(self, capacity: int, steps: list):
+        """Step through the degrees of ``_replay_steps``' result ``(capacity,
+        steps)``, yielding ``(degree, record, c_eval, c_grad)`` for each."""
+        self._reserve(capacity)
+        for t, (rec, v_f) in enumerate(steps, start=1):
             c_eval, c_grad, _ = self.candidates(
                 lambda pre, f_eval, w=rec.ortho_weights: (_apply_ortho(pre, f_eval, w), w)
             )
-            self.append(c_eval, c_grad, rec.eigvecs[:, rec.columns("F")])
+            self.append(c_eval, c_grad, v_f)
             yield t, rec, c_eval, c_grad
 
     def _reserve(self, capacity: int) -> None:
@@ -395,6 +403,14 @@ class _Forward:
             grads = np.empty(self.grads.shape[:2] + (capacity,))
             grads[:, :, : self.width] = self.grads[:, :, : self.width]
             self.grads = grads
+
+
+def _replay_steps(model: BasisModel, up_to_degree: int) -> tuple[int, list]:
+    """What every block of a replay of degrees 1..up_to_degree reads, formed
+    once: the F column count with the constant, and per degree the record
+    and its F eigenvector columns."""
+    steps = [(rec, rec.eigvecs[:, rec.columns("F")]) for rec in model.degrees[:up_to_degree]]
+    return 1 + sum(v_f.shape[1] for _, v_f in steps), steps
 
 
 def _check_handles(model: BasisModel, handles) -> list[PolyHandle]:
@@ -461,11 +477,11 @@ def _replay_handles(model: BasisModel, handles, points, need_grads: bool) -> np.
     wanted = _by_degree(handles)
     if 0 in wanted:
         view[..., wanted.pop(0)[0]] = 0.0 if need_grads else model.constant_value
-    top = max(wanted, default=0)
+    capacity, steps = _replay_steps(model, max(wanted, default=0))
     for lo in range(0, len(pts), _BLOCK):
         rows = view[lo:lo + _BLOCK]
         fwd = _Forward(model.preprocessing.apply(pts[lo:lo + _BLOCK]), model.constant_value, need_grads)
-        for t, rec, c_eval, c_grad in fwd.replay(model, top):
+        for t, rec, c_eval, c_grad in fwd.replay(capacity, steps):
             if t in wanted:
                 positions, columns = wanted[t]
                 # the whole block, as the fit computed it, then the asked columns
@@ -659,7 +675,7 @@ def gradient_with_op_count(model: BasisModel, handle: PolyHandle, point) -> tupl
         return grad, ops
 
     fwd = _Forward(pts, model.constant_value, True)
-    for _ in fwd.replay(model, handle.degree - 1):
+    for _ in fwd.replay(*_replay_steps(model, handle.degree - 1)):
         pass
     left_vals, left_grads = fwd.first[0], fwd.first_grad[0]
     right_vals, right_grads = fwd.last[0], fwd.last_grad[0]

@@ -483,6 +483,44 @@ class TestReplayProperties:
             assert np.array_equal(np.einsum("ij,ij->j", block, block), rec.eigvals)
 
 
+def _kernel_inputs(m, n, a, b, seed, scale=1.0):
+    """C-order F values ``(m, a)``, ``(m, b)`` and gradients ``(m, n, a)``,
+    ``(m, n, b)``, laid out as ``_Forward`` holds its degree-1 and latest
+    blocks."""
+    rng = np.random.default_rng(seed)
+    return tuple(scale * rng.standard_normal(shape) for shape in ((m, a), (m, n, a), (m, b), (m, n, b)))
+
+
+class TestPairKernels:
+    """The pair products and their gradients against the broadcast forms
+    they replace: the same products and sums, so the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 12, 75, 1023, 1024, 1025, 5000]), st.integers(1, 7), st.integers(1, 10),
+           st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_kernels_equal_the_broadcast_forms(self, m, n, a, b, seed):
+        f1, f1_grad, fl, fl_grad = _kernel_inputs(m, n, a, b, seed)
+        values = avibasis.model._pair_eval(f1, fl)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values, (f1[:, :, None] * fl[:, None, :]).reshape(m, a * b))
+
+        grads = avibasis.model._pair_grad(f1, f1_grad, fl, fl_grad)
+        want = f1_grad[:, :, :, None] * fl[:, None, None, :] + f1[:, None, :, None] * fl_grad[:, :, None, :]
+        assert grads.flags.c_contiguous
+        assert np.array_equal(grads, want.reshape(m, n, a * b))
+
+    # np.einsum forms the same products but ignores np.errstate, so an
+    # einsum kernel would let an inf through the library's overflow trap.
+    @pytest.mark.parametrize("kernel", ["values", "gradients"])
+    def test_overflow_raises(self, kernel):
+        f1, f1_grad, fl, fl_grad = _kernel_inputs(30, 3, 2, 3, 0, scale=1e200)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            if kernel == "values":
+                avibasis.model._pair_eval(f1, fl)
+            else:
+                avibasis.model._pair_grad(f1, f1_grad, fl, fl_grad)
+
+
 @pytest.fixture(scope="module")
 def blocked_fit():
     """The ``ellipse300`` benchmark input and fit at 3,500 samples: three
