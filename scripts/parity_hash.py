@@ -24,7 +24,6 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("AVIBASIS_RANK_TOL", None)
 
 import hashlib  # noqa: E402
 import importlib  # noqa: E402

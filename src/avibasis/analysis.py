@@ -10,7 +10,6 @@ in lockstep).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -181,9 +180,9 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
     per start: the first iterate whose residuals are all within 1e-13, or
     ``None`` when none of the 80 is or a residual or Jacobian entry on the
     way is not finite.  Each step evaluates the starts one by one, then
-    solves their least squares together with ``linalg._stacked_lstsq_weights``,
-    which keeps the bits of one start's ``linalg._lstsq_weights``.  Norms are
-    ``sqrt(v . v)``, the arithmetic ``np.linalg.norm`` uses on a vector.
+    solves their least squares as one stack with ``linalg._lstsq_weights``,
+    each start with the bits of its own solve.  Norms are ``sqrt(v . v)``,
+    the arithmetic ``np.linalg.norm`` uses on a vector.
     """
     outcomes: list = [None] * len(starts)
     live, x = np.arange(len(starts)), starts
@@ -203,7 +202,7 @@ def _project_to_variety(values: list, jacobian: list, starts: np.ndarray) -> lis
         jac = np.array(jac).reshape(len(rows), y.shape[1], x.shape[1])
         finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))  # else a failed start
         live, x, y, jac = live[rows][finite], x[rows][finite], y[finite], jac[finite]
-        step = linalg._stacked_lstsq_weights(jac, y)[:, :, 0]
+        step = linalg._lstsq_weights(jac, y)[:, :, 0]
         limit = 1.0 + np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
         norm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
         over = norm > limit
@@ -381,22 +380,13 @@ class EpsilonSearchResult:
     trace: tuple[EpsilonScanPoint, ...]
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_grid(count: int) -> np.ndarray:
-    """``np.geomspace(1e-4, 1.0, count)``, computed once per count and
-    read-only, as every caller shares it."""
-    grid = np.geomspace(1e-4, 1.0, count)
-    grid.flags.writeable = False
-    return grid
-
-
 def default_epsilon_grid(points, count: int = 60) -> np.ndarray:
     """Log-spaced tolerance grid spanning 1e-4..1 times the mean point norm."""
     pts = _as_points(points)
     scale = linalg._mean_norm(pts)
     if scale <= 0:
         scale = 1.0
-    return _unit_grid(count) * scale
+    return np.geomspace(1e-4, 1.0, count) * scale
 
 
 def _satisfies(degrees, target: EpsilonTarget) -> tuple[tuple[int, ...], bool]:

@@ -107,8 +107,8 @@ class FitConfig:
     ``max_degree`` (default: number of points) is a hard safety cap;
     ``center``/``unit_mean_norm`` request mean-centering and scaling to
     unit mean point norm before fitting, recorded on the model.  The rank
-    cuts of the least-squares solves and the eigensolve are not set here:
-    they read ``linalg.RANK_TOL``.
+    cut of the least-squares solves and the eigensolve is not set here: it
+    is ``linalg``'s one rule, ``linalg._significant``.
     """
 
     epsilon: float = 0.0

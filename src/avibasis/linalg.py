@@ -1,10 +1,11 @@
 """Generalized symmetric eigensolver and tolerance-controlled least squares.
 
-``RANK_TOL`` is the one relative rank tolerance: a singular value (or a
-Gram eigenvalue) at most ``RANK_TOL`` times the largest counts as zero.
-The least-squares solves, the orthonormal bases, the eigensolve's
-deflation, the reduction's pooled solves and rank counts, and the
-polynomial-system sampler all read it when called.
+``RANK_TOL`` is the one relative rank tolerance, and ``_significant`` is
+the one rule that reads it: a singular value (or a Gram eigenvalue) counts
+when it is above ``RANK_TOL`` times the largest, and none counts when the
+largest is not positive.  The least-squares solver (one function, over
+stacks of designs), the orthonormal bases, the eigensolve's deflation, and
+the reduction's pooled solves and rank counts all cut by it.
 
 Every routine is a pure function of its ndarray inputs and returns freshly
 allocated arrays, so concurrent callers never share mutable state.
@@ -29,6 +30,19 @@ __all__ = [
 RANK_TOL = 1e-12
 _ASYMMETRY_RTOL = 1e-10
 _HALF_MAX = float(np.finfo(float).max) / 2.0
+
+
+def _significant(values, top):
+    """The one rank rule: which ``values`` count, those above ``RANK_TOL`` times
+    ``top`` (broadcast against them); none counts where ``top`` is not positive."""
+    return (values > RANK_TOL * top) & (top > 0.0)
+
+
+def _require_finite(message: str, *arrays) -> None:
+    """Refuse non-finite input before a factorization: on inf, LAPACK's SVD may
+    never return, and otherwise NaN or inf gives a failure or an empty rank."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(message)
 
 
 def _binade(values):
@@ -140,10 +154,9 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros((0, 0))
 
     sigma, q = np.linalg.eigh((b + b.T) / 2.0)
-    sigma_max = float(sigma[-1])
-    if sigma_max <= 0.0:
+    keep = _significant(sigma, sigma[-1])
+    if not keep[-1]:  # the largest counts whenever any value does
         return np.zeros(0), np.zeros((dim, 0))
-    keep = sigma > RANK_TOL * sigma_max
     whiten = q[:, keep] / np.sqrt(sigma[keep])
 
     m = whiten.T @ a @ whiten
@@ -163,7 +176,9 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
     Singular values <= ``RANK_TOL`` times the largest are treated as zero.
     Returns the solution and the Frobenius norm of the residual ``m w - y``.
-    ``y`` may be a vector or a matrix of stacked right-hand sides.
+    ``y`` may be a vector or a matrix of stacked right-hand sides.  A design
+    without columns gives an empty solution and the residual ``|y|``; a
+    design without rows, or an all-zero one, gives zeros.
     """
     m = np.asarray(m, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,8 +186,7 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("design matrix must be 2-D")
     if m.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {m.shape[0]} vs {y.shape[0]}")
-    if not (np.isfinite(m).all() and np.isfinite(y).all()):  # LAPACK's SVD may never return on inf
-        raise ValueError("design matrix and right-hand side must be finite")
+    _require_finite("design matrix and right-hand side must be finite", m, y)
     y2 = y if y.ndim == 2 else y[:, None]
     w = _lstsq_weights(m, y2)
     residual = float(np.linalg.norm(m @ w - y2))
@@ -181,35 +195,31 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return w, residual
 
 
-def _lstsq_weights(m: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """``lstsq``'s solution for a float matrix ``m`` and a 2-D right-hand
-    side ``y2``, without the residual: for callers that discard it."""
+def _lstsq_weights(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The one SVD least-squares solver: ``lstsq``'s solutions, without the
+    residual, for a stack of float designs ``m`` ``(..., rows, cols)`` and
+    right-hand sides ``y`` ``(..., rows, rhs)``; a 2-D design is a stack of
+    one.  Each item keeps the singular values that ``_significant`` counts, a
+    prefix of the descending values, and has the bits of its solve alone; an
+    item of rank 0 gives zeros."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = s > RANK_TOL * s[0]
-    else:
-        keep = np.zeros(s.shape, dtype=bool)
-    # Keep the boolean-index copies even when every value is kept: the copy
-    # ``u[:, keep]`` is column-major where ``u`` is row-major, so the product
-    # takes another BLAS path, and the uncopied factors change a fit's bits
-    # (seen on a 5000-point noisy-ellipse fit).  ``_stacked_lstsq_weights``
-    # copies these layouts to keep these bits.
-    coeff = (u[:, keep].T @ y2) / s[keep][:, None]
-    return vt[keep].T @ coeff
-
-
-def _stacked_lstsq_weights(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Item ``i`` is ``_lstsq_weights(m[i], y[i])`` bit for bit: one stacked SVD,
-    then one pair of products per distinct rank (a prefix of the descending
-    singular values) on ``_lstsq_weights``' operand layouts; rank 0 gives zeros."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    rank = np.where(s[:, 0] > 0.0, (s > RANK_TOL * s[:, :1]).sum(axis=1), 0)
-    w = np.zeros((len(m), m.shape[2], y.shape[2]))
-    for r in set(rank[rank > 0].tolist()):  # not np.unique, which imports numpy.ma (1.6 MiB)
-        at = np.flatnonzero(rank == r)
-        coeff = (np.ascontiguousarray(u[at, :, :r].transpose(0, 2, 1)) @ y[at]) / s[at, :r, None]
-        w[at] = vt[at, :r].transpose(0, 2, 1) @ coeff
+    rank = _significant(s, s[..., :1]).sum(axis=-1)
+    ranks = set(rank.flat)  # not np.unique, which imports numpy.ma (1.6 MiB)
+    if len(ranks) == 1 and 0 not in ranks:  # one rank: slices of the whole stack, no copies
+        return _truncated_solve(u, s, vt, y, ranks.pop())
+    w = np.zeros(m.shape[:-2] + (m.shape[-1], y.shape[-1]))
+    for r in ranks - {0}:
+        at = rank == r
+        w[at] = _truncated_solve(u[at], s[at], vt[at], y[at], r)
     return w
+
+
+def _truncated_solve(u: np.ndarray, s: np.ndarray, vt: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    """``V_r diag(1 / s_r) U_r^T y`` for a stack of SVD factors cut at rank ``r``.
+    ``U_r^T`` is copied to row-major order: the BLAS path of that layout pins
+    every solve's bits (a 5000-point noisy-ellipse fit changes without it)."""
+    coeff = (np.ascontiguousarray(u[..., :r].swapaxes(-1, -2)) @ y) / s[..., :r, None]
+    return vt[..., :r, :].swapaxes(-1, -2) @ coeff
 
 
 def orthonormal_basis(m: np.ndarray) -> np.ndarray:
@@ -218,12 +228,9 @@ def orthonormal_basis(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D array")
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
+    _require_finite("matrix must be finite", m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[0], 0))
-    return np.ascontiguousarray(u[:, s > RANK_TOL * s[0]])
+    return np.ascontiguousarray(u[:, _significant(s, s[:1])])
 
 
 def principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

@@ -72,15 +72,15 @@ class ReductionReport:
 def _pool_solver(generator_grads: np.ndarray):
     """Factor a ``(points, vars, generators)`` pool once for many solves.
 
-    One stacked SVD covers every point; singular values at most
-    ``linalg.RANK_TOL`` times a point's largest (all of them where that is zero)
-    are dropped, as ``linalg.lstsq`` drops them.  The returned function
-    maps ``(points, vars, c)`` candidate gradients to the ``(points, c)``
-    residual norms ``|M w - y|`` of the per-point minimum-norm solutions,
-    computed in ``linalg.lstsq``'s order of operations.
+    One stacked SVD covers every point, and each point keeps the singular
+    values that ``linalg._significant`` counts against its largest, the cut
+    of ``linalg.lstsq``.  The returned function maps ``(points, vars, c)``
+    candidate gradients to the ``(points, c)`` residual norms ``|M w - y|``
+    of the per-point minimum-norm solutions, computed in ``linalg.lstsq``'s
+    order of operations.
     """
     u, s, vt = np.linalg.svd(generator_grads, full_matrices=False)
-    divisor = np.where(s > linalg.RANK_TOL * s[:, :1], s, np.inf)[:, :, None]
+    divisor = np.where(linalg._significant(s, s[:, :1]), s, np.inf)[:, :, None]
     ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
 
     def residuals(candidate_grads: np.ndarray) -> np.ndarray:
@@ -99,15 +99,17 @@ def gradient_dependence_residuals(
     ``generator_grads`` has shape ``(points, vars, generators)`` and
     ``candidate_grad`` shape ``(points, vars)``.  At each point the best
     linear combination of generator gradients is solved independently, by
-    minimum-norm least squares truncated at ``linalg.RANK_TOL`` as in
-    ``linalg.lstsq``; the result holds the ``(points,)`` residual norms.
-    It is ``reduce_basis``'s stacked solve (``_pool_solver``) for one
-    candidate.
+    minimum-norm least squares with ``linalg.lstsq``'s rank cut; the result
+    holds the ``(points,)`` residual norms.  It is ``reduce_basis``'s
+    stacked solve (``_pool_solver``) for one candidate.  Non-finite input is
+    refused.
     """
+    generator_grads = np.asarray(generator_grads, dtype=float)
     candidate_grad = np.asarray(candidate_grad, dtype=float)
     if candidate_grad.ndim != 2:
         raise ValueError("candidate_grad must have shape (points, vars)")
-    return _pool_solver(np.asarray(generator_grads, dtype=float))(candidate_grad[:, :, None])[:, 0]
+    linalg._require_finite("gradients must be finite", generator_grads, candidate_grad)
+    return _pool_solver(generator_grads)(candidate_grad[:, :, None])[:, 0]
 
 
 def rank_deflate_degree(
@@ -117,20 +119,22 @@ def rank_deflate_degree(
 ) -> tuple[tuple[PolyHandle, ...], tuple[PolyHandle, ...], int]:
     """Drop rank-deficiency victims from one degree's vanishing set.
 
-    Computes the numerical rank r of the gradient Gram matrix (eigenvalues
-    above ``linalg.RANK_TOL`` times the largest) and removes
-    ``len(handles) - r`` polynomials, trying smallest extent of vanishing
-    first; a candidate survives when removing it would leave the remaining
-    set below rank r.  Returns ``(kept, removed, r)``.
+    Computes the numerical rank r of the gradient Gram matrix (its
+    eigenvalues that ``linalg._significant`` counts against the largest) and
+    removes ``len(handles) - r`` polynomials, trying smallest extent of
+    vanishing first; a candidate survives when removing it would leave the
+    remaining set below rank r, counted against the same largest.  Returns
+    ``(kept, removed, r)``.  A non-finite Gram matrix is refused.
     """
     count = len(handles)
     gram = np.asarray(normalization_gram, dtype=float)
     if gram.shape != (count, count):
         raise ValueError("Gram matrix shape does not match the handle count")
+    linalg._require_finite("Gram matrix must be finite", gram)
     extents = np.asarray(extents, dtype=float)
-    lam = np.linalg.eigvalsh((gram + gram.T) / 2.0) if count else np.zeros(0)
-    top = float(lam[-1]) if count else 0.0
-    rank = int(np.count_nonzero(lam > linalg.RANK_TOL * top)) if top > 0.0 else 0
+    lam = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    top = lam[-1:]  # empty without handles: then nothing counts
+    rank = int(np.count_nonzero(linalg._significant(lam, top)))
     to_remove = count - rank
 
     current = list(range(count))
@@ -139,11 +143,9 @@ def rank_deflate_degree(
         if len(removed) == to_remove:
             break
         trial = [i for i in current if i != idx]
-        if top > 0.0:
-            sub = gram[np.ix_(trial, trial)]
-            sub_lam = np.linalg.eigvalsh((sub + sub.T) / 2.0) if trial else np.zeros(0)
-            if int(np.count_nonzero(sub_lam > linalg.RANK_TOL * top)) < rank:
-                continue  # removing this one would lose span; keep it
+        sub = gram[np.ix_(trial, trial)]
+        if np.count_nonzero(linalg._significant(np.linalg.eigvalsh((sub + sub.T) / 2.0), top)) < rank:
+            continue  # removing this one would lose span; keep it
         removed.append(int(idx))
         current = trial
     kept = tuple(handles[i] for i in sorted(current))

@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +14,20 @@ FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 @pytest.fixture
 def four_points():
     return FOUR_POINTS.copy()
+
+
+@contextmanager
+def time_limit(seconds: int = 20):
+    """End the run with SIGALRM's default action if the body takes more than
+    ``seconds``: a Python handler could not stop a LAPACK call that never
+    returns, as its SVD of a non-finite matrix may not."""
+    previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_cloud(rng, num_points, num_vars, scale=1.5):

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from avibasis.linalg import (
     _lstsq_weights,
-    _stacked_lstsq_weights,
     gen_sym_eig,
     lstsq,
     orthonormal_basis,
     principal_angles,
 )
+from conftest import time_limit
 
 
 class TestSymEig:
@@ -142,6 +142,19 @@ class TestLstsq:
         with pytest.raises(ValueError):
             lstsq(np.eye(3), np.zeros(2))
 
+    def test_design_without_columns(self):
+        y = np.array([[1.0, 2.0], [2.0, 4.0]])
+        w, res = lstsq(np.zeros((2, 0)), y)
+        assert w.shape == (0, 2)
+        assert res == np.linalg.norm(y) == 5.0
+
+    @pytest.mark.parametrize("m,y", [(np.zeros((0, 3)), np.zeros((0, 2))), (np.zeros((4, 3)), np.ones((4, 2)))],
+                             ids=["no rows", "all zero"])
+    def test_rank_zero_design_gives_zeros(self, m, y):
+        w, res = lstsq(m, y)
+        assert w.shape == (3, 2) and not w.any()
+        assert res == np.linalg.norm(y)
+
     @pytest.mark.parametrize("m,y", [
         # LAPACK's SVD of this design never returned
         ([[-np.inf, 1, -0.0], [-np.inf, 0, 1e-8], [-0.0, 0.5, -3], [2, 2, 0]], np.ones(4)),
@@ -192,13 +205,20 @@ class TestStackedLstsqWeights:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 4), st.integers(1, 6),
            st.integers(1, 2))
     def test_each_item_is_the_one_matrix_solve_bit_for_bit(self, seed, count, rows, cols, rhs):
+        """Item i of a stack is item i solved alone, as a matrix."""
         rng = np.random.default_rng(seed)
         m = np.array([_design(rng, rows, cols) for _ in range(count)]).reshape(count, rows, cols)
         y = rng.standard_normal((count, rows, rhs))
-        got = _stacked_lstsq_weights(m, y)
+        got = _lstsq_weights(m, y)
         assert got.shape == (count, cols, rhs)
         for item, (mi, yi) in enumerate(zip(m, y)):
             assert got[item].tobytes() == _lstsq_weights(mi, yi).tobytes()
+
+    @pytest.mark.parametrize("rows,cols", [(75, 6), (300, 20), (300, 40)])
+    def test_a_matrix_is_a_stack_of_one(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        m, y = rng.standard_normal((rows, cols)), rng.standard_normal((rows, 3))
+        assert _lstsq_weights(m, y).tobytes() == _lstsq_weights(m[None], y[None])[0].tobytes()
 
 
 class TestPrincipalAngles:
@@ -214,6 +234,18 @@ class TestPrincipalAngles:
         b = np.eye(4)[:, 2:]
         angles = principal_angles(orthonormal_basis(a), orthonormal_basis(b))
         assert np.allclose(angles, np.pi / 2)
+
+    def test_orthonormal_basis_of_empty_matrices(self):
+        assert orthonormal_basis(np.zeros((3, 0))).shape == (3, 0)
+        assert orthonormal_basis(np.zeros((0, 3))).shape == (0, 0)
+        assert orthonormal_basis(np.zeros((3, 2))).shape == (3, 0)
+
+    @pytest.mark.parametrize("m", [[[np.inf, 1.0], [0.0, 1.0]], [[np.nan, 1.0], [0.0, 1.0]]],
+                             ids=["inf", "nan"])
+    def test_orthonormal_basis_rejects_non_finite(self, m):
+        # unchecked, inf gave an empty (2, 0) basis and NaN "SVD did not converge"
+        with time_limit(), pytest.raises(ValueError, match="^matrix must be finite$"):
+            orthonormal_basis(np.array(m))
 
     def test_orthonormal_basis_rank(self):
         a = np.ones((5, 3))

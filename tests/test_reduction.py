@@ -26,6 +26,7 @@ from conftest import (
     match_scalar_multiple,
     random_cloud,
     random_polynomial,
+    time_limit,
 )
 
 
@@ -225,6 +226,14 @@ class TestRankDeflation:
         kept_idx = [h.column for h in kept]
         assert 0 in kept_idx  # the only v2 column must survive
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_gram(self, bad):
+        # unchecked, one inf entry removed both handles at rank 0
+        handles = (PolyHandle(2, 0, "G"), PolyHandle(2, 1, "G"))
+        gram = np.array([[bad, 1.0], [1.0, 2.0]])
+        with time_limit(), pytest.raises(ValueError, match="^Gram matrix must be finite$"):
+            rank_deflate_degree(handles, gram, np.array([0.0, 0.1]))
+
     def test_vca_four_points_deflates_duplicate(self):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0, normalization=NormalizationKind.identity()))
         report = reduce_basis(model, FOUR_POINTS)
@@ -292,6 +301,15 @@ class TestBatchedResiduals:
         y = np.array([[3.0, 4.0], [0.0, 1.0]])
         got = gradient_dependence_residuals(np.zeros((2, 2, 3)), y)
         assert np.array_equal(got, [5.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["generators", "candidate"])
+    def test_rejects_non_finite(self, bad, where):
+        # unchecked, NaN raised "SVD did not converge"
+        gens, y = np.ones((2, 2, 3)), np.ones((2, 2))
+        (gens if where == "generators" else y)[1, 0, ...] = bad
+        with time_limit(), pytest.raises(ValueError, match="^gradients must be finite$"):
+            gradient_dependence_residuals(gens, y)
 
     def test_one_candidate_per_call(self):
         # a (points, vars, c) block would broadcast into garbage where c == vars
