@@ -53,11 +53,6 @@ __all__ = [
 # -- dataset generation -------------------------------------------------------
 
 
-def _check_finite(name: str, values) -> None:
-    if not np.isfinite(np.asarray(values, dtype=float)).all():
-        raise ValueError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class ConcentricEllipses:
     """Union of axis-ratio ellipses centered at the origin, then rotated.
@@ -73,8 +68,8 @@ class ConcentricEllipses:
         radii = tuple((float(a), float(b)) for a, b in self.radii)
         if not radii:
             raise ValueError("at least one ellipse is required")
-        _check_finite("radii", radii)
-        _check_finite("rotation", self.rotation)
+        linalg._require_finite("radii must be finite", radii)
+        linalg._require_finite("rotation must be finite", self.rotation)
         object.__setattr__(self, "radii", radii)
 
 
@@ -92,7 +87,7 @@ class PolynomialSystem:
         if any(p.num_vars != n for p in polys):
             raise ValueError("polynomials must share the variable count")
         for p in polys:
-            _check_finite("polynomial coefficients", list(p.terms.values()))
+            linalg._require_finite("polynomial coefficients must be finite", list(p.terms.values()))
         object.__setattr__(self, "polynomials", polys)
 
     @property
@@ -110,7 +105,7 @@ class CustomPoints:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError("custom points must be a non-empty 2-D array")
-        _check_finite("custom points", pts)
+        linalg._require_finite("custom points must be finite", pts)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -135,6 +130,11 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # model_io.integer's rule, NumPy integers too: ``value % 1`` is nonzero or NaN for 2.5, inf or nan
+        for name, value in (("samples", self.samples), ("seed", self.seed)):
+            if type(value) is bool or not isinstance(value, (int, np.integer, float)) or value % 1:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
@@ -145,7 +145,7 @@ class DatasetSpec:
             raise ValueError("samples must equal the row count of the custom points")
         object.__setattr__(self, "extra_linear_vars", tuple(self.extra_linear_vars))
         for weights in self.extra_linear_vars:
-            _check_finite("extra_linear_vars", weights)
+            linalg._require_finite("extra_linear_vars must be finite", weights)
             if np.shape(weights) not in ((), (self.variety.num_vars,)):
                 raise ValueError("extra_linear_vars: a weight vector's length must match the base dimension")
             if np.ndim(weights) == 0 and self.variety.num_vars < 2:
@@ -532,7 +532,7 @@ def invariance_report(
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[1],):
         raise ValueError("translation vector dimension mismatch")
-    _check_finite("translation vector", b)
+    linalg._require_finite("translation vector must be finite", b)
 
     rng = np.random.default_rng(seed)
     spread = np.maximum(pts.std(axis=0), 1e-2 * (float(np.abs(pts).mean()) + 1.0))

@@ -31,9 +31,9 @@ the coefficient Gram (``_gram``, that of ``coeff_dot``), each with the
 bits and the term order of the dict rule, which the tests keep as
 oracles.
 
-Evaluation at one point runs through one scalar evaluator, ``_compile``
-then ``_evaluate``; the dataset sampler compiles a system once for all
-its points.
+Evaluation runs through one evaluator, ``_compile`` then ``_evaluate_as``:
+at one point on Python floats (``_evaluate``; the dataset sampler compiles a
+system once for all its points), and at many on the point columns.
 """
 
 from __future__ import annotations
@@ -174,18 +174,13 @@ class DensePolynomial:
         return _evaluate(_compile((self,)), x.tolist())[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Vector of values at the rows of ``points`` (shape ``(m, num_vars)``)."""
+        """Vector of values at the rows of ``points`` (shape ``(m, num_vars)``): ``_evaluate_as`` on
+        the point columns, one NumPy call per operation, so overflow warns as NumPy does."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.num_vars:
             raise ValueError(f"expected points of shape (m, {self.num_vars})")
-        values = np.zeros(points.shape[0])
-        for exps, coeff in self.terms.items():
-            term = np.full(points.shape[0], float(coeff))
-            for k, e in enumerate(exps):
-                if e:
-                    term *= points[:, k] ** e
-            values += term
-        return values
+        (values,) = _evaluate_as(_compile((self,)), list(points.T))
+        return np.full(points.shape[0], values) if np.ndim(values) == 0 else values
 
     def coefficient_norm(self) -> float:
         # left to right in term order: the builtin sum of floats is compensated from Python 3.12 on

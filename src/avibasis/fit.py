@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import ge
 
 import numpy as np
@@ -131,19 +131,21 @@ def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:
     zero, and sqrt values below 1e-10 times max(largest sqrt, 1) count as
     numerically vanishing even at epsilon = 0.
     """
-    return _classify_all(eigvals, [epsilon])[0]
+    (partition,) = _classify_all(eigvals, [epsilon])
+    return partition
 
 
-def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
-    """``classify(eigvals, eps)`` for each ``eps`` of ``epsilons``, the
-    tolerance-free work (checks, square roots, floor) done once.
+def _classify_all(eigvals: np.ndarray, epsilons) -> dict[tuple[str, ...], list[int]]:
+    """The tolerances of ``epsilons`` grouped by ``classify(eigvals, eps)``,
+    as ``{partition: ascending indices}`` in order of first appearance; the
+    tolerance-free work (checks, square roots, floor) is done once.
 
     A cut's G set is the roots ``<=`` it, so the G sets of two cuts are
     nested and two cuts with as many roots at or below them (a NaN cut
-    has none) share one partition, which is built once per run."""
+    has none) share one partition, which is built once per group."""
     ev = np.asarray(eigvals, dtype=float)
     if ev.size == 0:
-        return [()] * len(epsilons)
+        return {(): list(range(len(epsilons)))}
     scale = max(1.0, float(np.abs(ev).max()))
     if (ev[1:] - ev[:-1] > 1e-9 * scale).any():
         raise ValueError("eigenvalues must be sorted in descending order")
@@ -152,13 +154,11 @@ def _classify_all(eigvals: np.ndarray, epsilons) -> list[tuple[str, ...]]:
     roots = np.sqrt(np.maximum(ev, 0.0))  # a NaN root stays NaN, never <= a cut
     floor = 1e-10 * max(float(roots.max()), 1.0)
     values = roots.tolist()  # Python floats compare like float64, only faster
-    ordered = sorted(r for r in values if r == r)  # NaN roots are never <= a cut
-    cuts = map(max, map(float, epsilons), repeat(floor))
-    out: list = []
-    for below, run in groupby([bisect_right(ordered, cut) if cut == cut else 0 for cut in cuts]):
-        top = ordered[below - 1] if below else -1.0  # no root is <= -1
-        out += repeat(tuple("G" if r <= top else "F" for r in values), len(list(run)))
-    return out
+    ordered = [-1.0] + sorted(r for r in values if r == r)  # no root is <= -1; NaN roots are never <= a cut
+    groups: dict = {}  # the largest root at or below the cut -> indices
+    for i, cut in enumerate(map(max, map(float, epsilons), repeat(floor))):
+        groups.setdefault(ordered[bisect_right(ordered, cut) - 1] if cut == cut else -1.0, []).append(i)
+    return {tuple("G" if r <= top else "F" for r in values): at for top, at in groups.items()}
 
 
 def orthogonalize(c_pre_eval: np.ndarray, f_eval: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +265,7 @@ def _prepare(points, config: FitConfig) -> tuple[Preprocessing, np.ndarray, floa
         center = (pts / binade).mean(axis=0) * binade
         with np.errstate(over="ignore"):
             pts = pts - center
-        if not np.isfinite(pts).all():
-            raise ValueError("centred coordinates overflow: the points span more than the float range")
+        linalg._require_finite("centred coordinates overflow: the points span more than the float range", pts)
     if config.unit_mean_norm:
         scale = linalg._mean_norm(pts)
         if scale <= 0.0:
@@ -296,10 +295,10 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     Degree t depends on the tolerance only through the F/G partitions of
     the degrees below it, so the fits share their prefixes, and the driver
     walks one chain of them.  Each degree runs its tolerance-free part once
-    (candidates, orthogonalization, normalization Gram, eigensolve, and the
-    checks and square roots of ``classify``), groups the live tolerances by
-    partition, yields the groups whose fit ends there, and appends the F
-    block of the one group that steps on.  A degree's partitions have
+    (candidates, orthogonalization, normalization Gram, eigensolve), takes
+    the live tolerances grouped by partition from ``_classify_all``, yields
+    the groups whose fit ends there, and appends the F block of the one
+    group that steps on.  A degree's partitions have
     distinct G counts (a larger tolerance tags a superset G), so a
     ``descend`` that keeps one G count, as the search's does, keeps the
     walk a chain; two groups that would step on raise ``ValueError``.
@@ -337,12 +336,9 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         out_evals = _rows_dot(c_eval, eigvecs)  # by blocks of points, as a replay forms it
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
-        groups: dict = {}
-        partitions = _classify_all(eigvals, [epsilons[i] for i in members])
-        for partition, run in groupby(range(len(members)), partitions.__getitem__):
-            groups.setdefault(partition, []).extend(map(members.__getitem__, run))
-        prefix, members = records, []
-        for partition, group in groups.items():
+        prefix, live, members = records, members, []
+        for partition, at in _classify_all(eigvals, [epsilons[i] for i in live]).items():
+            group = [live[i] for i in at]
             rec = DegreeRecord(
                 ortho_weights=w,
                 eigvecs=eigvecs,

@@ -5,7 +5,8 @@ the one rule that reads it: a singular value (or a Gram eigenvalue) counts
 when it is above ``RANK_TOL`` times the largest, and none counts when the
 largest is not positive.  The least-squares solver (one function, over
 stacks of designs), the orthonormal bases, the eigensolve's deflation, and
-the reduction's pooled solves and rank counts all cut by it.
+the reduction's pooled solves and rank counts all cut by it.  The package's
+one finiteness check is ``_require_finite``.
 
 Every routine is a pure function of its ndarray inputs and returns freshly
 allocated arrays, so concurrent callers never share mutable state.
@@ -39,9 +40,9 @@ def _significant(values, top):
 
 
 def _require_finite(message: str, *arrays) -> None:
-    """Refuse non-finite input before a factorization: on inf, LAPACK's SVD may
-    never return, and otherwise NaN or inf gives a failure or an empty rank."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    """The one finiteness check, of anything ``np.asarray`` reads as floats.  A factorization needs it:
+    on inf, LAPACK's SVD may never return, and NaN or inf otherwise gives a failure or an empty rank."""
+    if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays):
         raise ValueError(message)
 
 
@@ -189,7 +190,9 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     _require_finite("design matrix and right-hand side must be finite", m, y)
     y2 = y if y.ndim == 2 else y[:, None]
     w = _lstsq_weights(m, y2)
-    residual = float(np.linalg.norm(m @ w - y2))
+    r = m @ w - y2
+    scale = float(_binade(np.abs(r).max(initial=0.0)))  # exact steps, as in _mean_norm: no overflow
+    residual = float(np.linalg.norm(r / scale) * scale)
     if y.ndim == 1:
         w = w[:, 0]
     return w, residual
@@ -242,6 +245,9 @@ def principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     computed from the sine of the projection residual, which avoids the
     sqrt(eps) accuracy floor of the plain arccos formula.
     """
+    qa, qb = np.asarray(qa, dtype=float), np.asarray(qb, dtype=float)
+    if qa.ndim != 2 or qb.ndim != 2:
+        raise ValueError("expected 2-D bases")
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
     cross = qa.T @ qb

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .densepoly import DensePolynomial, _Fold, _Monomials, _pair_products, _Terms, monomial_count
 
 __all__ = [
@@ -90,8 +91,7 @@ class PointSet:
             raise ValueError("points must be a 2-D array (one point per row)")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("empty point set")
-        if not np.isfinite(pts).all():
-            raise ValueError("points contain NaN or Inf")
+        linalg._require_finite("points contain NaN or Inf", pts)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -452,8 +452,7 @@ def _checked_points(model: BasisModel, points) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != model.num_vars:
         raise ValueError(f"expected points with {model.num_vars} columns")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain NaN or Inf")
+    linalg._require_finite("points contain NaN or Inf", pts)
     return pts
 
 

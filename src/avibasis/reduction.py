@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .fit import GRADIENT
-from .model import BasisModel, PolyHandle, gradient
+from .model import BasisModel, PolyHandle, _as_points, gradient
 
 __all__ = [
     "RemovedPolynomial",
@@ -171,6 +171,7 @@ def reduce_basis(
     """
     if not 0 <= threshold < np.inf:  # also rejects NaN
         raise ValueError("threshold must be finite and >= 0")
+    points = _as_points(points)
     g_handles = model.g_handles()
     if not g_handles:
         return ReductionReport((), (), (), threshold)

@@ -351,6 +351,19 @@ class TestGenerateDataset:
             with pytest.raises(ValueError, match=field):
                 build()
 
+    @pytest.mark.parametrize("field,value", [("samples", 2.5), ("samples", True), ("samples", "5"),
+                                             ("seed", 1.5), ("seed", True), ("seed", np.True_)])
+    def test_non_integer_counts_rejected(self, field, value):
+        circle = ConcentricEllipses(radii=((1.0, 1.0),))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            DatasetSpec(circle, **{"samples": 5, field: value})
+
+    def test_integral_floats_and_numpy_integers_count(self):
+        circle = ConcentricEllipses(radii=((1.0, 1.0),))
+        want = generate_dataset(DatasetSpec(circle, 5, seed=3)).points.tobytes()
+        for samples, seed in [(5.0, 3.0), (np.int64(5), np.int32(3))]:
+            assert generate_dataset(DatasetSpec(circle, samples, seed=seed)).points.tobytes() == want
+
     def test_unknown_variety_rejected(self):
         class Bogus:
             pass

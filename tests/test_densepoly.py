@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avibasis.densepoly
@@ -336,6 +336,34 @@ def poly_and_point(draw):
     return poly, draw(st.lists(coordinate, min_size=num_vars, max_size=num_vars))
 
 
+def evaluate_loop(p, points):
+    """``p.evaluate(points)`` as one loop over the terms, each a vector over
+    the points multiplied in variable order and added into zeros in term
+    order: the arithmetic the compiled evaluator must reproduce on columns."""
+    points = np.asarray(points, dtype=float)
+    values = np.zeros(points.shape[0])
+    for exps, coeff in p.terms.items():
+        term = np.full(points.shape[0], float(coeff))
+        for k, e in enumerate(exps):
+            if e:
+                term *= points[:, k] ** e
+        values += term
+    return values
+
+
+@st.composite
+def poly_and_points(draw):
+    """A polynomial of 1-4 variables, exponents 0-5 and up to 12 terms with
+    int, float or Fraction coefficients, and up to 6 points whose
+    coordinates are scaled by 10^k, k from -5 to 5."""
+    num_vars = draw(st.integers(1, 4))
+    exponent = st.tuples(*([st.integers(0, 5)] * num_vars))
+    poly = DensePolynomial(num_vars, draw(st.dictionaries(exponent, EVAL_COEFFICIENT, max_size=12)))
+    size = draw(st.integers(0, 6)) * num_vars
+    coordinates = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    return poly, np.reshape(coordinates, (-1, num_vars)) * 10.0 ** draw(st.integers(-5, 5))
+
+
 def _recorded(call):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -355,6 +383,16 @@ class TestCompiledEvaluation:
         value, messages = _recorded(lambda: p([1e70, 1.0]))
         assert value == np.float64(np.inf).tobytes()
         assert messages == ["overflow encountered in scalar power"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(poly_and_points())
+    @example((DensePolynomial(3), np.ones((4, 3))))  # zero
+    @example((DensePolynomial.constant(2, Fraction(1, 3)), np.full((3, 2), 1e5)))
+    @example((DensePolynomial(1, {(0,): 7, (2,): -1.5}), np.array([[1e-5], [2.5]])))
+    def test_evaluate_is_the_term_loop_bit_for_bit(self, case):
+        p, points = case
+        values, want = p.evaluate(points), evaluate_loop(p, points)
+        assert (values.dtype, values.shape, values.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_compiled_terms_skip_zero_exponents(self):
         assert _compile((CIRCLE, DensePolynomial(2))) == [

@@ -72,6 +72,15 @@ def _classify_all_oracle(eigvals, epsilons):
             for cut in (max(float(eps), floor) for eps in epsilons)]
 
 
+def _grouped(partitions):
+    """One partition per tolerance, grouped as ``_classify_all`` groups them:
+    ``(partition, ascending indices)`` pairs in order of first appearance."""
+    groups: dict = {}
+    for i, partition in enumerate(partitions):
+        groups.setdefault(partition, []).append(i)
+    return list(groups.items())
+
+
 @st.composite
 def _eigval_arrays(draw):
     """Descending eigenvalues with ties, signed zeros and roundoff
@@ -126,7 +135,7 @@ class TestClassify:
         eigvals = np.array(sorted(values, reverse=True)) + jitter * np.arange(len(values))
         eigvals = np.clip(eigvals, -1e-11, None)
         want = [reference(eigvals, eps) for eps in epsilons]
-        assert _classify_all(eigvals, epsilons) == want
+        assert list(_classify_all(eigvals, epsilons).items()) == _grouped(want)
         assert [classify(eigvals, eps) for eps in epsilons] == want
 
     @settings(max_examples=200, deadline=None)
@@ -136,15 +145,15 @@ class TestClassify:
         # out of order by up to the roundoff the sort check allows
         eigvals = eigvals + jitter * np.arange(eigvals.size)
         try:
-            partitions = _classify_all(eigvals, epsilons)
+            groups = _classify_all(eigvals, epsilons)
         except ValueError:
             return  # not accepted by classify
-        g_sets = {eps: {c for c, tag in enumerate(p) if tag == "G"} for eps, p in zip(epsilons, partitions)}
+        g_sets = {epsilons[i]: {c for c, tag in enumerate(p) if tag == "G"} for p, at in groups.items() for i in at}
         for small in epsilons:
             for large in epsilons:
                 if small <= large:
                     assert g_sets[small] <= g_sets[large]
-        distinct = set(partitions)
+        distinct = set(groups)
         assert len({p.count("G") for p in distinct}) == len(distinct)
 
     @settings(max_examples=300, deadline=None)
@@ -156,7 +165,8 @@ class TestClassify:
             except Exception as exc:  # the same error, type and message
                 return type(exc), str(exc)
 
-        assert outcome(_classify_all) == outcome(_classify_all_oracle)
+        got = outcome(lambda *args: list(_classify_all(*args).items()))
+        assert got == outcome(lambda *args: _grouped(_classify_all_oracle(*args)))
 
     def test_rejects_very_negative(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,23 @@ class TestLstsq:
         with pytest.raises(ValueError, match="must be finite"):
             lstsq(np.array(m), np.array(y))
 
+    def test_residual_past_the_square_root_of_the_float_range(self):
+        m, y = np.array([[1e308, 1.0], [1e308, -1.0], [0.0, 1.0]]), np.array([1e308, 1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the plain norm overflows in its dot product
+            w, res = lstsq(m, y)
+        assert res == pytest.approx(math.hypot(*(m @ w - y)), rel=1e-15)
+        assert 1e292 < res < np.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-100, 100))
+    def test_residual_in_range_is_the_plain_norm_bit_for_bit(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((6, 3)) * 10.0 ** exponent
+        y = rng.standard_normal((6, 2)) * 10.0 ** exponent
+        w, res = lstsq(m, y)
+        assert res == float(np.linalg.norm(m @ w - y))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_optimality_under_perturbation(self, seed):
@@ -234,6 +254,11 @@ class TestPrincipalAngles:
         b = np.eye(4)[:, 2:]
         angles = principal_angles(orthonormal_basis(a), orthonormal_basis(b))
         assert np.allclose(angles, np.pi / 2)
+
+    def test_rejects_bases_that_are_not_2d(self):
+        with pytest.raises(ValueError, match="^expected 2-D bases$"):
+            principal_angles(np.ones(3), np.ones(3))
+        assert principal_angles([[1.0], [0.0]], [[0.0], [1.0]]).tolist() == [np.pi / 2]
 
     def test_orthonormal_basis_of_empty_matrices(self):
         assert orthonormal_basis(np.zeros((3, 0))).shape == (3, 0)

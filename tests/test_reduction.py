@@ -93,6 +93,11 @@ class TestFourPointReduction:
         with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
             reduce_basis(model, FOUR_POINTS, threshold=threshold)
 
+    def test_empty_point_set_rejected(self):
+        model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
+        with pytest.raises(ValueError, match="^empty point set$"):
+            reduce_basis(model, np.zeros((0, 2)))
+
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-12, np.nan])
     def test_bad_rank_tol_rejected(self, rank_tol):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
