@@ -9,9 +9,11 @@ running this at its parent and at the change:
   1011, ``ellipse5000`` at draw seed 21, with the inputs, tolerances and
   thresholds of ``bench/workloads.py`` (imported, not copied);
 - hashed: each model's JSON with its reduction report, where the workload
-  reduces; ``evaluate`` and ``gradient`` of the model's handles; the G
-  expansions (``coefcurve200``); the tolerance search's result and the
-  consistency report (``epsscan75``).
+  reduces; ``evaluate`` and ``gradient`` of the model's handles; its
+  ``n_ratio`` under the gradient and identity mappings (and the
+  coefficient mapping, ``coefcurve200``) and its ``extract_features`` at
+  the draw's points; the G expansions (``coefcurve200``); the tolerance
+  search's result and the consistency report (``epsscan75``).
 
 Model bits depend on the BLAS thread count, so this runs at one BLAS
 thread, set before numpy loads.  It prints one digest per workload, then
@@ -56,17 +58,25 @@ def _replays(model, points) -> list:
     return [api.model.evaluate(model, handles, points), *api.model.gradient(model, handles, points)]
 
 
+def _metrics(model, points, *kinds) -> list:
+    """``n_ratio`` under the gradient and identity mappings, then ``kinds``,
+    and ``extract_features`` of the model, at ``points``."""
+    kinds = (NormalizationKind.gradient(), NormalizationKind.identity(), *kinds)
+    ratios = [api.analysis.n_ratio(model, kind, points) for kind in kinds]
+    return [repr(ratios), api.analysis.extract_features([model], points)]
+
+
 def _ellipse300(draw, work):
     model = api.fit.fit(draw.data, FitConfig(epsilon=W.E300_EPSILON, normalization=NormalizationKind.gradient()))
     report = api.reduction.reduce_basis(model, draw.data, threshold=W.E300_THRESHOLD)
-    return [_model_bytes(work, model, report), *_replays(model, draw.points)]
+    return [_model_bytes(work, model, report), *_replays(model, draw.points), *_metrics(model, draw.points)]
 
 
 def _ellipse5000(draw, work):
     model = api.fit.fit(draw.data, FitConfig(epsilon=W.E5000_EPSILON, normalization=NormalizationKind.gradient()))
     g = model.g_handles()
     return [_model_bytes(work, model), api.model.evaluate(model, model.handles(), draw.queries),
-            *api.model.gradient(model, g, draw.grad_points)]
+            *api.model.gradient(model, g, draw.grad_points), *_metrics(model, draw.points)]
 
 
 def _epsscan75(draw, work):
@@ -75,14 +85,16 @@ def _epsscan75(draw, work):
     shift = np.ones(draw.points.shape[1])
     report = api.analysis.invariance_report(draw.data, shift, W.EPS_ALPHA, result.epsilon)
     model = api.fit.fit(draw.data, FitConfig(epsilon=result.epsilon))
-    return [repr(result), repr(asdict(report)), _model_bytes(work, model), *_replays(model, draw.points)]
+    return [repr(result), repr(asdict(report)), _model_bytes(work, model), *_replays(model, draw.points),
+            *_metrics(model, draw.points)]
 
 
 def _coefcurve200(draw, work):
     model = api.fit.fit(draw.data, FitConfig(epsilon=W.COEF_EPSILON, normalization=NormalizationKind.coefficient()))
     expansions = [sorted(api.model.expand(model, h).terms.items()) for h in model.g_handles()]
     report = api.reduction.reduce_basis(model, draw.data, threshold=W.COEF_THRESHOLD)
-    return [repr(expansions), _model_bytes(work, model, report), *_replays(model, draw.points)]
+    return [repr(expansions), _model_bytes(work, model, report), *_replays(model, draw.points),
+            *_metrics(model, draw.points, NormalizationKind.coefficient())]
 
 
 RUNS = (  # workload, base seed, draws (draw i has seed base + 1000 i), outputs

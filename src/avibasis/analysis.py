@@ -22,7 +22,6 @@ from .densepoly import DensePolynomial, _compile, _evaluate
 from .fit import (
     COEFFICIENT,
     FitConfig,
-    GRADIENT,
     NormalizationKind,
     SUBSAMPLED_GRADIENT,
     _fit_path,
@@ -97,16 +96,12 @@ class PolynomialSystem:
 
 @dataclass(frozen=True, eq=False)
 class CustomPoints:
-    """Explicitly provided base points."""
+    """Explicitly provided base points, checked by PointSet's rule."""
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.size == 0:
-            raise ValueError("custom points must be a non-empty 2-D array")
-        linalg._require_finite("custom points must be finite", pts)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _as_points(self.points))
 
     @property
     def num_vars(self) -> int:
@@ -130,11 +125,8 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # model_io.integer's rule, NumPy integers too: ``value % 1`` is nonzero or NaN for 2.5, inf or nan
-        for name, value in (("samples", self.samples), ("seed", self.seed)):
-            if type(value) is bool or not isinstance(value, (int, np.integer, float)) or value % 1:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("samples", "seed"):
+            object.__setattr__(self, name, linalg._integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
@@ -308,21 +300,21 @@ def extract_features(class_models: list[BasisModel], x) -> np.ndarray:
 # -- norm-ratio metric --------------------------------------------------------
 
 
+@linalg._overflow_trap("measuring norms: the points are too large for the model's products")
 def n_ratio(model: BasisModel, kind: NormalizationKind, points=None) -> float:
     """Max/min norm of the vanishing polynomials under a chosen mapping.
 
     Gradient-based mappings measure stacked gradient evaluations and
-    require the point set; the coefficient mapping measures coefficient
-    vectors; the identity mapping measures combination vectors.  A zero
-    minimum norm yields ``inf``.
-    """
+    require the point set, which PointSet's rule checks; the coefficient
+    mapping measures coefficient vectors, the identity mapping combination
+    vectors.  ``inf`` when ``linalg._significant`` cuts the minimum norm."""
     handles = model.g_handles()
     if not handles:
         raise ValueError("the model has no vanishing polynomials")
-    if kind.variant in (GRADIENT, SUBSAMPLED_GRADIENT):
+    if kind.uses_gradients:
         if points is None:
             raise ValueError("gradient norms require the point set")
-        grads = gradient(model, handles, points)
+        grads = gradient(model, handles, _as_points(points))
         if kind.variant == SUBSAMPLED_GRADIENT:
             grads = [_subsample(g, kind) for g in grads]
         norms = [float(np.linalg.norm(g)) for g in grads]
@@ -334,7 +326,7 @@ def n_ratio(model: BasisModel, kind: NormalizationKind, points=None) -> float:
             for h in handles
         ]
     low, high = min(norms), max(norms)
-    if low <= 1e-12 * high:  # numerically zero minimum
+    if not linalg._significant(low, high):  # numerically zero minimum
         return math.inf
     return high / low
 
@@ -353,6 +345,8 @@ class EpsilonTarget:
     num_at_dmin: int
 
     def __post_init__(self) -> None:
+        for name in ("num_linear", "d_min", "num_at_dmin"):
+            object.__setattr__(self, name, linalg._integer(name, getattr(self, name)))
         if self.num_linear < 0 or self.num_at_dmin < 0:
             raise ValueError("counts must be >= 0")
         if self.d_min < 2:
@@ -519,13 +513,14 @@ def invariance_report(
     """Fit (X, eps), (X - b, eps), (alpha X, |alpha| eps) with gradient
     normalization and report per-degree counts, eigenvalue ratios (scaling
     should give alpha^2, translation should give 1), and evaluation
-    subspace gaps on a shared probe set of ``probe_count`` points.
-    ``alpha`` must be finite and nonzero and ``probe_count`` at least 1.
-    Eigenvalues are compared above 1e-12 times the larger of the two
-    models' largest, which keeps fully vanished directions (pure roundoff)
-    out; a gap is NaN when a block exists on one side only, 0 on neither."""
+    subspace gaps on ``probe_count`` shared probe points, drawn from ``seed``
+    (both integers).  ``alpha`` must be finite and nonzero, ``probe_count`` >= 1.
+    Eigenvalues count where ``linalg._significant`` counts them against the
+    larger of the two models' largest (pure roundoff stays out); a gap is
+    NaN when a block exists on one side only, 0 on neither."""
     if not math.isfinite(alpha) or alpha == 0:
         raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
+    probe_count = linalg._integer("probe_count", probe_count)
     if probe_count < 1:
         raise ValueError(f"probe_count must be >= 1, got {probe_count!r}")
     pts = _as_points(points)
@@ -534,7 +529,7 @@ def invariance_report(
         raise ValueError("translation vector dimension mismatch")
     linalg._require_finite("translation vector must be finite", b)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(linalg._integer("seed", seed))
     spread = np.maximum(pts.std(axis=0), 1e-2 * (float(np.abs(pts).mean()) + 1.0))
     probes = pts.mean(axis=0) + rng.standard_normal((probe_count, pts.shape[1])) * (1.25 * spread)
     # (points, tolerance, probes, expected eigenvalue ratio): the base fit,
@@ -548,7 +543,7 @@ def invariance_report(
     models = [fit(x, FitConfig(epsilon=eps, normalization=kind)) for x, eps, _, _ in runs]
     replays = [_blocks(model, p) for model, (_, _, p, _) in zip(models, runs)]
     top = [max((float(r.eigvals.max()) for r in m.degrees if r.eigvals.size), default=0.0) for m in models]
-    floors = [1e-12 * max(top[0], top[s] / runs[s][3], 1e-300) for s in (1, 2)]
+    shared = [max(top[0], top[s] / runs[s][3]) for s in (1, 2)]  # in the base fit's units
 
     length = max(model.max_degree for model in models)
     empty = np.zeros((probe_count, 0))
@@ -558,12 +553,9 @@ def invariance_report(
     for t in range(1, length + 1):
         lam = [model.record(t).eigvals if t <= model.max_degree else np.zeros(0) for model in models]
         for s in (1, 2):
-            floor, factor = floors[s - 1], runs[s][3]
-            ratios[s - 1].append(tuple(
-                float(lam[s][i] / lam[0][i])
-                for i in range(min(lam[s].size, lam[0].size))
-                if lam[0][i] > floor and lam[s][i] > floor * factor
-            ))
+            ref, side = lam[0][:lam[s].size], lam[s][:lam[0].size]
+            keep = linalg._significant(ref, shared[s - 1]) & linalg._significant(side, shared[s - 1] * runs[s][3])
+            ratios[s - 1].append(tuple((side[keep] / ref[keep]).tolist()))
         entry: dict = {"degree": t}
         for kind_tag in ("F", "G"):
             base, *sides = (blocks.get((t, kind_tag), empty) for blocks in replays)

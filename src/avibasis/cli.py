@@ -132,9 +132,7 @@ def _normalization_from_args(args) -> NormalizationKind:
 
 def _print_fit_summary(model: BasisModel) -> None:
     print("degree  |G_t|  |F_t|  min sqrt(lam)  max sqrt(lam)")
-    for t, rec in enumerate(model.degrees, start=1):
-        g = len(rec.columns("G"))
-        f = len(rec.columns("F"))
+    for t, (rec, (g, f)) in enumerate(zip(model.degrees, model.degree_counts()), start=1):
         roots = np.sqrt(np.clip(rec.eigvals, 0.0, None))
         lo = f"{roots.min():.3e}" if roots.size else "-"
         hi = f"{roots.max():.3e}" if roots.size else "-"

@@ -411,9 +411,10 @@ class _Fold:
             return np.zeros(count, np.intp), np.zeros(0, np.intp), np.zeros(0)
         w = np.concatenate([weights, np.zeros((count, 1))], axis=1).T
         gathered = w[self.owner]  # (depth, monomials, combinations)
-        products = gathered * self.coef
-        if self.mask_zero_weights:
-            products[gathered == 0.0] = 0.0
+        if self.mask_zero_weights:  # zeros where the weight is 0, with no 0 * inf formed
+            products = np.multiply(gathered, self.coef, out=np.zeros(gathered.shape), where=gathered != 0.0)
+        else:
+            products = gathered * self.coef
         sums = np.add.accumulate(products, axis=0)
         final = sums[-1].T  # (combinations, monomials)
         present = final != 0
@@ -515,7 +516,7 @@ def finite_diff_gradient(
     f: Callable[[np.ndarray], float], x: Iterable[float], h: float = 1e-5
 ) -> np.ndarray:
     """Central-difference gradient ``(f(x + h e_k) - f(x - h e_k)) / 2h``."""
-    if h <= 0:
+    if not h > 0:  # also refuses NaN
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     grad = np.zeros(x.shape)

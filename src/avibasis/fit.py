@@ -71,8 +71,8 @@ class NormalizationKind:
         if self.variant == SUBSAMPLED_GRADIENT:
             if not self.var_subset or not self.point_subset:
                 raise ValueError("subsampled gradient requires non-empty variable and point subsets")
-            object.__setattr__(self, "var_subset", tuple(int(i) for i in self.var_subset))
-            object.__setattr__(self, "point_subset", tuple(int(i) for i in self.point_subset))
+            for name in ("var_subset", "point_subset"):
+                object.__setattr__(self, name, tuple(linalg._integer(f"{name} index", i) for i in getattr(self, name)))
             if any(i < 0 for i in self.var_subset) or any(i < 0 for i in self.point_subset):
                 raise ValueError("subset indices must be non-negative")
         elif self.var_subset is not None or self.point_subset is not None:
@@ -120,8 +120,10 @@ class FitConfig:
     def __post_init__(self) -> None:
         if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
-        if self.max_degree is not None and self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
+        if self.max_degree is not None:
+            object.__setattr__(self, "max_degree", linalg._integer("max_degree", self.max_degree))
+            if self.max_degree < 1:
+                raise ValueError("max_degree must be >= 1")
 
 
 def classify(eigvals: np.ndarray, epsilon: float) -> tuple[str, ...]:

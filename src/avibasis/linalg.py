@@ -3,10 +3,10 @@
 ``RANK_TOL`` is the one relative rank tolerance, and ``_significant`` is
 the one rule that reads it: a singular value (or a Gram eigenvalue) counts
 when it is above ``RANK_TOL`` times the largest, and none counts when the
-largest is not positive.  The least-squares solver (one function, over
-stacks of designs), the orthonormal bases, the eigensolve's deflation, and
-the reduction's pooled solves and rank counts all cut by it.  The package's
-one finiteness check is ``_require_finite``.
+largest is not positive.  The least-squares solver, the orthonormal bases,
+the eigensolve's deflation, the reduction, the consistency report and the
+norm ratio all cut by it.  ``_require_finite`` is the package's one
+finiteness check, ``_integer`` its one integer check.
 
 Every routine is a pure function of its ndarray inputs and returns freshly
 allocated arrays, so concurrent callers never share mutable state.
@@ -44,6 +44,13 @@ def _require_finite(message: str, *arrays) -> None:
     on inf, LAPACK's SVD may never return, and NaN or inf otherwise gives a failure or an empty rank."""
     if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays):
         raise ValueError(message)
+
+
+def _integer(name: str, value) -> int:
+    """The one integer check: an int, a NumPy integer or an integral float; never a bool, a string or a fraction."""
+    if type(value) is int or isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _binade(values):
@@ -132,6 +139,7 @@ def _canonicalize_degenerate(w: np.ndarray, v: np.ndarray, spread_tol: float) ->
     return v
 
 
+@_overflow_trap("eigensolving: the matrices' scales are too far apart")
 def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``a V = b V diag(lam)`` for symmetric PSD ``a`` and ``b``.
 
@@ -172,6 +180,7 @@ def gen_sym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, _fix_signs(_canonicalize_degenerate(w, whiten @ u, tiny))
 
 
+@_overflow_trap("solving least squares: the design or the right-hand side is too large")
 def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares via a truncated SVD pseudo-inverse.
 
@@ -183,8 +192,8 @@ def lstsq(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """
     m = np.asarray(m, dtype=float)
     y = np.asarray(y, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
+    if m.ndim != 2 or y.ndim not in (1, 2):
+        raise ValueError("design matrix must be 2-D, and the right-hand side a vector or a matrix")
     if m.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {m.shape[0]} vs {y.shape[0]}")
     _require_finite("design matrix and right-hand side must be finite", m, y)

@@ -120,6 +120,9 @@ class PolyHandle:
     def __post_init__(self) -> None:
         if self.kind not in ("F", "G"):
             raise ValueError(f"kind must be 'F' or 'G', got {self.kind!r}")
+        if type(self.degree) is not int or type(self.column) is not int:  # the fit makes ints: no call for them
+            for name in ("degree", "column"):
+                object.__setattr__(self, name, linalg._integer(name, getattr(self, name)))
         if self.degree < 0 or self.column < 0:
             raise ValueError("degree and column must be non-negative")
 

@@ -368,21 +368,15 @@ def _model(data) -> tuple[BasisModel, ReductionReport | None]:
     return model, get("reduction", functools.partial(_report, model=model), None)
 
 
-def _decode(decode, *args):
-    """``decode(*args)``, with any error in the data as one ``ValueError``
-    line: a safety net under the readers, which name the field."""
-    try:
-        return decode(*args)
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"model JSON: {exc}") from None
-
-
 def model_from_dict(data: dict) -> tuple[BasisModel, ReductionReport | None]:
     """Rebuild a model (and its reduction report, if stored).
 
     Raises ``ValueError`` for an unsupported version or malformed data.
     """
-    return _decode(_model, data)
+    try:
+        return _model(data)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:  # one line; the readers name the field
+        raise ValueError(f"model JSON: {exc}") from None
 
 
 def save_model(path, model: BasisModel, report: ReductionReport | None = None) -> None:

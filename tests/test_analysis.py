@@ -13,6 +13,7 @@ from avibasis import (
     EpsilonTarget,
     FitConfig,
     NormalizationKind,
+    PointSet,
     PolynomialSystem,
     epsilon_search,
     evaluate,
@@ -119,6 +120,12 @@ class TestInvarianceReport:
         with pytest.raises(ValueError, match=f"probe_count must be >= 1, got {probe_count}"):
             invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0, probe_count=probe_count)
 
+    @pytest.mark.parametrize("field", ["probe_count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_probe_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0, **{field: value})
+
     def test_one_probe_is_enough(self):
         rep = invariance_report(FOUR_POINTS, b=np.zeros(2), alpha=2.0, epsilon=0.0, probe_count=1)
         assert rep.counts_match
@@ -180,6 +187,13 @@ class TestNRatio:
         kind = NormalizationKind.subsampled_gradient(var_subset, point_subset)
         with pytest.raises(ValueError, match=f"{message} index out of range"):
             n_ratio(model, kind, FOUR_POINTS)
+
+    @pytest.mark.parametrize("points,message", [(np.zeros((0, 2)), "empty point set"), (np.zeros(2), "2-D"),
+                                                ([[0.0, math.nan]], "points contain NaN or Inf")])
+    def test_points_checked_by_the_point_set_rule(self, points, message):
+        model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
+        with pytest.raises(ValueError, match=message):
+            n_ratio(model, NormalizationKind.gradient(), points)
 
     def test_gradient_kind_needs_points(self):
         model = fit(FOUR_POINTS, FitConfig(epsilon=0.0))
@@ -256,6 +270,12 @@ class TestEpsilonSearch:
         target = EpsilonTarget(num_linear=0, d_min=2, num_at_dmin=0)
         with pytest.raises(ValueError, match="points contain NaN or Inf"):
             epsilon_search(pts, target, grid=grid)
+
+    @pytest.mark.parametrize("field", ["num_linear", "d_min", "num_at_dmin"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_target_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            EpsilonTarget(**{"num_linear": 0, "d_min": 2, "num_at_dmin": 0, field: value})
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -335,6 +355,14 @@ class TestGenerateDataset:
         assert np.allclose(raw_points(ds), pts)
         with pytest.raises(ValueError):
             generate_dataset(DatasetSpec(variety=CustomPoints(pts), samples=3, seed=0))
+
+    def test_custom_points_take_the_point_set_rule(self):
+        pts = PointSet(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert CustomPoints(pts).points is pts.points
+        for bad, message in [([1.0, 2.0], "2-D"), (np.zeros((0, 2)), "empty point set"),
+                             ([[0.0, math.inf]], "points contain NaN or Inf")]:
+            with pytest.raises(ValueError, match=message):
+                CustomPoints(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_spec_values_rejected(self, bad):

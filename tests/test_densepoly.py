@@ -224,6 +224,13 @@ class TestTermArrays:
         for poly, row in zip(got, rows):
             assert bits(poly.terms) == bits(copying_fold([(p, c) for p, c in zip(polys, row) if c != 0.0]))
 
+    def test_a_zero_weight_on_an_inf_coefficient_forms_no_nan(self):
+        polys = [DensePolynomial(2, {(1, 0): math.inf, (0, 1): 1.0}), DensePolynomial(2, {(1, 0): 2.0})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 0 * inf would warn "invalid value"
+            (got,) = folded(polys, [[0.0, 1.0]])
+        assert bits(got.terms) == bits(copying_fold([(polys[1], 1.0)]))
+
     @settings(max_examples=100, deadline=None)
     @given(fold_case(max_combinations=12))
     def test_a_fold_split_at_the_byte_budget_is_unchanged(self, case):
@@ -418,6 +425,10 @@ class TestFiniteDifferences:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda v: 0.0, np.zeros(1), h=0.0)
+
+    def test_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            finite_diff_gradient(lambda v: 0.0, np.zeros(1), h=math.nan)
 
 
 def dense_vectors(*polys):

@@ -252,6 +252,17 @@ class TestNormalizationMatrix:
 
 
 class TestNormalizationKind:
+    @pytest.mark.parametrize("var_subset,point_subset,name", [
+        ((0.5,), (0,), "var_subset"), ((0,), (2.7,), "point_subset"), ((True,), (0,), "var_subset"),
+    ])
+    def test_subset_indices_must_be_integers(self, var_subset, point_subset, name):
+        with pytest.raises(ValueError, match=f"^{name} index must be an integer, got "):
+            NormalizationKind.subsampled_gradient(var_subset, point_subset)
+
+    def test_integral_subset_indices_count(self):
+        kind = NormalizationKind.subsampled_gradient([np.int64(1), 0.0], [2.0])
+        assert kind.var_subset == (1, 0) and kind.point_subset == (2,)
+
     def test_subsampled_requires_subsets(self):
         with pytest.raises(ValueError):
             NormalizationKind("subsampled_gradient")
@@ -301,6 +312,16 @@ class TestFitSmallCases:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             FitConfig(epsilon=-0.1)
+
+    @pytest.mark.parametrize("max_degree", [2.5, True, "2", float("inf")])
+    def test_non_integer_max_degree_rejected(self, max_degree):
+        with pytest.raises(ValueError, match="^max_degree must be an integer, got "):
+            FitConfig(max_degree=max_degree)
+
+    def test_integral_float_max_degree_is_the_cap(self):
+        pts = random_cloud(np.random.default_rng(0), 12, 2)
+        assert type(FitConfig(max_degree=2.0).max_degree) is int
+        assert fit(pts, FitConfig(max_degree=2.0)).max_degree == fit(pts, FitConfig(max_degree=2)).max_degree == 2
 
     def test_nan_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):

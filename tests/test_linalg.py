@@ -167,6 +167,11 @@ class TestLstsq:
         with pytest.raises(ValueError, match="must be finite"):
             lstsq(np.array(m), np.array(y))
 
+    @pytest.mark.parametrize("y", [np.ones((2, 2, 2)), np.float64(1.0)], ids=["3-D", "0-D"])
+    def test_rejects_a_right_hand_side_neither_vector_nor_matrix(self, y):
+        with pytest.raises(ValueError, match="right-hand side a vector or a matrix"):
+            lstsq(np.ones((2, 2)), y)
+
     def test_residual_past_the_square_root_of_the_float_range(self):
         m, y = np.array([[1e308, 1.0], [1e308, -1.0], [0.0, 1.0]]), np.array([1e308, 1e308, 0.0])
         with warnings.catch_warnings():

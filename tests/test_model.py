@@ -47,6 +47,17 @@ class TestPointSet:
             PointSet(np.zeros((0, 2)))
 
 
+class TestPolyHandle:
+    @pytest.mark.parametrize("degree,column", [(1.5, 0), (1, 0.5), (True, 0), ("1", 0)])
+    def test_non_integer_degree_or_column_rejected(self, degree, column):
+        with pytest.raises(ValueError, match="must be an integer, got "):
+            PolyHandle(degree, column, "G")
+
+    def test_integral_values_count_as_ints(self):
+        handle = PolyHandle(np.int64(1), 2.0, "G")
+        assert handle == PolyHandle(1, 2, "G") and handle.label() == "d1_g2"
+
+
 class TestEvaluate:
     def test_constant_handle(self, four_points):
         model = fit(four_points, FitConfig(epsilon=0.0))
