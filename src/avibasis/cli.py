@@ -132,13 +132,13 @@ def _normalization_from_args(args) -> NormalizationKind:
 
 def _print_fit_summary(model: BasisModel) -> None:
     print("degree  |G_t|  |F_t|  min sqrt(lam)  max sqrt(lam)")
-    for t, (rec, (g, f)) in enumerate(zip(model.degrees, model.degree_counts()), start=1):
+    counts = model.degree_counts()
+    for t, (rec, (g, f)) in enumerate(zip(model.degrees, counts), start=1):
         roots = np.sqrt(np.clip(rec.eigvals, 0.0, None))
         lo = f"{roots.min():.3e}" if roots.size else "-"
         hi = f"{roots.max():.3e}" if roots.size else "-"
         print(f"{t:>6}  {g:>5}  {f:>5}  {lo:>13}  {hi:>13}")
-    total_g = len(model.g_handles())
-    total_f = len(model.f_handles())
+    total_g, total_f = sum(g for g, _ in counts), 1 + sum(f for _, f in counts)
     print(f"total vanishing: {total_g}, nonvanishing (incl. constant): {total_f}")
     if model.truncated:
         print("warning: degree cap reached before natural termination")

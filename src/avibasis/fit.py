@@ -4,19 +4,25 @@ At each degree, candidate polynomials are formed as pairwise products of
 lower-degree nonvanishing polynomials, orthogonalized (in evaluation space)
 against everything of lower degree, and combined through a generalized
 symmetric eigenproblem whose right-hand side is a pluggable normalization
-Gram matrix.  Columns split into nonvanishing (F) and vanishing (G) by
-comparing sqrt(eigenvalue) -- the evaluation norm of the polynomial --
-against the tolerance epsilon.  The numeric work of each degree runs in
-the degree-step kernel of ``model``, which replays use too; the fit
-supplies the orthogonalization and the eigensolve.  Coefficient
-normalization's expansions come from that kernel's symbolic twin, which
-the fitted model keeps for ``expand``.  Degree t depends on epsilon only
-through the splits below it, so one driver, ``_fit_path``, fits a set of
-tolerances down one chain of shared degree-steps and hands over each
-group of tolerances whose fits end with the same records once, as their
-indices, those records and the ``truncated`` flag; ``fit`` is its
-one-tolerance case, and the tolerance search reads its target off each
-group's records without building a model.
+Gram matrix.  The construction keeps the F evaluation vectors mutually
+orthogonal, so the orthogonalization is two projections onto them, with
+no least-squares solve; a fit whose F vectors are no longer orthogonal
+(the second projection is not roundoff, or there are more of them than
+points), or whose degree-1 Gram loses a coordinate, is refused with one
+``ValueError`` that names the degree.  Columns split into nonvanishing
+(F) and vanishing (G) by comparing sqrt(eigenvalue) -- the evaluation
+norm of the polynomial -- against the tolerance epsilon.  The numeric
+work of each degree runs in the degree-step kernel of ``model``, which
+replays use too; the fit supplies the orthogonalization and the
+eigensolve.  Coefficient normalization's expansions come from that
+kernel's symbolic twin, which the fitted model keeps for ``expand``.
+Degree t depends on epsilon only through the splits below it, so one
+driver, ``_fit_path``, fits a set of tolerances down one chain of shared
+degree-steps and hands over each group of tolerances whose fits end with
+the same records once, as their indices, those records and the
+``truncated`` flag; ``fit`` is its one-tolerance case, and the tolerance
+search reads its target off each group's records without building a
+model.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ __all__ = [
     "orthogonalize",
     "classify",
 ]
+
+_ORTHO_TOL = 1e-8  # orthogonalize's bound on |f_j^T r_k| / (|f_j| |c_k|)
 
 IDENTITY = "identity"
 COEFFICIENT = "coefficient"
@@ -107,8 +115,8 @@ class FitConfig:
     ``max_degree`` (default: number of points) is a hard safety cap;
     ``center``/``unit_mean_norm`` request mean-centering and scaling to
     unit mean point norm before fitting, recorded on the model.  The rank
-    cut of the least-squares solves and the eigensolve is not set here: it
-    is ``linalg``'s one rule, ``linalg._significant``.
+    cut of the eigensolve is not set here: it is ``linalg``'s one rule,
+    ``linalg._significant``.
     """
 
     epsilon: float = 0.0
@@ -164,11 +172,16 @@ def _classify_all(eigvals: np.ndarray, epsilons) -> dict[tuple[str, ...], list[i
 
 
 def orthogonalize(c_pre_eval: np.ndarray, f_eval: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project candidate evaluations off the span of the nonvanishing block.
+    """Project candidate evaluations off the span of a block of mutually
+    orthogonal columns, such as the fit's F prefix.
 
-    Returns ``(c_eval, w)`` with ``c_eval = c_pre_eval - f_eval @ w`` and
-    ``w`` the tolerance-controlled least-squares weights.  Both blocks are
-    2-D, one column per polynomial.
+    Returns ``(c_eval, w)`` with ``c_eval = c_pre_eval - f_eval @ w``.  Both
+    blocks are 2-D, one column per polynomial.  ``w`` is the projection
+    ``f_j^T c / |f_j|^2`` plus the same projection of its residual ``r``, once
+    ("twice is enough").  The second pass's ``f_j^T r`` is roundoff when the
+    columns are orthogonal; a design whose ``|f_j^T r_k|`` exceeds
+    ``_ORTHO_TOL |f_j| |c_k|`` (the norms of the columns and of the
+    candidates) is refused with ``ValueError``, as is a zero column.
     """
     c_pre_eval = np.asarray(c_pre_eval, dtype=float)
     f_eval = np.asarray(f_eval, dtype=float)
@@ -176,8 +189,35 @@ def orthogonalize(c_pre_eval: np.ndarray, f_eval: np.ndarray) -> tuple[np.ndarra
         raise ValueError("candidate and design blocks must be 2-D")
     if c_pre_eval.shape[0] != f_eval.shape[0]:
         raise ValueError("row counts differ")
-    w = linalg._lstsq_weights(f_eval, c_pre_eval)
+    f, sq, f_scale = _scaled_columns(f_eval)
+    c, csq, c_scale = _scaled_columns(c_pre_eval)
+    if not (sq > 0.0).all():
+        raise ValueError("design columns must be nonzero")
+    sq, to_weights = sq[:, None], c_scale / f_scale[:, None]
+    w = (f.T @ c) / sq
+    again = f.T @ (_apply_ortho(c_pre_eval, f_eval, w * to_weights) / c_scale)
+    # multiplied out: a zero candidate has a zero bound and a zero residual
+    if (np.abs(again) > _ORTHO_TOL * np.sqrt(sq) * np.sqrt(csq)).any():
+        raise ValueError(f"design columns are not orthogonal within {_ORTHO_TOL:g} of their norms")
+    w = (w + again / sq) * to_weights
     return _apply_ortho(c_pre_eval, f_eval, w), w
+
+
+def _scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a / s, the squared column norms of a / s, s)``, where ``s`` is 1
+    for every column but those whose squared norm is below 2^-900, whose
+    products may underflow: each of those is divided by the power of two
+    at or below its largest entry.  That division is exact, so a projection
+    formed on ``a / s`` and scaled back has the bits of the same projection
+    on ``a`` wherever that one does not underflow."""
+    sq = np.square(a).sum(axis=0)
+    s = np.ones(a.shape[1])
+    small = sq < 2.0**-900
+    if small.any():
+        s[small] = linalg._binade(np.abs(a[:, small]).max(axis=0, initial=0.0))
+        a = a / s
+        sq = np.square(a).sum(axis=0)
+    return a, sq, s
 
 
 def normalization_matrix(kind: NormalizationKind, evals: np.ndarray, grads: np.ndarray | None = None,
@@ -303,13 +343,20 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     group that steps on.  A degree's partitions have
     distinct G counts (a larger tolerance tags a superset G), so a
     ``descend`` that keeps one G count, as the search's does, keeps the
-    walk a chain; two groups that would step on raise ``ValueError``.
+    walk a chain; two groups that would step on raise ``ValueError``.  The
+    fit's refusals are raised here, so ``fit``, the tolerance search and
+    the consistency report all raise them.
     """
     if not all(map(ge, epsilons, repeat(0))):  # also rejects NaN
         raise ValueError("epsilon must be >= 0")
     kind = config.normalization
     num_points, num_vars = pts.shape
     max_degree = config.max_degree if config.max_degree is not None else num_points
+    hint = "" if config.center and config.unit_mean_norm else "; --center --unit-mean-norm may help"
+
+    def lost(t, why):  # the F evaluation vectors of an exact fit are orthogonal, so at most num_points
+        return ValueError(f"degree {t}: the nonvanishing polynomials are no longer orthogonal at the points"
+                          f" ({why}){hint}")
 
     # Only gradient normalizations read candidate gradients, and no
     # gradient reaches the model, so other fits carry none.
@@ -321,7 +368,10 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
     members = list(range(len(epsilons)))  # the tolerances still stepping
     while members:
         t = len(records) + 1
-        c_eval, c_grad, w = fwd.candidates(orthogonalize)
+        try:
+            c_eval, c_grad, w = fwd.candidates(orthogonalize)
+        except ValueError as exc:
+            raise lost(t, "the lower-degree ones fail the projection check") from exc
         c_exps = None
         if sym is not None:  # the orthogonalized candidates: combinations at the unit columns
             sym.candidates(w)
@@ -330,6 +380,9 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         gram = normalization_matrix(kind, c_eval, c_grad, c_exps)
         outer = c_eval.T @ c_eval
         _, eigvecs = linalg.gen_sym_eig((outer + outer.T) / 2.0, gram)
+        if t == 1 and eigvecs.shape[1] < num_vars and kind.variant != SUBSAMPLED_GRADIENT:
+            raise ValueError(f"degree 1: the {kind.variant} normalization keeps {eigvecs.shape[1]} of"
+                             f" {num_vars} coordinate directions{hint}")
         # Store the squared evaluation norms of the output columns rather
         # than the solver's eigenvalues: they agree to solver precision, but
         # for exactly vanishing directions the solver value carries
@@ -338,9 +391,11 @@ def _fit_path(pts: np.ndarray, m: float, config: FitConfig, epsilons, descend=No
         out_evals = _rows_dot(c_eval, eigvecs)  # by blocks of points, as a replay forms it
         eigvals = np.einsum("ij,ij->j", out_evals, out_evals)
 
-        prefix, live, members = records, members, []
+        prefix, live, members, width = records, members, [], fwd.width
         for partition, at in _classify_all(eigvals, [epsilons[i] for i in live]).items():
             group = [live[i] for i in at]
+            if width + partition.count("F") > num_points:
+                raise lost(t, f"{width + partition.count('F')} of them for {num_points} points")
             rec = DegreeRecord(
                 ortho_weights=w,
                 eigvecs=eigvecs,

@@ -229,7 +229,8 @@ def _lstsq_weights(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _truncated_solve(u: np.ndarray, s: np.ndarray, vt: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     """``V_r diag(1 / s_r) U_r^T y`` for a stack of SVD factors cut at rank ``r``.
     ``U_r^T`` is copied to row-major order: the BLAS path of that layout pins
-    every solve's bits (a 5000-point noisy-ellipse fit changes without it)."""
+    every solve's bits (the dataset sampler's pinned space-curve points
+    change without it)."""
     coeff = (np.ascontiguousarray(u[..., :r].swapaxes(-1, -2)) @ y) / s[..., :r, None]
     return vt[..., :r, :].swapaxes(-1, -2) @ coeff
 

@@ -13,7 +13,7 @@ matrices bit for bit by construction.  Its F columns sit in one row-major
 buffer, whose column prefix gives BLAS the same arithmetic as the
 concatenation of the lower-degree blocks.  Its row products are formed
 ``_BLOCK`` points at a time; a replay runs one kernel per block of points,
-a fit, whose solves and Grams need every row, one over all of them.
+a fit, whose projections and Grams need every row, one over all of them.
 
 The one symbolic path is its twin ``_Expansions``, over exact dense
 polynomials held as term arrays (``densepoly._Terms``), whose order is
@@ -324,7 +324,7 @@ class _Forward:
     contiguous, for the next degree's pair products; and every F column in
     degree order in one buffer, ``(m, cap)`` and ``(m, n, cap)``, whose
     column prefix each degree is orthogonalized against.  The buffers are
-    row-major, so the prefix is a strided view that BLAS and the SVD read
+    row-major, so the prefix is a strided view that BLAS reads
     with the arithmetic of the contiguous concatenation of the blocks the
     buffer replaces.  A full buffer doubles; a replay sizes it up front.
     Its row products are ``_rows_dot``'s, so that one kernel over all the
@@ -354,7 +354,7 @@ class _Forward:
         m, n = self.points.shape
         grads = self.grads is not None
         if self.width == 1:  # only the constant so far: degree 1
-            pre = self.points[:, list(range(n))]  # a copy: this operand's layout decides the solve's bits
+            pre = self.points[:, list(range(n))]  # a copy: this operand's layout decides the projections' bits
             if grads:
                 pre_grad = np.zeros((m, n, n))
                 pre_grad[:, range(n), range(n)] = 1.0

@@ -1,14 +1,19 @@
 import json
+import re
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import reject
 
 from avibasis import DensePolynomial, FitConfig, NormalizationKind, fit
 from avibasis.model_io import _model_text
 
 FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+# the CI cloud: 12 points of one ellipse, radii 1 and 0.5
+CI_CLOUD = np.loadtxt(Path(__file__).parent / "data" / "reports" / "ellipse.csv", delimiter=",")
 
 
 @pytest.fixture
@@ -32,6 +37,21 @@ def time_limit(seconds: int = 20):
 
 def random_cloud(rng, num_points, num_vars, scale=1.5):
     return rng.uniform(-scale, scale, size=(num_points, num_vars))
+
+
+# the start of the fit's refusal of points whose nonvanishing polynomials lose orthogonality
+LOST_ORTHOGONALITY = r"^degree \d+: the nonvanishing polynomials are no longer orthogonal at the points \("
+
+
+def fit_or_reject(points, config):
+    """``fit(points, config)`` for a hypothesis strategy, which rejects the
+    draw where the fit refuses it for lost orthogonality: there is no model."""
+    try:
+        return fit(points, config)
+    except ValueError as exc:
+        if not re.match(LOST_ORTHOGONALITY, str(exc)):
+            raise
+        reject()
 
 
 def random_model(rng, num_points=None, num_vars=None, epsilon=0.0,

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -27,7 +28,7 @@ from avibasis import (
 )
 from avibasis.analysis import default_epsilon_grid
 from avibasis.cli import _grid_points, main, read_points_csv, write_csv
-from conftest import FOUR_POINTS, model_dict
+from conftest import CI_CLOUD, FOUR_POINTS, model_dict
 from test_model_io import DELETE, VALUES, _field_paths
 
 
@@ -572,16 +573,17 @@ REPORTS = Path(__file__).parent / "data" / "reports"
 class TestReportGoldens:
     """The report commands rewrite golden files byte for byte.  The inputs
     are the 12-point ellipse in ``tests/data/reports``; the diagnose
-    tolerance is the square root of one of its base eigenvalues, so
-    roundoff moves that polynomial across it in the transformed fits and
-    some gaps compare a block with nothing (null in JSON)."""
+    tolerance is the square root of one of the translated fit's
+    eigenvalues, so roundoff moves that polynomial across it in the base
+    and scaled fits and some gaps compare a block with nothing (null in
+    JSON)."""
 
     @pytest.mark.parametrize(
         "golden,args",
         [
             ("diagnose.json",
              ["diagnose", "--translate", "0.5,-1", "--scale", "2",
-              "--epsilon", "0.14545784650939508"]),
+              "--epsilon", "0.1454578465093951"]),
             ("search_found.json",
              ["epsilon-search", "--num-linear", "0", "--dmin", "2", "--num-at-dmin", "1"]),
             ("search_missed.json",
@@ -742,6 +744,38 @@ class TestGenerateCommand:
         assert code == 2
         assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1
         assert field in err
+
+
+def _scaled_ci_cloud(tmp_path, scale):
+    path = tmp_path / "scaled.csv"
+    np.savetxt(path, scale * CI_CLOUD, fmt="%.17g", delimiter=",")
+    return str(path)
+
+
+class TestRefusedFits:
+    """The CI cloud, not preprocessed, at scales where its nonvanishing
+    polynomials lose orthogonality, or where degree 1's coefficient Gram
+    loses a coordinate: one error line and exit 1, no model written."""
+
+    @pytest.mark.parametrize("flag,scale", [("grad", 1e-3), ("grad", 1e9), ("vca", 1e-3), ("vca", 1e3),
+                                            ("vca", 1e9), ("coef", 1e-3), ("coef", 1e3)])
+    def test_lost_orthogonality(self, flag, scale, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code = main(["fit", _scaled_ci_cloud(tmp_path, scale), "--normalization", flag, "-o", str(model_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: degree \d+: the nonvanishing polynomials are no longer orthogonal at the"
+                            r" points \([^\n]*\); --center --unit-mean-norm may help\n", err), err
+        assert not model_path.exists()
+
+    def test_coefficient_search_of_a_huge_cloud(self, tmp_path, capsys):
+        report_path = tmp_path / "eps.json"
+        code = main(["epsilon-search", _scaled_ci_cloud(tmp_path, 1e100), "--num-linear", "0", "--dmin", "2",
+                     "--num-at-dmin", "1", "--normalization", "coef", "-o", str(report_path)])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: degree 1: the coefficient normalization keeps 1 of 2 coordinate"
+                                           " directions; --center --unit-mean-norm may help\n")
+        assert not report_path.exists()
 
 
 class TestEpsilonSearchCommand:

@@ -1,10 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +38,11 @@ from avibasis.fit import (
     orthogonalize,
 )
 from avibasis.model import DegreeRecord
-from conftest import (best_run_oracle, descend_oracle, grid_check_oracle, random_cloud, random_polynomial,
-                      satisfies_oracle)
+from conftest import (CI_CLOUD, LOST_ORTHOGONALITY, best_run_oracle, descend_oracle, grid_check_oracle,
+                      random_cloud, random_polynomial, satisfies_oracle)
+
+HINT = "; --center --unit-mean-norm may help"
+DEGREE_ONE = "degree 1: the {} normalization keeps {} of {} coordinate directions" + HINT
 
 
 def _path_models(points, config, epsilons, descend=None):
@@ -185,7 +188,8 @@ class TestOrthogonalize:
         assert np.allclose(c_out, c)
 
     def test_self_subtraction(self):
-        f = np.random.default_rng(0).normal(size=(6, 2))
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 2)))
+        f = q * [3.0, 0.25]  # orthogonal columns of unequal norms
         c_out, _ = orthogonalize(f.copy(), f)
         assert np.abs(c_out).max() <= 1e-12
 
@@ -197,10 +201,37 @@ class TestOrthogonalize:
 
     def test_result_orthogonal_to_span(self):
         rng = np.random.default_rng(7)
-        f = rng.normal(size=(10, 3))
+        q, _ = np.linalg.qr(rng.normal(size=(10, 3)))
+        f = q * [2.0, 0.5, 7.0]
         c_pre = rng.normal(size=(10, 4))
         c_out, _ = orthogonalize(c_pre, f)
         assert np.abs(f.T @ c_out).max() <= 1e-9
+
+    def test_tiny_columns_scale_exactly(self):
+        """At 2^-600, below the square root of the smallest double, the
+        squares underflow; the projection gives the bits of the unscaled
+        one, scaled by the same power of two."""
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(10, 3)))
+        f, c_pre = q * [2.0, 0.5, 7.0], rng.normal(size=(10, 4))
+        c_out, w = orthogonalize(c_pre, f)
+        tiny_out, tiny_w = orthogonalize(c_pre * 2.0**-600, f * 2.0**-600)
+        assert tiny_w.tobytes() == w.tobytes()
+        assert tiny_out.tobytes() == (c_out * 2.0**-600).tobytes()
+
+    def test_zero_candidate_is_kept(self):
+        """A zero candidate (x*y on the four points) has a zero bound and a zero residual."""
+        c_out, w = orthogonalize(np.zeros((4, 1)), np.full((4, 1), 0.5))
+        assert not c_out.any() and not w.any()
+
+    def test_refuses_a_design_that_is_not_orthogonal(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="^design columns are not orthogonal within 1e-08 of their norms$"):
+            orthogonalize(rng.normal(size=(10, 4)), rng.normal(size=(10, 3)))
+
+    def test_refuses_a_zero_column(self):
+        with pytest.raises(ValueError, match="^design columns must be nonzero$"):
+            orthogonalize(np.ones((4, 1)), np.c_[np.ones(4), np.zeros(4)])
 
     @pytest.mark.parametrize("c_pre, f", [(np.arange(5.0), np.ones((5, 2))),
                                           (np.ones((5, 1)), np.arange(5.0))])
@@ -416,32 +447,139 @@ class TestMeanNormOverTheFloatRange:
                 fit(pts, FitConfig(center=True, unit_mean_norm=True))
 
 
+def _coefficient_fit(x, a):
+    return fit(a * x, FitConfig(normalization=NormalizationKind.coefficient()))
+
+
 class TestOverflowRule:
     """Without preprocessing, the CI cloud (``tests/data/reports/ellipse.csv``)
     scaled by 1e80 or 1e200 overflows in each public entry point that fits or
     reduces.  Each raises one single-line ``ValueError`` at the first
     overflow, before any warning, and names its own operation, also around
-    the fits it makes, not the eigensolve's refusal of a non-finite Gram."""
+    the fits it makes, not the eigensolve's refusal of a non-finite Gram.
+    The coefficient fit at 1e80 is refused before it overflows: its degree-1
+    Gram keeps one of the two coordinates."""
 
     @pytest.mark.parametrize("scale", [1e80, 1e200])
     @pytest.mark.parametrize("call,what", [
         (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.gradient())), "while fitting"),
         (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.identity())), "while fitting"),
-        (lambda x, a: fit(a * x, FitConfig(normalization=NormalizationKind.coefficient())), "while fitting"),
+        (_coefficient_fit, "while fitting"),
         (lambda x, a: reduce_basis(fit(x, FitConfig(epsilon=0.01)), a * x, 1e-6), "while reducing"),
         (lambda x, a: epsilon_search(a * x, EpsilonTarget(0, 2, 1)), "while searching"),
         (lambda x, a: invariance_report(a * x, np.zeros(2), 2.0, 0.0), "while diagnosing"),
     ], ids=["fit gradient", "fit identity", "fit coefficient", "reduce_basis", "epsilon_search",
             "invariance_report"])
     def test_first_overflow_is_one_value_error(self, call, what, scale):
-        pts = np.loadtxt(Path(__file__).parent / "data" / "reports" / "ellipse.csv", delimiter=",")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as raised:
-                call(pts, scale)
+                call(CI_CLOUD, scale)
         message = str(raised.value)
+        if call is _coefficient_fit and scale == 1e80:
+            assert message == DEGREE_ONE.format("coefficient", 1, 2)
+            return
         assert message.startswith("overflow encountered in ") and "\n" not in message, message
         assert f" {what}: " in message, message
+
+
+class TestRefusals:
+    """Without preprocessing, the CI cloud at these scales loses the
+    orthogonality of its F evaluation vectors: a fit by least squares on
+    them returned more F than points, and exited 0.  Each is one
+    single-line ``ValueError`` that names the degree, before any warning."""
+
+    @pytest.mark.parametrize("variant,scale", [
+        ("gradient", 1e-3), ("gradient", 1e9), ("identity", 1e-3), ("identity", 1e3), ("identity", 1e9),
+        ("coefficient", 1e-3), ("coefficient", 1e3)])
+    def test_lost_orthogonality_is_one_value_error(self, variant, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=LOST_ORTHOGONALITY) as raised:
+                fit(scale * CI_CLOUD, FitConfig(normalization=NormalizationKind(variant)))
+        assert str(raised.value).endswith(HINT) and "\n" not in str(raised.value)
+
+    def test_the_search_and_the_report_raise_it(self):
+        with pytest.raises(ValueError, match=LOST_ORTHOGONALITY + ".*" + HINT):
+            epsilon_search(1e-3 * CI_CLOUD, EpsilonTarget(0, 3, 0), NormalizationKind.identity())
+        with pytest.raises(ValueError, match=LOST_ORTHOGONALITY + ".*" + HINT):
+            invariance_report(1e9 * CI_CLOUD, np.zeros(2), 2.0, 0.0)
+
+    def test_preprocessed_points_get_no_hint(self, monkeypatch):
+        import importlib
+
+        fit_module = importlib.import_module("avibasis.fit")
+
+        def refuse(pre, f_eval):
+            raise ValueError("design columns are not orthogonal")
+
+        monkeypatch.setattr(fit_module, "orthogonalize", refuse)
+        with pytest.raises(ValueError) as raised:
+            fit(CI_CLOUD, FitConfig(center=True, unit_mean_norm=True))
+        assert str(raised.value) == ("degree 1: the nonvanishing polynomials are no longer orthogonal at the"
+                                     " points (the lower-degree ones fail the projection check)")
+
+    @pytest.mark.parametrize("variant", ["identity", "coefficient", "gradient"])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_tiny_coordinates_vanish_unrefused(self, variant, scale):
+        """Squares of these coordinates underflow, and the projection scales
+        them first: both coordinates are numerically vanishing, as they were
+        with a least-squares orthogonalization."""
+        model = fit(scale * CI_CLOUD, FitConfig(normalization=NormalizationKind(variant)))
+        assert model.degree_counts() == ((2, 0),)
+
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    def test_coefficient_gram_that_loses_a_coordinate_is_refused(self, scale):
+        """The centred coordinates are independent polynomials, so degree 1's
+        coefficient Gram is nonsingular; at these scales its rank cut drops
+        one, and the fit would go on with one F at every degree."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                _coefficient_fit(CI_CLOUD, scale)
+        assert str(raised.value) == DEGREE_ONE.format("coefficient", 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 8), st.integers(1, 3), st.floats(-3.0, 3.0),
+           st.sampled_from(["identity", "coefficient", "gradient"]), st.integers(0, 2**32 - 1))
+    def test_at_most_one_f_per_point_or_refused(self, num_points, num_vars, log_alpha, variant, seed):
+        pts = random_cloud(np.random.default_rng(seed), num_points, num_vars) * 10.0**log_alpha
+        try:
+            model = fit(pts, FitConfig(normalization=NormalizationKind(variant)))
+        except ValueError as exc:
+            assert re.match(LOST_ORTHOGONALITY, str(exc)), str(exc)
+        else:
+            assert 1 + sum(f for _, f in model.degree_counts()) <= num_points
+
+
+# the 13 points (k/4, k^2/16), k = -6..6, on y = x^2: dyadic rationals, so
+# every cloud 2^j times it is exact in float64
+PARABOLA = np.array([[k / 4, k * k / 16] for k in range(-6, 7)])
+
+
+class TestParabolaCounts:
+    """Exactly, the parabola cloud has two F at each of degrees 1..6, 13
+    with the constant, and then only G.  Gradient normalization gives these
+    counts at every 2^j with j in ``GRADIENT_EXACT``, a range that may widen
+    but not narrow.  No scale under any normalization returns more F than
+    points: a fit either refuses the cloud or returns at most 13."""
+
+    GRADIENT_EXACT = range(-4, 25)
+
+    @pytest.mark.parametrize("j", range(-40, 41, 4))
+    @pytest.mark.parametrize("variant", ["identity", "coefficient", "gradient"])
+    def test_counts(self, variant, j):
+        exact = variant == "gradient" and j in self.GRADIENT_EXACT
+        try:
+            model = fit(2.0**j * PARABOLA, FitConfig(normalization=NormalizationKind(variant)))
+        except ValueError as exc:
+            assert not exact, str(exc)
+            assert re.match(LOST_ORTHOGONALITY, str(exc)) or str(exc) == DEGREE_ONE.format(variant, 1, 2), str(exc)
+            return
+        f_counts = [f for _, f in model.degree_counts()]
+        assert 1 + sum(f_counts) <= len(PARABOLA)
+        if exact:
+            assert f_counts == [2] * 6 + [0]
 
 
 class TestFitInvariants:
@@ -573,6 +711,10 @@ class TestFitPath:
 
     @settings(max_examples=80, deadline=None)
     @given(_path_case(), _targets)
+    # a group that ends after another steps on: the F count of each group is over the same prefix
+    @example((np.array([[0.41088506, -0.69063986, -1.37707943], [-1.45041709, 0.93981072, 1.23826673],
+                        [0.31990733, 0.68848968, 0.13087497]]),
+              FitConfig(normalization=NormalizationKind.identity()), [0.1, 1.0]), EpsilonTarget(1, 2, 0))
     def test_every_model_is_the_lone_fit_bit_for_bit(self, case, target):
         pts, config, grid = case
         pairs = list(_path_models(pts, config, grid, lambda path: _descend(target, path)))

@@ -34,7 +34,7 @@ from avibasis import (
     reduce_basis,
     save_model,
 )
-from conftest import bits, copying_fold, polynomials, random_cloud, random_model
+from conftest import bits, copying_fold, fit_or_reject, polynomials, random_cloud, random_model
 
 
 class TestPointSet:
@@ -437,7 +437,8 @@ class TestValidate:
 @st.composite
 def _fitted_cloud(draw):
     """A fit of a small random cloud under any of the four normalizations,
-    with or without preprocessing, and the raw training points."""
+    with or without preprocessing, and the raw training points; a cloud the
+    fit refuses for lost orthogonality is rejected."""
     num_points = draw(st.integers(3, 8))
     num_vars = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -457,7 +458,7 @@ def _fitted_cloud(draw):
         center=draw(st.booleans()),
         unit_mean_norm=draw(st.booleans()),
     )
-    return fit(pts, config), pts
+    return fit_or_reject(pts, config), pts
 
 
 class TestReplayProperties:

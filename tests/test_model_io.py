@@ -27,9 +27,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avibasis import FitConfig, NormalizationKind, evaluate, fit, load_model, reduce_basis, save_model
-from avibasis.model_io import model_from_dict
-from conftest import FOUR_POINTS, model_dict, random_cloud
+from avibasis import (DensePolynomial, FitConfig, NormalizationKind, evaluate, expand, fit, load_model, reduce_basis,
+                      save_model)
+from avibasis.analysis import DatasetSpec, PolynomialSystem, generate_dataset
+from avibasis.model_io import _model_text, model_from_dict
+from conftest import FOUR_POINTS, fit_or_reject, model_dict, random_cloud
 
 DATA = Path(__file__).parent / "data"
 
@@ -369,7 +371,8 @@ def _written_model(draw):
     """A fit of a random cloud or ellipse, with or without preprocessing and a
     reduction report, with special floats planted into its arrays and
     scalars and, at times, a degree emptied to zero-size matrices.  The
-    writer takes whatever it is given, so the result need not validate."""
+    writer takes whatever it is given, so the result need not validate.  A
+    cloud the fit refuses for lost orthogonality is rejected."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):  # an ellipse, whose reductions remove and deflate
         num_vars, num_points = 2, draw(st.integers(5, 9))
@@ -387,7 +390,7 @@ def _written_model(draw):
         kind = NormalizationKind(variant)
     config = FitConfig(epsilon=draw(st.sampled_from([0.0, 1e-3, 0.1, np.inf])), normalization=kind,
                        max_degree=4, center=draw(st.booleans()), unit_mean_norm=draw(st.booleans()))
-    model = fit(points, config)
+    model = fit_or_reject(points, config)
     report = None
     if draw(st.booleans()):
         report = reduce_basis(model, points, threshold=draw(st.sampled_from([1e-3, 0.0, 1e-9, 0.5])))
@@ -444,33 +447,43 @@ def test_fixture_bytes_are_the_json_dumps_oracle(name):
 
 # Written from fits of the space curve x^2 + y^2 + z^2 = 1, xy = z (60
 # samples, noise 0.01) in coefficient normalization at epsilon 0.01,
-# reduced at threshold 1e-2, by the dict-based symbolic kernel that the
-# array kernel replaced: each case holds the model JSON with its
-# reduction and the expansion of every handle, "exponents float.hex" per
-# term in term order.
+# reduced at threshold 1e-2, by this module's writer
+# (``PYTHONPATH=src python tests/test_model_io.py``): each case holds the
+# model JSON with its reduction and the expansion of every handle,
+# "exponents float.hex" per term in term order.
 COEFFICIENT_GOLDEN = json.loads((DATA / "coefficient" / "curve_reduced.json").read_text())
 
 
-@pytest.mark.parametrize("case", sorted(COEFFICIENT_GOLDEN))
-def test_coefficient_fit_and_expansions_match_the_golden_file(case, tmp_path):
-    from avibasis import DensePolynomial, expand
-    from avibasis.analysis import DatasetSpec, PolynomialSystem, generate_dataset
-
-    golden = COEFFICIENT_GOLDEN[case]
+def _curve_fit(seed):
+    """The golden case's model and reduction report."""
     curve = PolynomialSystem((
         DensePolynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
         DensePolynomial(3, {(1, 1, 0): 1.0, (0, 0, 1): -1.0}),
     ))
-    seed = int(case.removeprefix("seed="))
     points = generate_dataset(DatasetSpec(variety=curve, samples=60, noise_std_fraction=0.01, seed=seed)).points
     model = fit(points, FitConfig(epsilon=0.01, normalization=NormalizationKind.coefficient()))
-    report = reduce_basis(model, points, threshold=1e-2)
+    return model, reduce_basis(model, points, threshold=1e-2)
+
+
+def _expansions(model):
+    return {h.label(): [",".join(map(str, e)) + " " + float(c).hex() for e, c in expand(model, h).terms.items()]
+            for h in model.handles()}
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_GOLDEN))
+def test_coefficient_fit_and_expansions_match_the_golden_file(case, tmp_path):
+    golden = COEFFICIENT_GOLDEN[case]
+    model, report = _curve_fit(int(case.removeprefix("seed=")))
     save_model(tmp_path / "m.json", model, report)
     assert (tmp_path / "m.json").read_text() == golden["model"]
     loaded, _ = load_model(tmp_path / "m.json")
+    assert _expansions(model) == golden["expansions"]
+    assert _expansions(loaded) == golden["expansions"]
 
-    def terms(m, h):
-        return [",".join(map(str, e)) + " " + float(c).hex() for e, c in expand(m, h).terms.items()]
 
-    assert {h.label(): terms(model, h) for h in model.handles()} == golden["expansions"]
-    assert {h.label(): terms(loaded, h) for h in loaded.handles()} == golden["expansions"]
+if __name__ == "__main__":
+    golden = {}
+    for seed in (1007, 7):
+        model, report = _curve_fit(seed)
+        golden[f"seed={seed}"] = {"expansions": _expansions(model), "model": _model_text(model, report)}
+    (DATA / "coefficient" / "curve_reduced.json").write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
